@@ -1,46 +1,19 @@
-//! Unified exec core: serial vs parallel NMP candidate evaluation, the
-//! multi-task runtime on the serial vs thread-per-queue timeline, and
-//! the streaming scenario across execution modes (serial vs pipelined
-//! vs sharded vs layer-parallel).
-//!
-//! Interesting ratios:
-//!
-//! * `nmp_eval/population_serial` vs `…_parallel`: on ≥4 cores the
-//!   fan-out should be >1.5× faster wall-clock (bitwise identical — the
-//!   pool only spreads pure fitness evaluations);
-//! * `exec_modes/streams_serial` vs `…_pipelined`: the pipelined
-//!   runtime overlaps E2SF slicing with dispatch (and runs per-task
-//!   frontends concurrently), so it should be at least as fast as the
-//!   serial driver on multi-task scenarios — with identical reports.
-//!   On a single-core host no overlap is physically possible and the
-//!   two track each other within noise (the sync-on-demand protocol
-//!   keeps thread overhead to a handful of round trips per run); every
-//!   additional core turns frontend time into overlap;
-//! * `exec_runtime/thread_per_queue_timeline`: tracks the per-job
-//!   reservation batching (`reserve_run`) — one channel round trip per
-//!   same-PE layer run instead of two per layer;
-//! * `exec_modes/streams_layer_parallel`: intra-task segment waves —
-//!   each job's data-independent same-PE layer runs reserve their
-//!   queues in one `reserve_runs` wave on the thread-per-queue
-//!   timeline, so cross-PE mappings overlap *within* one inference.
-//!   Needs ≥2 cores to show wall-clock wins, like the other modes.
+//! Unified exec core: the multi-task runtime on periodic arrivals
+//! (`exec_runtime/serial_timeline`) and the three-stream E2SF → DSFA →
+//! engine scenario (`exec_modes/streams_serial`, the scenario the
+//! `evbench` streams workload measures end to end).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ev_core::{TimeDelta, TimeWindow, Timestamp};
 use ev_datasets::mvsec::SequenceId;
 use ev_edge::dsfa::{CMode, DsfaConfig};
 use ev_edge::multipipe::{
-    run_multi_task_runtime, run_multi_task_streams, ExecMode, MultiTaskRuntimeConfig, StreamTask,
+    run_multi_task_runtime, run_multi_task_streams, MultiTaskRuntimeConfig, StreamTask,
 };
 use ev_edge::nmp::baseline;
-use ev_edge::nmp::candidate::Candidate;
-use ev_edge::nmp::evolution::{run_nmp, NmpConfig};
-use ev_edge::nmp::fitness::{FitnessConfig, FitnessEvaluator};
 use ev_edge::nmp::multitask::{MultiTaskProblem, TaskSpec};
 use ev_nn::zoo::{NetworkId, ZooConfig};
 use ev_platform::pe::Platform;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 fn problem() -> MultiTaskProblem {
     let cfg = ZooConfig::mvsec();
@@ -67,60 +40,7 @@ fn problem() -> MultiTaskProblem {
     .expect("valid problem")
 }
 
-/// A fresh batch of distinct random candidates (all cache misses).
-fn population(p: &MultiTaskProblem, size: usize, seed: u64) -> Vec<Candidate> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    (0..size).map(|_| Candidate::random(p, &mut rng)).collect()
-}
-
-fn bench_candidate_evaluation(c: &mut Criterion) {
-    let p = problem();
-    let mut group = c.benchmark_group("nmp_eval");
-    group.sample_size(10);
-
-    for (label, workers) in [("population_serial", 1usize), ("population_parallel", 0)] {
-        let mut seed = 0u64;
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                // Fresh evaluator + fresh candidates: every evaluation is
-                // a cache miss, so the measurement is pure fan-out.
-                seed += 1;
-                let mut eval = FitnessEvaluator::new(&p, FitnessConfig::default());
-                let candidates = population(&p, 32, seed);
-                eval.evaluate_all(&candidates, workers).expect("valid")
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_search(c: &mut Criterion) {
-    let p = problem();
-    let mut group = c.benchmark_group("nmp_search");
-    group.sample_size(10);
-
-    for (label, workers) in [("search_serial", 1usize), ("search_parallel", 0)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                run_nmp(
-                    &p,
-                    NmpConfig {
-                        population: 24,
-                        generations: 6,
-                        seed: 11,
-                        workers,
-                        ..NmpConfig::default()
-                    },
-                    FitnessConfig::default(),
-                )
-                .expect("search succeeds")
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_runtime_timelines(c: &mut Criterion) {
+fn bench_periodic_runtime(c: &mut Criterion) {
     let p = problem();
     let candidate = baseline::rr_network(&p);
     let periods = [
@@ -136,14 +56,10 @@ fn bench_runtime_timelines(c: &mut Criterion) {
         let config = MultiTaskRuntimeConfig::new(window);
         b.iter(|| run_multi_task_runtime(&p, &candidate, &periods, config).expect("runs"));
     });
-    group.bench_function("thread_per_queue_timeline", |b| {
-        let config = MultiTaskRuntimeConfig::new(window).with_parallel_runtime();
-        b.iter(|| run_multi_task_runtime(&p, &candidate, &periods, config).expect("runs"));
-    });
     group.finish();
 }
 
-fn bench_exec_modes(c: &mut Criterion) {
+fn bench_streams(c: &mut Criterion) {
     let p = problem();
     let candidate = baseline::rr_network(&p);
     let streams = vec![
@@ -168,37 +84,14 @@ fn bench_exec_modes(c: &mut Criterion) {
         },
     ];
     let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(120));
-    let base = MultiTaskRuntimeConfig::new(window);
+    let config = MultiTaskRuntimeConfig::new(window);
     let mut group = c.benchmark_group("exec_modes");
     group.sample_size(10);
-
-    let modes = [
-        ("streams_serial", ExecMode::Serial),
-        (
-            "streams_pipelined",
-            ExecMode::Pipelined {
-                channel_capacity: ExecMode::DEFAULT_CHANNEL_CAPACITY,
-            },
-        ),
-        ("streams_sharded", ExecMode::Sharded { shards: 0 }),
-        ("streams_layer_parallel", ExecMode::LayerParallel),
-        ("streams_optimizing", ExecMode::Optimizing),
-    ];
-    for (label, mode) in modes {
-        let mut config = base;
-        config.mode = mode;
-        group.bench_function(label, |b| {
-            b.iter(|| run_multi_task_streams(&p, &candidate, &streams, config).expect("runs"));
-        });
-    }
+    group.bench_function("streams_serial", |b| {
+        b.iter(|| run_multi_task_streams(&p, &candidate, &streams, config).expect("runs"));
+    });
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_candidate_evaluation,
-    bench_search,
-    bench_runtime_timelines,
-    bench_exec_modes
-);
+criterion_group!(benches, bench_periodic_runtime, bench_streams);
 criterion_main!(benches);

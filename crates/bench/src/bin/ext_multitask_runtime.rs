@@ -1,20 +1,14 @@
 //! Extension experiment: the Figure 9 mixed configuration played forward
 //! in simulated time — periodic concurrent inputs, shared PE queues, and
 //! bounded inference queues with the §4.2 oldest-frame drop rule.
-//! `--mode <mode>` selects the execution machinery: every
-//! order-preserving mode prints identical numbers, and the opt-in
-//! `optimizing` mode prints the same counts with latencies bounded
-//! above by them (the `exec::equivalence` contract).
 
-use ev_bench::experiments::multitask_runtime_mode;
+use ev_bench::experiments::multitask_runtime;
 use ev_bench::report::{write_json, CommonArgs, TextTable};
-use ev_edge::multipipe::ExecMode;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = CommonArgs::parse();
-    args.reject_unknown(&["--mode"], &[])?;
-    let mode = args.exec_mode()?.unwrap_or(ExecMode::Serial);
-    let rows = multitask_runtime_mode(args.quick, mode)?;
+    args.reject_unknown(&[], &[])?;
+    let rows = multitask_runtime(args.quick)?;
 
     println!("Extension — multi-task runtime (mixed SNN-ANN, periodic inputs)");
     println!();

@@ -14,9 +14,6 @@
 //! * `--spec <path>` — load the `SweepSpec` from a JSON file instead of
 //!   the built-in grid; a previous report's `"spec"` field replays that
 //!   sweep exactly.
-//! * `--mode <name>` — runtime playback execution mode (see
-//!   `CommonArgs::exec_mode`); every mode yields a byte-identical
-//!   report.
 //! * `--hetero` — sweep the heterogeneous built-in grid instead: the
 //!   GNN-heavy and corner+inference mixes (data-dependent GraphNet
 //!   tasks plus the always-on corner frontend) crossed with the
@@ -26,12 +23,10 @@ use ev_bench::experiments::{
     load_sweep_spec, sweep_cells_table, sweep_grid_hetero_spec, sweep_grid_spec,
 };
 use ev_bench::report::{write_json, CommonArgs};
-use ev_edge::multipipe::ExecMode;
-use ev_edge::nmp::sweep::{run_sweep_mode, SweepSpec};
+use ev_edge::nmp::sweep::{run_sweep, SweepSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = CommonArgs::parse();
-    let mode = args.exec_mode()?.unwrap_or(ExecMode::Serial);
     let mut workers = 0usize;
     let mut spec_path: Option<String> = None;
     let mut hetero = false;
@@ -48,9 +43,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--spec" => {
                 spec_path = Some(rest.next().ok_or("--spec needs a path")?.clone());
             }
-            "--mode" => {
-                rest.next(); // value already consumed by exec_mode()
-            }
             "--hetero" => hetero = true,
             other => return Err(format!("unknown flag `{other}`").into()),
         }
@@ -64,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None => sweep_grid_spec(args.quick),
     };
 
-    let report = run_sweep_mode(&spec, workers, mode)?;
+    let report = run_sweep(&spec, workers)?;
     println!(
         "NMP configuration sweep — {} cells, {} searches, {} mapping problems, workers = {}",
         report.cells.len(),

@@ -4,24 +4,15 @@
 //!
 //! `--tuned <tune.json>` replays the NMP search configuration an
 //! `ext_autotune` run selected for Xavier AGX instead of the
-//! hard-coded one (sweep → tune → replay). `--mode <mode>` selects the
-//! execution machinery (`serial`, `thread-per-queue`, `pipelined`,
-//! `sharded`, `layer-parallel`, `optimizing`) — every mode prints a
-//! byte-identical report (the single-task pipeline gives the
-//! schedule-optimizing mode nothing to re-order).
+//! hard-coded one (sweep → tune → replay). `--ablate-dsfa` prints the
+//! DSFA threshold/mode ablation instead.
 
-use ev_bench::experiments::{
-    default_nmp_config, dsfa_ablation_mode, figure8_mode, tuned_replay_config,
-};
+use ev_bench::experiments::{default_nmp_config, dsfa_ablation, figure8_with, tuned_replay_config};
 use ev_bench::report::{write_json, CommonArgs, TextTable};
-use ev_edge::multipipe::ExecMode;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = CommonArgs::parse();
-    args.reject_unknown(&["--tuned", "--mode"], &["--ablate-dsfa"])?;
-    // Parse --mode before branching so an invalid mode fails loudly on
-    // every path, ablation included.
-    let mode = args.exec_mode()?.unwrap_or(ExecMode::Serial);
+    args.reject_unknown(&["--tuned"], &["--ablate-dsfa"])?;
     if args.has_flag("--ablate-dsfa") {
         // Mutually exclusive with --tuned: the ablation sweeps DSFA
         // thresholds under the hard-coded config, and must not
@@ -31,13 +22,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if args.has_flag("--tuned") {
             return Err("--tuned does not apply to the DSFA ablation (--ablate-dsfa)".into());
         }
-        return run_dsfa_ablation(&args, mode);
+        return run_dsfa_ablation(&args);
     }
     let config = match tuned_replay_config(&args)? {
         Some(config) => config,
         None => default_nmp_config(args.quick),
     };
-    let rows = figure8_mode(args.quick, config, mode)?;
+    let rows = figure8_with(args.quick, config)?;
 
     println!("Figure 8 — single-task speedup vs all-GPU dense baseline (cumulative)");
     println!();
@@ -83,8 +74,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn run_dsfa_ablation(args: &CommonArgs, mode: ExecMode) -> Result<(), Box<dyn std::error::Error>> {
-    let rows = dsfa_ablation_mode(args.quick, mode)?;
+fn run_dsfa_ablation(args: &CommonArgs) -> Result<(), Box<dyn std::error::Error>> {
+    let rows = dsfa_ablation(args.quick)?;
     println!("DSFA ablation — SpikeFlowNet on indoor_flying1 (+E2SF+DSFA variant)");
     println!();
     let mut table = TextTable::new([

@@ -4,44 +4,29 @@
 //!
 //! `--tuned <tune.json>` replays the NMP search configuration an
 //! `ext_autotune` run selected for Xavier AGX instead of the
-//! hard-coded one (sweep → tune → replay). `--mode <mode>` additionally
+//! hard-coded one (sweep → tune → replay). `--playback` additionally
 //! plays each configuration's NMP winner forward through the multi-task
-//! runtime on the selected machinery (`serial`, `thread-per-queue`,
-//! `pipelined`, `sharded`, `layer-parallel`, `optimizing`) — the
-//! playback numbers are identical for every order-preserving mode;
-//! `optimizing` may beat them (and never does worse, per the
-//! semantic-equivalence contract). `--mix <name>` narrows the run to a
+//! runtime and appends that table. `--mix <name>` narrows the run to a
 //! single named workload mix (`all-ann`, `all-snn`, `mixed`,
 //! `gnn-heavy`, `corner-inference`) — the heterogeneous mixes exercise
 //! the data-dependent GraphNet and always-on corner-frontend tasks.
 
 use ev_bench::experiments::{
-    default_nmp_config, fig9_playback_table, figure9_mix, figure9_with, figure9_with_playback,
-    mix_flag, tuned_replay_config,
+    default_nmp_config, fig9_playback_table, figure9_detail, mix_flag, tuned_replay_config,
 };
 use ev_bench::report::{write_json, CommonArgs, TextTable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = CommonArgs::parse();
-    args.reject_unknown(&["--tuned", "--mode", "--mix"], &[])?;
-    let mode = args.exec_mode()?;
+    args.reject_unknown(&["--tuned", "--mix"], &["--playback"])?;
     let mix = mix_flag(&args)?;
     let config = match tuned_replay_config(&args)? {
         Some(config) => config,
         None => default_nmp_config(args.quick),
     };
     // One search pass feeds both the table and the optional playback.
-    let (rows, playback) = match (mix, mode) {
-        (Some(mix), mode) => {
-            let (rows, playback) = figure9_mix(config, &mix, mode.map(|mode| (args.quick, mode)))?;
-            (rows, mode.zip(playback))
-        }
-        (None, Some(mode)) => {
-            let (rows, playback) = figure9_with_playback(config, args.quick, mode)?;
-            (rows, Some((mode, playback)))
-        }
-        (None, None) => (figure9_with(config)?, None),
-    };
+    let playback = args.has_flag("--playback").then_some(args.quick);
+    let (rows, playback) = figure9_detail(config, playback, mix.as_ref())?;
 
     println!("Figure 9 — multi-task execution latency");
     println!();
@@ -74,22 +59,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          NMP-FP (full precision only) trails NMP by 1.05x-1.22x but still beats both RRs."
     );
 
-    if let Some((mode, playback)) = &playback {
+    if let Some(playback) = &playback {
         println!();
         println!("Runtime playback — NMP winners under periodic near-saturation arrivals");
-        println!(
-            "(execution mode: {mode:?}; order-preserving modes print identical numbers,\n\
-             optimizing is bounded above by them)"
-        );
         println!();
         print!("{}", fig9_playback_table(playback).render());
     }
 
     if let Some(path) = args.json {
-        // With --mode the artifact carries both tables; without it the
-        // shape stays the plain Fig9Row array earlier tooling expects.
+        // With --playback the artifact carries both tables; without it
+        // the shape stays the plain Fig9Row array earlier tooling expects.
         match playback {
-            Some((_, playback)) => write_json(&path, &Fig9Artifact { rows, playback })?,
+            Some(playback) => write_json(&path, &Fig9Artifact { rows, playback })?,
             None => write_json(&path, &rows)?,
         }
         eprintln!("wrote {}", path.display());
@@ -97,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// The `--json` artifact shape when `--mode` is present: the Figure 9
+/// The `--json` artifact shape when `--playback` is present: the Figure 9
 /// rows plus the runtime playback they were printed with.
 #[derive(serde::Serialize)]
 struct Fig9Artifact {

@@ -6,8 +6,7 @@
 //! against the spec's assertions, and the per-spec outcomes are
 //! collected in *spec order* via
 //! [`ev_edge::exec::parallel::parallel_try_map`] — so the suite report
-//! is byte-identical at any worker count (the same determinism
-//! contract the execution modes themselves carry).
+//! is byte-identical at any worker count.
 
 use super::diff::{diff_values, lookup_path};
 use super::spec::{Assertion, ScenarioSpec};
@@ -414,7 +413,7 @@ fn check_assertion(
             if *text != golden_text {
                 failures.push(format!(
                     "artifact is not byte-identical to golden {golden_rel} \
-                     (never regenerated — owned by the reference-mode spec):"
+                     (never regenerated — owned by its `MatchesGolden` spec):"
                 ));
                 match serde_json::from_str::<Value>(&golden_text) {
                     Ok(golden) => {

@@ -3,7 +3,7 @@
 //! A spec is one JSON file under `specs/` declaring a scenario — which
 //! experiment binary to run, with which arguments — plus the
 //! expectations its report must satisfy. Adding a scenario (a new
-//! workload, execution mode or platform preset) is a *data* change: no
+//! workload, flag or platform preset) is a *data* change: no
 //! new test code, just a new spec file.
 //!
 //! ```json
@@ -11,7 +11,6 @@
 //!   "name": "fig8-serial",
 //!   "figure": "fig8",
 //!   "bin": "fig8_single_task",
-//!   "args": ["--mode", "serial"],
 //!   "artifact": true,
 //!   "assertions": [
 //!     { "StdoutContains": "Figure 8" },

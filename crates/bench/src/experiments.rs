@@ -9,7 +9,6 @@ use ev_core::{TimeDelta, TimeWindow, Timestamp};
 use ev_datasets::mvsec::SequenceId;
 use ev_datasets::representation::representation_for;
 use ev_edge::e2sf::FrameRepresentation;
-use ev_edge::multipipe::ExecMode;
 use ev_edge::nmp::baseline;
 use ev_edge::nmp::evolution::{run_nmp, NmpConfig};
 use ev_edge::nmp::fitness::{FitnessConfig, FitnessEvaluator};
@@ -54,7 +53,7 @@ fn analysis_window(quick: bool) -> TimeWindow {
 
 /// The hard-coded per-figure NMP search configuration (what a `--tuned`
 /// replay substitutes for). Public so conformance tests can drive the
-/// figure experiments with explicit mode/config combinations.
+/// figure experiments with explicit configurations.
 pub fn default_nmp_config(quick: bool) -> NmpConfig {
     if quick {
         NmpConfig {
@@ -439,24 +438,6 @@ pub fn figure8(quick: bool) -> Result<Vec<Fig8Row>, Box<dyn Error>> {
 ///
 /// Propagates pipeline errors.
 pub fn figure8_with(quick: bool, nmp: NmpConfig) -> Result<Vec<Fig8Row>, Box<dyn Error>> {
-    figure8_mode(quick, nmp, ExecMode::Serial)
-}
-
-/// Figure 8 under an explicit [`ExecMode`] (the binary's `--mode`
-/// flag): every variant's engine runs on the selected machinery. Every
-/// mode produces a byte-identical report — pinned against the serial
-/// golden snapshot in `tests/golden_reports.rs`. (That includes
-/// `Optimizing`: the single-task pipeline leaves its transformations
-/// nothing to re-order.)
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-pub fn figure8_mode(
-    quick: bool,
-    nmp: NmpConfig,
-    mode: ExecMode,
-) -> Result<Vec<Fig8Row>, Box<dyn Error>> {
     let mut rows = Vec::new();
     for network in NetworkId::TABLE1 {
         let setup = PipelineSetup {
@@ -468,7 +449,7 @@ pub fn figure8_mode(
         };
         let mut reports = Vec::new();
         for variant in PipelineVariant::FIGURE8 {
-            let mut options = PipelineOptions::for_variant(variant, network).with_exec_mode(mode);
+            let mut options = PipelineOptions::for_variant(variant, network);
             options.nmp = nmp;
             reports.push(run_single_task(&setup, &options)?);
         }
@@ -580,47 +561,25 @@ pub fn figure9_with(config: NmpConfig) -> Result<Vec<Fig9Row>, Box<dyn Error>> {
     Ok(figure9_detail(config, None, None)?.0)
 }
 
-/// [`figure9_with`] plus a runtime playback of each configuration's
-/// NMP winner under `mode` (the `fig9_multi_task --mode` view) — the
-/// searches run once and feed both the table and the playback.
-///
-/// # Errors
-///
-/// Propagates search and simulation errors.
-pub fn figure9_with_playback(
-    config: NmpConfig,
-    quick: bool,
-    mode: ExecMode,
-) -> Result<(Vec<Fig9Row>, Vec<Fig9PlaybackRow>), Box<dyn Error>> {
-    let (rows, playback) = figure9_detail(config, Some((quick, mode)), None)?;
-    Ok((rows, playback.expect("playback requested")))
-}
-
-/// The Figure 9 experiment narrowed to a single named [`TaskMix`] (the
-/// binary's `--mix` flag): one table row (and optionally one playback
-/// row under `mode`) for that mix instead of the paper's three
-/// configurations. The heterogeneous mixes (`gnn-heavy`,
-/// `corner-inference`) route their data-dependent density schedules
-/// into the cost tables via the shared task constructor.
-///
-/// # Errors
-///
-/// Propagates search and simulation errors.
-pub fn figure9_mix(
-    config: NmpConfig,
-    mix: &TaskMix,
-    playback: Option<(bool, ExecMode)>,
-) -> Result<Fig9Detail, Box<dyn Error>> {
-    figure9_detail(config, playback, Some(mix))
-}
-
 /// A Figure 9 result set: the table rows plus the optional runtime
-/// playback rows (present when a mode was requested).
+/// playback rows (present when a playback was requested).
 pub type Fig9Detail = (Vec<Fig9Row>, Option<Vec<Fig9PlaybackRow>>);
 
-fn figure9_detail(
+/// Figure 9 in full generality (the `fig9_multi_task` binary): the
+/// paper's three configurations, or only `mix` (the `--mix` flag; the
+/// heterogeneous mixes `gnn-heavy` and `corner-inference` route their
+/// data-dependent density schedules into the cost tables via the shared
+/// task constructor). `playback` is `Some(quick)` to also play each
+/// configuration's NMP winner forward through the multi-task runtime
+/// (the `--playback` flag) over the quick or full window; the searches
+/// run once and feed both the table and the playback.
+///
+/// # Errors
+///
+/// Propagates search and simulation errors.
+pub fn figure9_detail(
     config: NmpConfig,
-    playback: Option<(bool, ExecMode)>,
+    playback: Option<bool>,
     mix: Option<&TaskMix>,
 ) -> Result<Fig9Detail, Box<dyn Error>> {
     use ev_edge::multipipe::{run_multi_task_runtime, MultiTaskRuntimeConfig};
@@ -649,7 +608,7 @@ fn figure9_detail(
             FitnessConfig::default(),
         )?;
         let ms = |d: TimeDelta| d.as_secs_f64() * 1e3;
-        if let (Some(out), Some((quick, mode))) = (playback_rows.as_mut(), playback) {
+        if let (Some(out), Some(quick)) = (playback_rows.as_mut(), playback) {
             // Arrival periods: the sweep engine's near-saturation rule
             // over the RR-Network baseline, so mapping quality shows as
             // drops and latency.
@@ -660,7 +619,6 @@ fn figure9_detail(
                     Timestamp::from_millis(if quick { 20 } else { 50 }),
                 ),
                 queue_capacity: 2,
-                mode,
             };
             let played = run_multi_task_runtime(&problem, &nmp.best, &periods, runtime_config)?;
             let mean_utilization =
@@ -689,7 +647,7 @@ fn figure9_detail(
 
 /// One configuration's runtime playback behind the Figure 9 table: the
 /// NMP winner played forward in simulated time under periodic
-/// near-saturation arrivals (the `fig9_multi_task --mode` view).
+/// near-saturation arrivals (the `fig9_multi_task --playback` view).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig9PlaybackRow {
     /// Configuration name.
@@ -1323,20 +1281,6 @@ pub struct DsfaAblationRow {
 ///
 /// Propagates pipeline errors.
 pub fn dsfa_ablation(quick: bool) -> Result<Vec<DsfaAblationRow>, Box<dyn Error>> {
-    dsfa_ablation_mode(quick, ExecMode::Serial)
-}
-
-/// [`dsfa_ablation`] under an explicit [`ExecMode`] (the binary's
-/// `--mode` flag); rows are identical for every mode (single-task, so
-/// `Optimizing` degenerates to the serial schedule too).
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-pub fn dsfa_ablation_mode(
-    quick: bool,
-    mode: ExecMode,
-) -> Result<Vec<DsfaAblationRow>, Box<dyn Error>> {
     use ev_edge::dsfa::{CMode, DsfaConfig};
     let network = NetworkId::SpikeFlowNet;
     let setup = PipelineSetup {
@@ -1348,7 +1292,7 @@ pub fn dsfa_ablation_mode(
     };
     let baseline = run_single_task(
         &setup,
-        &PipelineOptions::for_variant(PipelineVariant::DenseAllGpu, network).with_exec_mode(mode),
+        &PipelineOptions::for_variant(PipelineVariant::DenseAllGpu, network),
     )?;
     let baseline_ms = baseline.makespan.as_secs_f64() * 1e3;
 
@@ -1406,7 +1350,6 @@ pub fn dsfa_ablation_mode(
     for dsfa in sweeps {
         let options = PipelineOptions {
             dsfa,
-            exec_mode: mode,
             ..PipelineOptions::for_variant(PipelineVariant::E2sfDsfa, network)
         };
         let report = run_single_task(&setup, &options)?;
@@ -1535,21 +1478,6 @@ pub struct RuntimeRow {
 ///
 /// Propagates simulation errors.
 pub fn multitask_runtime(quick: bool) -> Result<Vec<RuntimeRow>, Box<dyn Error>> {
-    multitask_runtime_mode(quick, ExecMode::Serial)
-}
-
-/// [`multitask_runtime`] under an explicit [`ExecMode`] (the binary's
-/// `--mode` flag); rows are identical for every order-preserving mode,
-/// while `Optimizing` keeps the same counts with latencies bounded
-/// above by them (the `ev_edge::exec::equivalence` contract).
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn multitask_runtime_mode(
-    quick: bool,
-    mode: ExecMode,
-) -> Result<Vec<RuntimeRow>, Box<dyn Error>> {
     use ev_edge::multipipe::{run_multi_task_runtime, MultiTaskRuntimeConfig};
     use ev_edge::nmp::candidate::Candidate;
 
@@ -1573,8 +1501,7 @@ pub fn multitask_runtime_mode(
             )
         })
         .collect();
-    let mut config = MultiTaskRuntimeConfig::new(analysis_window(quick));
-    config.mode = mode;
+    let config = MultiTaskRuntimeConfig::new(analysis_window(quick));
     let nmp = run_nmp(&problem, nmp_config(quick), FitnessConfig::default())?;
     // Extension: the same search minimizing schedulability load (per-task
     // latency/period and per-PE utilization) — the right objective under

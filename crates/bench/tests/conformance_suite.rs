@@ -58,8 +58,8 @@ fn options(sandbox: &str) -> RunnerOptions {
 }
 
 /// The whole shipped suite passes at the quick budget — every figure
-/// and table claim, every exec-mode byte-identity constraint, and the
-/// negative (must-fail) scenarios.
+/// and table claim, every cross-binary byte-identity constraint, and
+/// the negative (must-fail) scenarios.
 #[test]
 fn shipped_specs_all_pass_quick() {
     let specs = discover_specs(&specs_dir()).expect("specs directory parses");

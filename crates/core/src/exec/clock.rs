@@ -6,9 +6,7 @@
 //! ordering: events are scheduled at absolute simulated timestamps and
 //! popped in `(time, payload)` order, with payload `Ord` as the
 //! deterministic tie-break (lower task index first, matching the serial
-//! engines this module replaced). The pipelined runtime's k-way merge
-//! over per-task frame channels reproduces exactly this pop order (see
-//! [`crate::exec::pipelined`]).
+//! engines this module replaced).
 //!
 //! # Examples
 //!

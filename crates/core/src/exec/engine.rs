@@ -10,8 +10,8 @@
 //!   oldest-drop rule (via [`InferenceQueue`]);
 //! * a greedy **service loop** — a task starts its next inference when
 //!   its previous one finished and an input is pending;
-//! * dispatch through a pluggable [`JobModel`] onto any
-//!   [`ReservationTimeline`] (serial or thread-per-queue parallel);
+//! * dispatch through a pluggable [`JobModel`] onto a
+//!   [`ReservationTimeline`];
 //! * **latency / makespan / energy / utilization** accounting, including
 //!   the platform's always-on static power over the makespan.
 
@@ -77,93 +77,6 @@ impl EngineReport {
     }
 }
 
-/// The task-facing surface of an execution engine: what runtime drivers
-/// (periodic arrivals, streaming frontends, the pipelined stage loop)
-/// need in order to deliver inputs and advance simulated time.
-///
-/// Implemented by [`ExecEngine`] itself and by the task-partitioned
-/// [`crate::exec::sharded::ShardedEngine`], so every driver in
-/// [`crate::multipipe`] is written once and runs over either.
-pub trait TaskEngine {
-    /// Number of tasks the engine serves.
-    fn task_count(&self) -> usize;
-
-    /// Records one frontend-level input arrival for `task` without
-    /// enqueuing anything.
-    fn note_arrival(&mut self, task: usize);
-
-    /// Enqueues a job on `task`'s bounded queue without counting an
-    /// arrival (overload discards the oldest pending input, §4.2).
-    fn enqueue(&mut self, task: usize, job: JobInput);
-
-    /// Delivers an input to `task`: counts the arrival and enqueues it.
-    fn submit(&mut self, task: usize, job: JobInput) {
-        self.note_arrival(task);
-        self.enqueue(task, job);
-    }
-
-    /// Whether `task` has no inference in flight at `time` (DSFA's
-    /// hardware-availability signal, paper §4.2).
-    fn task_idle_at(&self, task: usize, time: Timestamp) -> bool {
-        self.task_free_at(task) <= time
-    }
-
-    /// When `task`'s in-flight inference finishes.
-    fn task_free_at(&self, task: usize) -> Timestamp;
-
-    /// Whether `task` still holds queued inputs it has not dispatched.
-    ///
-    /// Engines that cannot see their queues conservatively report
-    /// `true`: a speculative consumer (the pipelined stage's local
-    /// early-flush proof) may only treat a task's free time as frozen
-    /// when the engine *proves* the backlog empty — `false` means "the
-    /// free time cannot advance until new work is sent".
-    fn task_backlog(&self, _task: usize) -> bool {
-        true
-    }
-
-    /// Every task's free time, in task order (the state vector the
-    /// pipelined frontend's lockstep feedback channel carries).
-    fn task_free_times(&self) -> Vec<Timestamp> {
-        (0..self.task_count())
-            .map(|t| self.task_free_at(t))
-            .collect()
-    }
-
-    /// Services every task that can make progress at `now`, in task
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dispatch errors.
-    fn service_all(&mut self, now: Timestamp, model: &mut dyn JobModel) -> Result<(), EvEdgeError>;
-
-    /// Runs everything still queued for `task`, regardless of time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dispatch errors.
-    fn drain(&mut self, task: usize, model: &mut dyn JobModel) -> Result<(), EvEdgeError>;
-
-    /// Runs everything still queued, task by task.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dispatch errors.
-    fn drain_all(&mut self, model: &mut dyn JobModel) -> Result<(), EvEdgeError> {
-        for task in 0..self.task_count() {
-            self.drain(task, model)?;
-        }
-        Ok(())
-    }
-
-    /// Closes the run: charges `static_power_w` over the makespan and
-    /// produces the unified report.
-    fn finish(self, static_power_w: f64) -> EngineReport
-    where
-        Self: Sized;
-}
-
 /// Read access to an engine's device-load counters: the signal an
 /// admission controller samples between arrivals (the `ev_serve`
 /// front door trips its watermark on these).
@@ -215,9 +128,9 @@ impl<T: ReservationTimeline> LoadProbe for ExecEngine<T> {
 
 /// The unified streaming execution engine.
 ///
-/// Generic over the timeline so the identical dispatch loop drives the
-/// serial [`ev_platform::DeviceTimeline`] or the thread-per-queue
-/// [`crate::exec::parallel::ParallelTimeline`].
+/// Generic over the timeline so a caller can wrap the runtime's
+/// [`ev_platform::DeviceTimeline`] (e.g. to time or count its
+/// reservations) without touching the dispatch loop.
 ///
 /// # Examples
 ///
@@ -351,16 +264,9 @@ impl<T: ReservationTimeline> ExecEngine<T> {
                 break;
             };
             let ready = job.ready.max(self.task_free[task]);
-            // `end` is the job's real completion (latency/makespan);
-            // `gate` is when the task counts as busy until. For every
-            // order-preserving model they coincide. An optimizing model
-            // returns its serial-equivalent gate so an early finish
-            // never changes which jobs are popped or dropped (see
-            // `JobModel::dispatch_gated`).
-            let (end, gate, energy) =
-                model.dispatch_gated(task, &job, ready, &mut self.timeline)?;
+            let (end, energy) = model.dispatch(task, &job, ready, &mut self.timeline)?;
             self.energy += energy;
-            self.task_free[task] = gate;
+            self.task_free[task] = end;
             self.makespan_end = self.makespan_end.max(end);
             self.completed[task] += 1;
             let latency = end - job.ready;
@@ -425,11 +331,6 @@ impl<T: ReservationTimeline> ExecEngine<T> {
         self.task_free[task]
     }
 
-    /// Whether `task` still holds queued inputs it has not dispatched.
-    pub fn task_backlog(&self, task: usize) -> bool {
-        !self.queues[task].is_empty()
-    }
-
     /// The underlying timeline (read access for drivers).
     pub fn timeline(&self) -> &T {
         &self.timeline
@@ -466,40 +367,6 @@ impl<T: ReservationTimeline> ExecEngine<T> {
             energy,
             utilization: self.timeline.utilizations(makespan),
         }
-    }
-}
-
-impl<T: ReservationTimeline> TaskEngine for ExecEngine<T> {
-    fn task_count(&self) -> usize {
-        ExecEngine::task_count(self)
-    }
-
-    fn note_arrival(&mut self, task: usize) {
-        ExecEngine::note_arrival(self, task);
-    }
-
-    fn enqueue(&mut self, task: usize, job: JobInput) {
-        ExecEngine::enqueue(self, task, job);
-    }
-
-    fn task_free_at(&self, task: usize) -> Timestamp {
-        ExecEngine::task_free_at(self, task)
-    }
-
-    fn task_backlog(&self, task: usize) -> bool {
-        ExecEngine::task_backlog(self, task)
-    }
-
-    fn service_all(&mut self, now: Timestamp, model: &mut dyn JobModel) -> Result<(), EvEdgeError> {
-        ExecEngine::service_all(self, now, model)
-    }
-
-    fn drain(&mut self, task: usize, model: &mut dyn JobModel) -> Result<(), EvEdgeError> {
-        ExecEngine::drain(self, task, model)
-    }
-
-    fn finish(self, static_power_w: f64) -> EngineReport {
-        ExecEngine::finish(self, static_power_w)
     }
 }
 

@@ -1,21 +1,17 @@
 //! The semantic-equivalence contract between execution schedules.
 //!
-//! Every concurrent runtime in this repo except one promises *bitwise*
-//! determinism: the report equals the serial driver's, byte for byte.
-//! [`crate::multipipe::ExecMode::Optimizing`] deliberately gives that
-//! up — it re-orders same-queue work when doing so provably helps — and
-//! promises the weaker but still checkable contract this module pins
-//! down:
+//! The serial dispatch loop is the reference schedule. A schedule that
+//! re-orders same-queue work (to cut head-of-line blocking, say) cannot
+//! be byte-identical to it, but it can still be held to this weaker,
+//! checkable contract:
 //!
-//! 1. **Same job set.** Per task, the optimized schedule executes
+//! 1. **Same job set.** Per task, the re-ordered schedule executes
 //!    exactly the jobs the serial schedule executes, in the same
 //!    per-task order, with identical payloads (ready time, batch size,
 //!    density, event count) and identical drop decisions.
 //! 2. **Pointwise no-worse latency.** Every job completes no later than
 //!    its serial counterpart, so every per-job latency is bounded by the
-//!    serial latency ([`crate::exec::layer_parallel::OptimizingModel`]
-//!    enforces this structurally through its serial-completion gate —
-//!    Graham scheduling anomalies cannot leak into downstream timing).
+//!    serial latency.
 //! 3. **Aggregate no-worse metrics.** Mean/max latency per task, the
 //!    makespan, and total energy are each bounded by the serial value
 //!    (energy up to a relative [`ENERGY_TOLERANCE`], because commuting
@@ -23,11 +19,10 @@
 //!
 //! [`check_job_records`] verifies 1–2 on recorded job streams;
 //! [`check_reports`] verifies 1 (at counter granularity) and 3 on
-//! engine reports. The conformance suite and the `exec_equivalence`
-//! integration tests run both on every optimizing scenario; the
-//! perturbation tests in the same suite verify the *checker* by feeding
-//! it schedules with a dropped job, a mutated payload, and an inflated
-//! latency, and asserting each is rejected with the right error.
+//! engine reports. The `exec_equivalence` integration tests verify the
+//! *checker* by feeding it a recorded serial run with a dropped job, a
+//! mutated payload, and an inflated latency, and asserting each is
+//! rejected with the right error.
 
 use crate::exec::engine::EngineReport;
 use crate::exec::job::JobRecord;
@@ -202,7 +197,7 @@ fn per_task_indices(records: &[JobRecord], tasks: usize) -> Vec<Vec<usize>> {
 /// (records may legitimately omit idle tasks).
 ///
 /// The *global* interleaving across tasks is allowed to differ — that
-/// is exactly the freedom the optimizing mode trades bitwise
+/// is exactly the freedom a re-ordering schedule trades bitwise
 /// determinism for.
 ///
 /// # Errors

@@ -95,36 +95,6 @@ pub trait JobModel {
         ready: Timestamp,
         timeline: &mut dyn ReservationTimeline,
     ) -> Result<(Timestamp, Energy), EvEdgeError>;
-
-    /// Dispatches one job and additionally reports its *service gate*:
-    /// the instant the engine should treat the task as busy until before
-    /// popping its next queued input.
-    ///
-    /// For every order-preserving model the gate *is* the completion
-    /// (the default), which keeps the engine's pop timing — and with it
-    /// the entire arrival/drop/dispatch sequence — bitwise identical to
-    /// the serial reference. A schedule-optimizing model (see
-    /// [`crate::exec::layer_parallel::OptimizingModel`]) may finish a
-    /// job earlier than the serial schedule would have; it then returns
-    /// the real completion (for latency accounting) alongside the
-    /// serial-equivalent gate, so an early finish never perturbs which
-    /// jobs run or drop — the anchor of the semantic-equivalence
-    /// contract in [`crate::exec::equivalence`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvEdgeError`] for unexecutable assignments or
-    /// reservation failures.
-    fn dispatch_gated(
-        &mut self,
-        task: usize,
-        job: &JobInput,
-        ready: Timestamp,
-        timeline: &mut dyn ReservationTimeline,
-    ) -> Result<(Timestamp, Timestamp, Energy), EvEdgeError> {
-        self.dispatch(task, job, ready, timeline)
-            .map(|(end, energy)| (end, end, energy))
-    }
 }
 
 /// Builds a scheduler DAG over network layers, inserting data-transfer
@@ -237,9 +207,7 @@ impl<'a> SchedGraphBuilder<'a> {
 /// Reservations are batched per job: maximal runs of layers whose
 /// predecessors all live on the same processing element collapse into
 /// one [`ReservationTimeline::reserve_run`] chain, so a whole single-PE
-/// network costs one timeline call (one channel round trip on the
-/// message-passing [`crate::exec::parallel::ParallelTimeline`]) instead
-/// of one per layer. The produced reservations are identical to the
+/// network costs one timeline call instead of one per layer. The produced reservations are identical to the
 /// per-layer sequence: within a FIFO queue, a layer whose dependencies
 /// all precede it on that queue always starts exactly when the previous
 /// reservation ends.

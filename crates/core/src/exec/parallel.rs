@@ -1,25 +1,10 @@
-//! The multi-threaded streaming runtime.
+//! The order-preserving worker pool.
 //!
-//! Two pieces of real parallelism on top of the unified exec core:
-//!
-//! * [`parallel_map`] — a bounded-channel thread pool used to fan NMP
-//!   candidate evaluation out across cores (the hottest path of the
-//!   evolutionary search, Figure 10). Results preserve input order, so
-//!   parallel search runs are bitwise identical to serial ones.
-//! * [`ParallelTimeline`] — a [`ReservationTimeline`] where every
-//!   processing-element queue is owned by a dedicated worker thread fed
-//!   over bounded channels. The engine's dispatch loop blocks on each
-//!   reservation reply, so simulated-time semantics stay deterministic
-//!   while reservations execute on real threads. The batched
-//!   [`ReservationTimeline::reserve_next`] / `reserve_run` entry points
-//!   are each served in a *single* round trip, so a whole same-PE layer
-//!   chain costs one message instead of two per layer.
-//!
-//!   The runtime drivers now default to the channel-free
-//!   [`ev_platform::timeline::AtomicTimeline`] (a sharded atomic
-//!   free-time table — same reservations, no message passing);
-//!   `ParallelTimeline` remains the message-passing fallback and the
-//!   reference for the equivalence tests below.
+//! [`parallel_map`] is a bounded-channel thread pool used to fan NMP
+//! candidate evaluation out across cores (the hottest path of the
+//! evolutionary search, Figure 10), and [`parallel_try_map`] its
+//! fallible twin for whole sweep cells. Results preserve input order,
+//! so parallel runs are bitwise identical to serial ones.
 //!
 //! # Examples
 //!
@@ -33,11 +18,8 @@
 //! assert_eq!(squares.len(), 16);
 //! ```
 
-use ev_core::{TimeDelta, Timestamp};
-use ev_platform::{PlatformError, ReservationTimeline, RunRequest};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
-use std::thread::JoinHandle;
 
 /// The number of worker threads to use when the caller asks for "auto"
 /// (`workers == 0`): the machine's available parallelism.
@@ -149,273 +131,9 @@ where
     parallel_map(workers, items, f).into_iter().collect()
 }
 
-enum Request {
-    /// Earliest feasible start for work ready at the timestamp.
-    EarliestStart(Timestamp, SyncSender<Timestamp>),
-    /// Reserve `[start, start + duration)`; replies with the outcome.
-    Reserve(
-        Timestamp,
-        TimeDelta,
-        SyncSender<Result<Timestamp, PlatformError>>,
-    ),
-    /// Reserve the earliest feasible slot for work ready at the
-    /// timestamp — `earliest_start` + `reserve` in one round trip.
-    ReserveNext(Timestamp, TimeDelta, SyncSender<(Timestamp, Timestamp)>),
-    /// Reserve a back-to-back run of slots, the first at the earliest
-    /// feasible start — one round trip for a whole dependency chain.
-    ReserveRun(
-        Timestamp,
-        Vec<TimeDelta>,
-        SyncSender<Vec<(Timestamp, Timestamp)>>,
-    ),
-    /// Read the queue's accumulated busy time.
-    BusyTime(SyncSender<TimeDelta>),
-}
-
-struct QueueWorker {
-    tx: SyncSender<Request>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// A reservation timeline whose queues are each owned by a dedicated
-/// worker thread, fed by bounded channels.
-///
-/// Functionally equivalent to [`ev_platform::DeviceTimeline`] — the
-/// engine blocks on every reservation reply, so results are bitwise
-/// identical — while exercising the actual thread-per-queue runtime
-/// shape a hardware deployment uses (one submission thread per CUDA/DLA
-/// queue).
-pub struct ParallelTimeline {
-    workers: Vec<QueueWorker>,
-}
-
-impl core::fmt::Debug for ParallelTimeline {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ParallelTimeline")
-            .field("queues", &self.workers.len())
-            .finish_non_exhaustive()
-    }
-}
-
-fn worker_loop(queue: usize, rx: Receiver<Request>) {
-    let mut free_at = Timestamp::ZERO;
-    let mut busy = TimeDelta::ZERO;
-    while let Ok(request) = rx.recv() {
-        match request {
-            Request::EarliestStart(ready, reply) => {
-                let _ = reply.send(ready.max(free_at));
-            }
-            Request::Reserve(start, duration, reply) => {
-                let outcome = if start < free_at {
-                    Err(PlatformError::ReservationConflict {
-                        queue,
-                        requested: start,
-                        free_at,
-                    })
-                } else {
-                    free_at = start + duration;
-                    busy += duration;
-                    Ok(free_at)
-                };
-                let _ = reply.send(outcome);
-            }
-            Request::ReserveNext(ready, duration, reply) => {
-                let start = ready.max(free_at);
-                free_at = start + duration;
-                busy += duration;
-                let _ = reply.send((start, free_at));
-            }
-            Request::ReserveRun(ready, durations, reply) => {
-                let mut slots = Vec::with_capacity(durations.len());
-                let mut next_ready = ready;
-                for duration in durations {
-                    let start = next_ready.max(free_at);
-                    free_at = start + duration;
-                    busy += duration;
-                    next_ready = free_at;
-                    slots.push((start, free_at));
-                }
-                let _ = reply.send(slots);
-            }
-            Request::BusyTime(reply) => {
-                let _ = reply.send(busy);
-            }
-        }
-    }
-}
-
-impl ParallelTimeline {
-    /// Spawns one worker thread per queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queues` is zero.
-    pub fn new(queues: usize) -> Self {
-        assert!(queues > 0, "timeline needs at least one queue");
-        let workers = (0..queues)
-            .map(|q| {
-                let (tx, rx) = sync_channel::<Request>(4);
-                let handle = std::thread::Builder::new()
-                    .name(format!("pe-queue-{q}"))
-                    .spawn(move || worker_loop(q, rx))
-                    .expect("spawn PE queue worker");
-                QueueWorker {
-                    tx,
-                    handle: Some(handle),
-                }
-            })
-            .collect();
-        ParallelTimeline { workers }
-    }
-
-    fn worker(&self, queue: usize) -> Result<&QueueWorker, PlatformError> {
-        self.workers.get(queue).ok_or(PlatformError::InvalidQueue {
-            node: 0,
-            queue,
-            queues: self.workers.len(),
-        })
-    }
-}
-
-impl Drop for ParallelTimeline {
-    fn drop(&mut self) {
-        for worker in &mut self.workers {
-            // Closing the channel ends the worker loop.
-            let (tx, _) = sync_channel(1);
-            let old = std::mem::replace(&mut worker.tx, tx);
-            drop(old);
-            if let Some(handle) = worker.handle.take() {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-impl ReservationTimeline for ParallelTimeline {
-    fn queues(&self) -> usize {
-        self.workers.len()
-    }
-
-    fn earliest_start(&self, queue: usize, ready: Timestamp) -> Result<Timestamp, PlatformError> {
-        let worker = self.worker(queue)?;
-        let (reply_tx, reply_rx) = sync_channel(1);
-        worker
-            .tx
-            .send(Request::EarliestStart(ready, reply_tx))
-            .expect("queue worker alive");
-        Ok(reply_rx.recv().expect("queue worker replies"))
-    }
-
-    fn reserve(
-        &mut self,
-        queue: usize,
-        start: Timestamp,
-        duration: TimeDelta,
-    ) -> Result<Timestamp, PlatformError> {
-        let worker = self.worker(queue)?;
-        let (reply_tx, reply_rx) = sync_channel(1);
-        worker
-            .tx
-            .send(Request::Reserve(start, duration, reply_tx))
-            .expect("queue worker alive");
-        reply_rx.recv().expect("queue worker replies")
-    }
-
-    fn busy_time(&self, queue: usize) -> TimeDelta {
-        let Ok(worker) = self.worker(queue) else {
-            return TimeDelta::ZERO;
-        };
-        let (reply_tx, reply_rx) = sync_channel(1);
-        worker
-            .tx
-            .send(Request::BusyTime(reply_tx))
-            .expect("queue worker alive");
-        reply_rx.recv().expect("queue worker replies")
-    }
-
-    // The default `reserve_next` costs two round trips (earliest_start
-    // + reserve); the worker can do both in one message.
-    fn reserve_next(
-        &mut self,
-        queue: usize,
-        ready: Timestamp,
-        duration: TimeDelta,
-    ) -> Result<(Timestamp, Timestamp), PlatformError> {
-        let worker = self.worker(queue)?;
-        let (reply_tx, reply_rx) = sync_channel(1);
-        worker
-            .tx
-            .send(Request::ReserveNext(ready, duration, reply_tx))
-            .expect("queue worker alive");
-        Ok(reply_rx.recv().expect("queue worker replies"))
-    }
-
-    // A whole same-queue dependency chain in one round trip instead of
-    // two per link (the ROADMAP-flagged hot-path cost).
-    fn reserve_run(
-        &mut self,
-        queue: usize,
-        ready: Timestamp,
-        durations: &[TimeDelta],
-    ) -> Result<Vec<(Timestamp, Timestamp)>, PlatformError> {
-        if durations.is_empty() {
-            // Zero slots reserve nothing; like the trait's default impl
-            // (zero `reserve_next` calls), the queue is never touched.
-            return Ok(Vec::new());
-        }
-        let worker = self.worker(queue)?;
-        let (reply_tx, reply_rx) = sync_channel(1);
-        worker
-            .tx
-            .send(Request::ReserveRun(ready, durations.to_vec(), reply_tx))
-            .expect("queue worker alive");
-        Ok(reply_rx.recv().expect("queue worker replies"))
-    }
-
-    // The wave entry point is where the thread-per-queue shape pays
-    // off inside one job: every request is handed to its queue worker
-    // *before* any reply is collected, so chains on different queues —
-    // the data-independent same-PE layer segments of a layer-parallel
-    // dispatch — are computed concurrently. Same-queue requests keep
-    // their request order (each worker's channel is FIFO), so the
-    // slots are identical to the sequential default.
-    fn reserve_runs(
-        &mut self,
-        requests: &[RunRequest<'_>],
-    ) -> Result<Vec<Vec<(Timestamp, Timestamp)>>, PlatformError> {
-        let mut replies = Vec::with_capacity(requests.len());
-        for request in requests {
-            if request.durations.is_empty() {
-                // Matches `reserve_run`: zero slots never touch a queue.
-                replies.push(None);
-                continue;
-            }
-            let worker = self.worker(request.queue)?;
-            let (reply_tx, reply_rx) = sync_channel(1);
-            worker
-                .tx
-                .send(Request::ReserveRun(
-                    request.ready,
-                    request.durations.to_vec(),
-                    reply_tx,
-                ))
-                .expect("queue worker alive");
-            replies.push(Some(reply_rx));
-        }
-        Ok(replies
-            .into_iter()
-            .map(|reply| match reply {
-                Some(rx) => rx.recv().expect("queue worker replies"),
-                None => Vec::new(),
-            })
-            .collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ev_platform::timeline::DeviceTimeline;
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -487,216 +205,5 @@ mod tests {
     fn parallel_map_handles_empty_and_tiny_inputs() {
         assert_eq!(parallel_map(4, Vec::<u32>::new(), |x| x), Vec::<u32>::new());
         assert_eq!(parallel_map(4, vec![7u32], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn parallel_timeline_matches_device_timeline() {
-        let mut serial = DeviceTimeline::new(3);
-        let mut parallel = ParallelTimeline::new(3);
-        let ms = |v| Timestamp::from_millis(v);
-        let d = |v| TimeDelta::from_millis(v);
-        // A deterministic reservation workload across all queues.
-        for (queue, ready, duration) in [
-            (0usize, 0u64, 10i64),
-            (1, 2, 5),
-            (0, 4, 3),
-            (2, 1, 8),
-            (1, 6, 2),
-            (0, 20, 1),
-        ] {
-            let (s1, e1) = serial.reserve_next(queue, ms(ready), d(duration)).unwrap();
-            let (s2, e2) = parallel
-                .reserve_next(queue, ms(ready), d(duration))
-                .unwrap();
-            assert_eq!((s1, e1), (s2, e2));
-        }
-        for q in 0..3 {
-            assert_eq!(
-                ReservationTimeline::busy_time(&serial, q),
-                parallel.busy_time(q)
-            );
-        }
-        assert_eq!(serial.total_busy(), parallel.total_busy());
-    }
-
-    #[test]
-    fn parallel_timeline_detects_conflicts() {
-        let mut tl = ParallelTimeline::new(1);
-        tl.reserve(0, Timestamp::ZERO, TimeDelta::from_millis(10))
-            .unwrap();
-        assert!(matches!(
-            tl.reserve(0, Timestamp::from_millis(5), TimeDelta::from_millis(1)),
-            Err(PlatformError::ReservationConflict { .. })
-        ));
-    }
-
-    #[test]
-    fn invalid_queue_rejected() {
-        let tl = ParallelTimeline::new(2);
-        assert!(tl.earliest_start(5, Timestamp::ZERO).is_err());
-    }
-
-    #[test]
-    fn batched_runs_match_device_timeline() {
-        let mut serial = DeviceTimeline::new(2);
-        let mut parallel = ParallelTimeline::new(2);
-        let ms = |v| Timestamp::from_millis(v);
-        let d = |v| TimeDelta::from_millis(v);
-        // Interleave single reservations with batched runs on both
-        // queues; every slot must match the serial timeline.
-        let s0 = serial.reserve_next(0, ms(3), d(5)).unwrap();
-        let p0 = parallel.reserve_next(0, ms(3), d(5)).unwrap();
-        assert_eq!(s0, p0);
-        for (queue, ready, durations) in [
-            (0usize, 0u64, vec![4i64, 2, 9]),
-            (1, 5, vec![1, 1]),
-            (0, 40, vec![3]),
-        ] {
-            let durations: Vec<TimeDelta> =
-                durations.into_iter().map(TimeDelta::from_millis).collect();
-            let s = serial.reserve_run(queue, ms(ready), &durations).unwrap();
-            let p = parallel.reserve_run(queue, ms(ready), &durations).unwrap();
-            assert_eq!(s, p, "queue {queue} run from {ready}");
-        }
-        assert!(parallel.reserve_run(1, ms(0), &[]).unwrap().is_empty());
-        // Zero slots touch no queue — matching the trait default, even
-        // for out-of-range queues.
-        assert!(parallel.reserve_run(7, ms(0), &[]).unwrap().is_empty());
-        assert!(serial.reserve_run(7, ms(0), &[]).unwrap().is_empty());
-        assert!(parallel.reserve_run(7, ms(0), &[d(1)]).is_err());
-        for q in 0..2 {
-            assert_eq!(
-                ReservationTimeline::busy_time(&serial, q),
-                parallel.busy_time(q)
-            );
-        }
-    }
-
-    #[test]
-    fn reservation_waves_match_device_timeline() {
-        let mut serial = DeviceTimeline::new(3);
-        let mut parallel = ParallelTimeline::new(3);
-        let ms = |v| Timestamp::from_millis(v);
-        let d = |v| TimeDelta::from_millis(v);
-        // Two waves: the first spreads chains over all queues (plus a
-        // same-queue pair that must serialize in request order), the
-        // second lands behind the first wave's reservations.
-        let c0 = [d(5), d(2)];
-        let c1 = [d(9)];
-        let c2: [TimeDelta; 0] = [];
-        let c3 = [d(3)];
-        let c4 = [d(1), d(1)];
-        let c5 = [d(2)];
-        let chains: [&[TimeDelta]; 6] = [&c0, &c1, &c2, &c3, &c4, &c5];
-        let waves = [
-            vec![
-                RunRequest {
-                    queue: 0,
-                    ready: ms(0),
-                    durations: chains[0],
-                },
-                RunRequest {
-                    queue: 1,
-                    ready: ms(1),
-                    durations: chains[1],
-                },
-                RunRequest {
-                    queue: 2,
-                    ready: ms(0),
-                    durations: chains[2],
-                },
-                RunRequest {
-                    queue: 0,
-                    ready: ms(2),
-                    durations: chains[3],
-                },
-            ],
-            vec![
-                RunRequest {
-                    queue: 2,
-                    ready: ms(4),
-                    durations: chains[4],
-                },
-                RunRequest {
-                    queue: 1,
-                    ready: ms(0),
-                    durations: chains[5],
-                },
-            ],
-        ];
-        for wave in &waves {
-            let s = serial.reserve_runs(wave).unwrap();
-            let p = parallel.reserve_runs(wave).unwrap();
-            assert_eq!(s, p);
-        }
-        for q in 0..3 {
-            assert_eq!(
-                ReservationTimeline::busy_time(&serial, q),
-                parallel.busy_time(q)
-            );
-        }
-        assert!(parallel
-            .reserve_runs(&[RunRequest {
-                queue: 7,
-                ready: ms(0),
-                durations: &[d(1)],
-            }])
-            .is_err());
-    }
-
-    #[test]
-    fn atomic_table_matches_channel_timeline() {
-        use ev_platform::timeline::AtomicTimeline;
-        // The lock-free free-time table and the channel fallback must
-        // agree op for op: singles, batched runs, and waves.
-        let mut atomic = AtomicTimeline::new(3);
-        let mut channel = ParallelTimeline::new(3);
-        let ms = |v| Timestamp::from_millis(v);
-        let d = |v| TimeDelta::from_millis(v);
-        for (queue, ready, duration) in [
-            (0usize, 0u64, 10i64),
-            (1, 2, 5),
-            (0, 4, 3),
-            (2, 1, 8),
-            (1, 6, 2),
-        ] {
-            let a = atomic.reserve_next(queue, ms(ready), d(duration)).unwrap();
-            let c = channel.reserve_next(queue, ms(ready), d(duration)).unwrap();
-            assert_eq!(a, c);
-        }
-        let run = [d(4), d(2), d(9)];
-        assert_eq!(
-            atomic.reserve_run(0, ms(1), &run).unwrap(),
-            channel.reserve_run(0, ms(1), &run).unwrap()
-        );
-        let c0 = [d(5), d(2)];
-        let c1 = [d(9)];
-        let wave = [
-            RunRequest {
-                queue: 1,
-                ready: ms(3),
-                durations: &c0,
-            },
-            RunRequest {
-                queue: 2,
-                ready: ms(0),
-                durations: &c1,
-            },
-        ];
-        assert_eq!(
-            atomic.reserve_runs(&wave).unwrap(),
-            channel.reserve_runs(&wave).unwrap()
-        );
-        // Empty chains touch no queue on either implementation, even
-        // out of range.
-        assert!(atomic.reserve_run(7, ms(0), &[]).unwrap().is_empty());
-        assert!(channel.reserve_run(7, ms(0), &[]).unwrap().is_empty());
-        for q in 0..3 {
-            assert_eq!(
-                ReservationTimeline::busy_time(&atomic, q),
-                channel.busy_time(q)
-            );
-        }
-        assert_eq!(atomic.total_busy(), channel.total_busy());
     }
 }

@@ -7,9 +7,7 @@
 //! lives in [`crate::exec::engine::ExecEngine`]). The [`Stage`] trait
 //! makes that composition explicit: each stage consumes inputs, may emit
 //! zero or more outputs per input, and can be flushed at a simulated
-//! instant (DSFA's hardware-availability rule). The same stages run
-//! inline (serial drivers) or on worker threads (the pipelined runtime,
-//! [`crate::exec::pipelined`]) — a stage never knows which.
+//! instant (DSFA's hardware-availability rule).
 //!
 //! # Examples
 //!
@@ -173,13 +171,6 @@ impl DsfaStage {
     /// the accuracy model's aggregation term).
     pub fn aggregation_aggressiveness(&self) -> f64 {
         self.dsfa.aggregation_aggressiveness()
-    }
-
-    /// Whether any frames are buffered awaiting aggregation. While
-    /// empty, [`Stage::flush`] is a no-op — the signal the pipelined
-    /// runtime uses to skip hardware-availability syncs (§4.2).
-    pub fn has_buffered(&self) -> bool {
-        self.dsfa.occupancy() > 0
     }
 }
 

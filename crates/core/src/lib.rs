@@ -52,35 +52,25 @@ pub mod queue;
 
 /// The unified streaming execution core shared by every runtime: the
 /// discrete-event clock, the job model, the dispatch/accounting engine,
-/// composable frontend stages, and the multi-threaded runtimes
-/// (thread-per-queue reservations, stage-pipelined frontends,
-/// task-sharded engines over one shared timeline, and intra-task
-/// layer-parallel dispatch of a single job's same-PE segments).
+/// composable frontend stages, and the order-preserving worker pool the
+/// NMP search and sweeps fan out on. Every runtime dispatches serially
+/// onto one [`ev_platform::DeviceTimeline`]; [`exec::equivalence`] is
+/// the checkable contract a re-ordered schedule must keep against it.
 pub mod exec {
     pub mod clock;
     pub mod engine;
     pub mod equivalence;
     pub mod job;
-    pub mod layer_parallel;
     pub mod parallel;
-    pub mod pipelined;
-    pub mod sharded;
     pub mod stage;
 
     pub use clock::EventClock;
-    pub use engine::{EngineReport, ExecEngine, LoadProbe, TaskEngine, TaskStats};
+    pub use engine::{EngineReport, ExecEngine, LoadProbe, TaskStats};
     pub use equivalence::{check_job_records, check_reports, EquivalenceError};
     pub use job::{
         BatchCostModel, JobInput, JobModel, JobRecord, MappedJobModel, SchedGraphBuilder,
     };
-    pub use layer_parallel::{
-        JobSegment, LayerParallelModel, OptimizingModel, SegmentTransfer, TaskSegments,
-    };
-    pub use parallel::{parallel_map, parallel_try_map, ParallelTimeline};
-    pub use pipelined::{
-        run_pipelined_arrivals, run_pipelined_streams, run_pipelined_streams_speculative,
-    };
-    pub use sharded::{ShardedEngine, SharedTimeline};
+    pub use parallel::{parallel_map, parallel_try_map};
     pub use stage::{Compose, DirectStage, DsfaStage, E2sfStage, Stage};
 }
 
@@ -97,8 +87,8 @@ pub mod nmp {
     pub mod tune;
 
     pub use sweep::{
-        run_cells, run_sweep, run_sweep_mode, task_spec_for, PlatformPreset, SearchAlgorithm,
-        SweepCell, SweepCellReport, SweepReport, SweepSpec, TaskMix, ZooPreset,
+        run_cells, run_sweep, task_spec_for, PlatformPreset, SearchAlgorithm, SweepCell,
+        SweepCellReport, SweepReport, SweepSpec, TaskMix, ZooPreset,
     };
     pub use tune::{
         rank_cells, AutoTuner, CellObjective, TuneObjective, TuneReport, TuneSelection,

@@ -8,94 +8,22 @@
 //! overload (§4.2). This is the runtime view of the Figure 9 scenario.
 //!
 //! Both drivers here are thin shells over the unified [`crate::exec`]
-//! core: an [`EventClock`] orders arrivals, a [`TaskEngine`] owns the
-//! bounded queues and all latency/energy accounting, and a
-//! [`MappedJobModel`] reserves the shared processing-element queues layer
-//! by layer. [`MultiTaskRuntimeConfig::mode`] selects *how* that engine
-//! executes — serially, over thread-per-queue reservations, behind a
-//! stage-pipelined frontend, sharded across per-task engines, or with
-//! each job's same-PE layer segments dispatched in parallel waves —
-//! with bitwise-identical reports in every mode except the opt-in
-//! [`ExecMode::Optimizing`], which re-orders work and promises the
-//! [`crate::exec::equivalence`] contract instead (same job set, every
-//! metric no worse than serial).
+//! core: an [`EventClock`] orders arrivals, an [`ExecEngine`] over a
+//! [`DeviceTimeline`] owns the bounded queues and all latency/energy
+//! accounting, and a [`MappedJobModel`] reserves the shared
+//! processing-element queues layer by layer.
 
+use crate::e2sf::{E2sf, E2sfConfig};
 use crate::exec::clock::EventClock;
-use crate::exec::engine::{EngineReport, ExecEngine, TaskEngine};
-use crate::exec::job::{JobInput, JobModel, MappedJobModel};
-use crate::exec::layer_parallel::{LayerParallelModel, OptimizingModel, TaskSegments};
-use crate::exec::pipelined::{
-    run_pipelined_arrivals, run_pipelined_streams, run_pipelined_streams_speculative,
-    FrameBatchResult,
-};
-use crate::exec::sharded::ShardedEngine;
-use crate::exec::stage::{DsfaStage, E2sfStage, Stage};
+use crate::exec::engine::ExecEngine;
+use crate::exec::job::{JobInput, MappedJobModel};
+use crate::exec::stage::{DsfaStage, Stage};
 use crate::nmp::candidate::Candidate;
 use crate::nmp::multitask::MultiTaskProblem;
 use crate::EvEdgeError;
 use ev_core::{TimeDelta, TimeWindow};
 use ev_platform::energy::Energy;
-use ev_platform::timeline::{AtomicTimeline, DeviceTimeline};
-use std::sync::mpsc::SyncSender;
-
-/// How the multi-task engine executes. Every mode except
-/// [`ExecMode::Optimizing`] produces bitwise-identical reports — the
-/// mode chooses *where the wall-clock time goes*, never what the
-/// simulation computes. `Optimizing` alone is allowed to change the
-/// schedule, and only ever for the better: it is pinned to the
-/// semantic-equivalence contract of [`crate::exec::equivalence`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// One thread, serial [`DeviceTimeline`] — the reference semantics.
-    Serial,
-    /// Device reservations on the shared lock-free
-    /// [`AtomicTimeline`] free-time table (per-queue atomic cells,
-    /// safely claimable from any thread). The channel-based
-    /// thread-per-queue [`crate::exec::parallel::ParallelTimeline`]
-    /// remains available as the message-passing fallback.
-    ThreadPerQueue,
-    /// Frontend stages (E2SF slicing, DSFA selection) on worker threads
-    /// connected to the engine by bounded channels, overlapping event
-    /// preprocessing for slice *k+1* with inference for slice *k* (see
-    /// [`crate::exec::pipelined`]).
-    Pipelined {
-        /// Bounded-channel capacity between stages (`0` = rendezvous).
-        channel_capacity: usize,
-    },
-    /// Tasks sharded across per-task [`ExecEngine`] instances that
-    /// share one reservation timeline (see [`crate::exec::sharded`]).
-    Sharded {
-        /// Engine-shard count (`0` = one shard per task).
-        shards: usize,
-    },
-    /// Intra-task layer-parallel dispatch: each job's mapped layer
-    /// runs are decomposed into a same-PE segment DAG and
-    /// data-independent segments on different processing elements
-    /// reserve their queues concurrently, over the atomic free-time
-    /// table's batched wave entry point (see
-    /// [`crate::exec::layer_parallel`]).
-    LayerParallel,
-    /// Schedule-optimizing execution — the one mode that is *not*
-    /// order-preserving. Three schedule transformations compose:
-    /// critical-path-first reordering of each wave's same-queue
-    /// segments ([`crate::exec::layer_parallel::OptimizingModel`]),
-    /// work-stealing across per-task engine shards with
-    /// queue-footprint commutation proofs
-    /// ([`crate::exec::sharded::ShardedEngine::with_work_stealing`]),
-    /// and speculative early-flush in the pipelined DSFA stage
-    /// ([`crate::exec::pipelined::run_pipelined_streams_speculative`]).
-    /// Each is accepted only when provably no worse, so the mode keeps
-    /// the [`crate::exec::equivalence`] contract: the same jobs run
-    /// with the same payloads and drop decisions, and every per-job
-    /// completion, per-task latency, the makespan, and total energy
-    /// (up to `f64` fold order) are bounded by the serial schedule's.
-    Optimizing,
-}
-
-impl ExecMode {
-    /// The default channel capacity of [`ExecMode::Pipelined`].
-    pub const DEFAULT_CHANNEL_CAPACITY: usize = 8;
-}
+use ev_platform::timeline::DeviceTimeline;
 
 /// Configuration of a runtime multi-task simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,64 +32,15 @@ pub struct MultiTaskRuntimeConfig {
     pub window: TimeWindow,
     /// Per-task inference-queue capacity (pending inputs before drops).
     pub queue_capacity: usize,
-    /// Execution mode. Every mode reproduces the serial report
-    /// bitwise except [`ExecMode::Optimizing`], which promises the
-    /// semantic-equivalence contract (no worse on every metric)
-    /// instead.
-    pub mode: ExecMode,
 }
 
 impl MultiTaskRuntimeConfig {
-    /// A window with depth-2 queues on the serial engine.
+    /// A window with depth-2 queues.
     pub fn new(window: TimeWindow) -> Self {
         MultiTaskRuntimeConfig {
             window,
             queue_capacity: 2,
-            mode: ExecMode::Serial,
         }
-    }
-
-    /// Switches device reservations to the thread-per-queue runtime.
-    #[must_use]
-    pub fn with_parallel_runtime(mut self) -> Self {
-        self.mode = ExecMode::ThreadPerQueue;
-        self
-    }
-
-    /// Runs frontend stages on worker threads behind bounded channels
-    /// of the default capacity.
-    #[must_use]
-    pub fn with_pipelined_frontend(mut self) -> Self {
-        self.mode = ExecMode::Pipelined {
-            channel_capacity: ExecMode::DEFAULT_CHANNEL_CAPACITY,
-        };
-        self
-    }
-
-    /// Shards tasks across per-task engines over one shared timeline
-    /// (`0` = one shard per task).
-    #[must_use]
-    pub fn with_sharded_engines(mut self, shards: usize) -> Self {
-        self.mode = ExecMode::Sharded { shards };
-        self
-    }
-
-    /// Dispatches each job's data-independent same-PE layer segments
-    /// concurrently across processing-element queues (see
-    /// [`crate::exec::layer_parallel`]).
-    #[must_use]
-    pub fn with_layer_parallel(mut self) -> Self {
-        self.mode = ExecMode::LayerParallel;
-        self
-    }
-
-    /// Opts into the schedule-optimizing runtime: non-order-preserving
-    /// reordering, work-stealing and speculative flushing under the
-    /// semantic-equivalence contract (see [`ExecMode::Optimizing`]).
-    #[must_use]
-    pub fn with_optimizing(mut self) -> Self {
-        self.mode = ExecMode::Optimizing;
-        self
     }
 }
 
@@ -211,9 +90,15 @@ impl MultiTaskRuntimeReport {
         self.per_task.iter().map(|t| t.dropped).sum()
     }
 
-    fn from_engine(report: EngineReport, names: impl Iterator<Item = String>) -> Self {
+    /// Closes `engine`'s run and names its per-task rows after the
+    /// problem's tasks.
+    fn finish(problem: &MultiTaskProblem, engine: ExecEngine<DeviceTimeline>) -> Self {
+        let report = engine.finish(problem.platform().static_power_w);
         MultiTaskRuntimeReport {
-            per_task: names
+            per_task: problem
+                .tasks()
+                .iter()
+                .map(|t| t.name.clone())
                 .zip(report.per_task)
                 .map(|(name, stats)| TaskRuntimeReport {
                     name,
@@ -267,123 +152,41 @@ pub fn run_multi_task_runtime(
     config: MultiTaskRuntimeConfig,
 ) -> Result<MultiTaskRuntimeReport, EvEdgeError> {
     validated_periods(problem, periods)?;
-    let queues = problem.platform().queue_count();
-    let tasks = problem.tasks().len();
-    let start = config.window.start();
-    match config.mode {
-        ExecMode::Serial => {
-            let engine = ExecEngine::new(
-                start,
-                DeviceTimeline::new(queues),
-                tasks,
-                config.queue_capacity,
-            )?;
-            let mut model = MappedJobModel::new(problem, candidate);
-            run_periodic(problem, periods, config, engine, &mut model)
-        }
-        ExecMode::ThreadPerQueue => {
-            let engine = ExecEngine::new(
-                start,
-                AtomicTimeline::new(queues),
-                tasks,
-                config.queue_capacity,
-            )?;
-            let mut model = MappedJobModel::new(problem, candidate);
-            run_periodic(problem, periods, config, engine, &mut model)
-        }
-        ExecMode::LayerParallel => {
-            // Segment waves land on the shared atomic free-time table,
-            // which any worker can claim without a channel round trip.
-            let engine = ExecEngine::new(
-                start,
-                AtomicTimeline::new(queues),
-                tasks,
-                config.queue_capacity,
-            )?;
-            let mut model = LayerParallelModel::new(problem, candidate);
-            run_periodic(problem, periods, config, engine, &mut model)
-        }
-        ExecMode::Sharded { shards } => {
-            let engine = ShardedEngine::new(
-                start,
-                DeviceTimeline::new(queues),
-                tasks,
-                config.queue_capacity,
-                shards,
-            )?;
-            let mut model = MappedJobModel::new(problem, candidate);
-            run_periodic(problem, periods, config, engine, &mut model)
-        }
-        ExecMode::Pipelined { channel_capacity } => {
-            let engine = ExecEngine::new(
-                start,
-                DeviceTimeline::new(queues),
-                tasks,
-                config.queue_capacity,
-            )?;
-            let mut model = MappedJobModel::new(problem, candidate);
-            run_periodic_pipelined(
-                problem,
-                periods,
-                config,
-                engine,
-                channel_capacity,
-                &mut model,
-            )
-        }
-        ExecMode::Optimizing => {
-            let engine = optimizing_engine(problem, candidate, config)?;
-            let mut model = OptimizingModel::new(problem, candidate);
-            run_periodic(problem, periods, config, engine, &mut model)
-        }
-    }
+    let mut engine = new_engine(problem, config)?;
+    let mut model = MappedJobModel::new(problem, candidate);
+    let window = config.window;
+    let phases = vec![window.start(); periods.len()];
+    let mut outcome = Ok(());
+    for_each_phased_arrival(window, &phases, periods, |arrival, task| {
+        engine.submit(task, JobInput::arrival(arrival));
+        // Greedy: run every pending inference whose task is free by now.
+        outcome = engine.service_all(arrival, &mut model);
+        outcome.is_ok()
+    });
+    outcome?;
+    engine.drain_all(&mut model)?;
+    Ok(MultiTaskRuntimeReport::finish(problem, engine))
 }
 
-/// The engine of [`ExecMode::Optimizing`]: one shard per task over a
-/// shared serial timeline, with work-stealing armed by each task's
-/// queue footprint (tasks whose mappings cannot contend for a queue
-/// may be serviced out of global order). A task whose footprint cannot
-/// be derived gets the conservative full mask and is never commuted.
-fn optimizing_engine(
+/// The runtime's engine: one bounded queue per task over a fresh
+/// [`DeviceTimeline`] with one queue per platform queue.
+fn new_engine(
     problem: &MultiTaskProblem,
-    candidate: &Candidate,
     config: MultiTaskRuntimeConfig,
-) -> Result<ShardedEngine<DeviceTimeline>, EvEdgeError> {
-    let tasks = problem.tasks().len();
-    let queue_sets = (0..tasks)
-        .map(|t| {
-            TaskSegments::build(problem, candidate, t)
-                .ok()
-                .map(|ts| ts.queue_set())
-        })
-        .collect();
-    Ok(ShardedEngine::new(
+) -> Result<ExecEngine<DeviceTimeline>, EvEdgeError> {
+    ExecEngine::new(
         config.window.start(),
         DeviceTimeline::new(problem.platform().queue_count()),
-        tasks,
+        problem.tasks().len(),
         config.queue_capacity,
-        0,
-    )?
-    .with_work_stealing(queue_sets))
-}
-
-/// Schedules every periodic arrival of the window in global time order,
-/// invoking `deliver(arrival, task)`; `deliver` returns `false` to stop
-/// early (a pipelined consumer hung up).
-fn for_each_periodic_arrival(
-    window: TimeWindow,
-    periods: &[TimeDelta],
-    deliver: impl FnMut(ev_core::Timestamp, usize) -> bool,
-) {
-    let phases = vec![window.start(); periods.len()];
-    for_each_phased_arrival(window, &phases, periods, deliver);
+    )
 }
 
 /// Schedules every periodic arrival of the window in global time order
 /// (ties broken by task index), with task `i` first firing at
 /// `phases[i]` and every `periods[i]` thereafter, up to (excluding)
 /// the window end. `deliver(arrival, task)` returns `false` to stop
-/// early (a pipelined consumer hung up).
+/// early (e.g. after a dispatch error).
 ///
 /// A phase *before* the window start is advanced into the window by
 /// whole periods — a tenant stream that joined mid-run keeps its
@@ -431,61 +234,6 @@ pub fn for_each_phased_arrival(
     }
 }
 
-fn run_periodic<E: TaskEngine>(
-    problem: &MultiTaskProblem,
-    periods: &[TimeDelta],
-    config: MultiTaskRuntimeConfig,
-    mut engine: E,
-    model: &mut dyn JobModel,
-) -> Result<MultiTaskRuntimeReport, EvEdgeError> {
-    let tasks = problem.tasks();
-    let mut outcome = Ok(());
-    for_each_periodic_arrival(config.window, periods, |arrival, task| {
-        engine.submit(task, JobInput::arrival(arrival));
-        // Greedy: run every pending inference whose task is free by now.
-        outcome = engine.service_all(arrival, model);
-        outcome.is_ok()
-    });
-    outcome?;
-    engine.drain_all(model)?;
-
-    let report = engine.finish(problem.platform().static_power_w);
-    Ok(MultiTaskRuntimeReport::from_engine(
-        report,
-        tasks.iter().map(|t| t.name.clone()),
-    ))
-}
-
-/// The periodic driver with arrival generation on a producer thread:
-/// the two-stage pipeline of [`crate::exec::pipelined`].
-fn run_periodic_pipelined<E: TaskEngine>(
-    problem: &MultiTaskProblem,
-    periods: &[TimeDelta],
-    config: MultiTaskRuntimeConfig,
-    engine: E,
-    channel_capacity: usize,
-    model: &mut dyn JobModel,
-) -> Result<MultiTaskRuntimeReport, EvEdgeError> {
-    let tasks = problem.tasks();
-    let window = config.window;
-    let producer = move |tx: SyncSender<(ev_core::Timestamp, usize)>| {
-        for_each_periodic_arrival(window, periods, |arrival, task| {
-            tx.send((arrival, task)).is_ok()
-        });
-    };
-    let report = run_pipelined_arrivals(
-        engine,
-        producer,
-        model,
-        channel_capacity,
-        problem.platform().static_power_w,
-    )?;
-    Ok(MultiTaskRuntimeReport::from_engine(
-        report,
-        tasks.iter().map(|t| t.name.clone()),
-    ))
-}
-
 /// One task of a full streaming scenario: its own sequence, E2SF binning
 /// and DSFA aggregation feeding the shared platform.
 #[derive(Debug, Clone)]
@@ -516,7 +264,6 @@ pub fn run_multi_task_streams(
     streams: &[StreamTask],
     config: MultiTaskRuntimeConfig,
 ) -> Result<MultiTaskRuntimeReport, EvEdgeError> {
-    let queues = problem.platform().queue_count();
     let tasks = problem.tasks().len();
     if streams.len() != tasks {
         return Err(EvEdgeError::PeriodCountMismatch {
@@ -524,96 +271,8 @@ pub fn run_multi_task_streams(
             periods: streams.len(),
         });
     }
-    let start = config.window.start();
-    match config.mode {
-        ExecMode::Serial => {
-            let engine = ExecEngine::new(
-                start,
-                DeviceTimeline::new(queues),
-                tasks,
-                config.queue_capacity,
-            )?;
-            let mut model = MappedJobModel::new(problem, candidate);
-            run_streams(problem, streams, config, engine, &mut model)
-        }
-        ExecMode::ThreadPerQueue => {
-            let engine = ExecEngine::new(
-                start,
-                AtomicTimeline::new(queues),
-                tasks,
-                config.queue_capacity,
-            )?;
-            let mut model = MappedJobModel::new(problem, candidate);
-            run_streams(problem, streams, config, engine, &mut model)
-        }
-        ExecMode::LayerParallel => {
-            let engine = ExecEngine::new(
-                start,
-                AtomicTimeline::new(queues),
-                tasks,
-                config.queue_capacity,
-            )?;
-            let mut model = LayerParallelModel::new(problem, candidate);
-            run_streams(problem, streams, config, engine, &mut model)
-        }
-        ExecMode::Sharded { shards } => {
-            let engine = ShardedEngine::new(
-                start,
-                DeviceTimeline::new(queues),
-                tasks,
-                config.queue_capacity,
-                shards,
-            )?;
-            let mut model = MappedJobModel::new(problem, candidate);
-            run_streams(problem, streams, config, engine, &mut model)
-        }
-        ExecMode::Pipelined { channel_capacity } => {
-            let engine = ExecEngine::new(
-                start,
-                DeviceTimeline::new(queues),
-                tasks,
-                config.queue_capacity,
-            )?;
-            let mut model = MappedJobModel::new(problem, candidate);
-            run_streams_pipelined(
-                problem,
-                streams,
-                config,
-                engine,
-                channel_capacity,
-                false,
-                &mut model,
-            )
-        }
-        ExecMode::Optimizing => {
-            // All three optimizing transformations compose here: the
-            // speculative pipelined frontend, the work-stealing shard
-            // array, and the wave-reordering job model.
-            let engine = optimizing_engine(problem, candidate, config)?;
-            let mut model = OptimizingModel::new(problem, candidate);
-            run_streams_pipelined(
-                problem,
-                streams,
-                config,
-                engine,
-                ExecMode::DEFAULT_CHANNEL_CAPACITY,
-                true,
-                &mut model,
-            )
-        }
-    }
-}
-
-fn run_streams<E: TaskEngine>(
-    problem: &MultiTaskProblem,
-    streams: &[StreamTask],
-    config: MultiTaskRuntimeConfig,
-    mut engine: E,
-    model: &mut dyn JobModel,
-) -> Result<MultiTaskRuntimeReport, EvEdgeError> {
-    use crate::e2sf::{E2sf, E2sfConfig};
-
-    let tasks = problem.tasks();
+    let mut engine = new_engine(problem, config)?;
+    let mut model = MappedJobModel::new(problem, candidate);
 
     // Frontend: per-task frame streams (precomputed — generation is
     // deterministic and arrival times are data-independent).
@@ -658,7 +317,7 @@ fn run_streams<E: TaskEngine>(
             engine.enqueue(t, job);
         }
         // Serve every task that can make progress at this instant.
-        engine.service_all(ready, model)?;
+        engine.service_all(ready, &mut model)?;
     }
     // Drain: flush frontends, then run every remaining queued input.
     for (t, frontend) in frontends.iter_mut().enumerate() {
@@ -666,83 +325,9 @@ fn run_streams<E: TaskEngine>(
         for job in frontend.flush(tail)? {
             engine.enqueue(t, job);
         }
-        engine.drain(t, model)?;
+        engine.drain(t, &mut model)?;
     }
-
-    let report = engine.finish(problem.platform().static_power_w);
-    Ok(MultiTaskRuntimeReport::from_engine(
-        report,
-        tasks.iter().map(|t| t.name.clone()),
-    ))
-}
-
-/// The streaming driver with its frontend stages on worker threads:
-/// per-task E2SF producers slice events interval by interval while the
-/// DSFA stage thread merges, aggregates and feeds the engine loop — the
-/// full three-stage pipeline of [`crate::exec::pipelined`].
-/// `speculative` selects the sync-skipping DSFA stage (used by
-/// [`ExecMode::Optimizing`]); the job stream is identical either way.
-#[allow(clippy::too_many_arguments)]
-fn run_streams_pipelined<E: TaskEngine>(
-    problem: &MultiTaskProblem,
-    streams: &[StreamTask],
-    config: MultiTaskRuntimeConfig,
-    engine: E,
-    channel_capacity: usize,
-    speculative: bool,
-    model: &mut dyn JobModel,
-) -> Result<MultiTaskRuntimeReport, EvEdgeError> {
-    use crate::e2sf::E2sfConfig;
-
-    let tasks = problem.tasks();
-    let window = config.window;
-    let frontends: Vec<DsfaStage> = streams
-        .iter()
-        .map(|s| DsfaStage::new(s.dsfa))
-        .collect::<Result<_, _>>()?;
-    // One E2SF producer per task: generate the event stream, then slice
-    // it interval by interval, sending each interval's frames downstream
-    // as one message the moment they exist.
-    let producers: Vec<_> = streams
-        .iter()
-        .map(|stream| {
-            let sequence = stream.sequence.clone();
-            let bins = stream.bins_per_interval;
-            move |tx: SyncSender<FrameBatchResult>| {
-                let produce = || -> Result<(), EvEdgeError> {
-                    let events = sequence.generate(window)?;
-                    let mut e2sf = E2sfStage::new(E2sfConfig::new(bins), events);
-                    for interval in sequence.frame_intervals(window) {
-                        if tx.send(Ok(e2sf.push(interval)?)).is_err() {
-                            return Ok(()); // consumer gone
-                        }
-                    }
-                    Ok(())
-                };
-                if let Err(e) = produce() {
-                    let _ = tx.send(Err(e));
-                }
-            }
-        })
-        .collect();
-    let run = if speculative {
-        run_pipelined_streams_speculative
-    } else {
-        run_pipelined_streams
-    };
-    let report = run(
-        engine,
-        frontends,
-        producers,
-        model,
-        window,
-        channel_capacity,
-        problem.platform().static_power_w,
-    )?;
-    Ok(MultiTaskRuntimeReport::from_engine(
-        report,
-        tasks.iter().map(|t| t.name.clone()),
-    ))
+    Ok(MultiTaskRuntimeReport::finish(problem, engine))
 }
 
 #[cfg(test)]
@@ -955,158 +540,5 @@ mod tests {
         let a = run_multi_task_runtime(&p, &candidate, &periods, window_ms(60)).unwrap();
         let b = run_multi_task_runtime(&p, &candidate, &periods, window_ms(60)).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parallel_runtime_matches_serial_exactly() {
-        let p = problem();
-        let candidate = baseline::rr_network(&p);
-        let periods = [TimeDelta::from_millis(5), TimeDelta::from_millis(9)];
-        let serial = run_multi_task_runtime(&p, &candidate, &periods, window_ms(60)).unwrap();
-        let parallel = run_multi_task_runtime(
-            &p,
-            &candidate,
-            &periods,
-            window_ms(60).with_parallel_runtime(),
-        )
-        .unwrap();
-        assert_eq!(serial, parallel, "thread-per-queue runtime must be exact");
-    }
-
-    #[test]
-    fn pipelined_and_sharded_runtime_match_serial_exactly() {
-        let p = problem();
-        let candidate = baseline::rr_network(&p);
-        let periods = [TimeDelta::from_millis(5), TimeDelta::from_millis(9)];
-        let serial = run_multi_task_runtime(&p, &candidate, &periods, window_ms(60)).unwrap();
-        for capacity in [0usize, 1, 8] {
-            let mut config = window_ms(60);
-            config.mode = ExecMode::Pipelined {
-                channel_capacity: capacity,
-            };
-            let pipelined = run_multi_task_runtime(&p, &candidate, &periods, config).unwrap();
-            assert_eq!(serial, pipelined, "channel capacity {capacity}");
-        }
-        for shards in [0usize, 1, 2] {
-            let sharded = run_multi_task_runtime(
-                &p,
-                &candidate,
-                &periods,
-                window_ms(60).with_sharded_engines(shards),
-            )
-            .unwrap();
-            assert_eq!(serial, sharded, "shards {shards}");
-        }
-    }
-
-    #[test]
-    fn layer_parallel_runtime_matches_serial_exactly() {
-        use ev_datasets::mvsec::SequenceId;
-        let p = problem();
-        // RR-Layer spreads consecutive layers across PEs — the mapping
-        // shape that actually produces multi-segment jobs.
-        for candidate in [baseline::rr_network(&p), baseline::rr_layer(&p)] {
-            let periods = [TimeDelta::from_millis(5), TimeDelta::from_millis(9)];
-            let serial = run_multi_task_runtime(&p, &candidate, &periods, window_ms(60)).unwrap();
-            let layer_parallel = run_multi_task_runtime(
-                &p,
-                &candidate,
-                &periods,
-                window_ms(60).with_layer_parallel(),
-            )
-            .unwrap();
-            assert_eq!(serial, layer_parallel, "periodic layer-parallel run");
-
-            let streams = vec![
-                StreamTask {
-                    sequence: SequenceId::IndoorFlying2.sequence(),
-                    bins_per_interval: 8,
-                    dsfa: crate::dsfa::DsfaConfig::default(),
-                },
-                StreamTask {
-                    sequence: SequenceId::DenseTown10.sequence(),
-                    bins_per_interval: 4,
-                    dsfa: crate::dsfa::DsfaConfig::default(),
-                },
-            ];
-            let serial = run_multi_task_streams(&p, &candidate, &streams, window_ms(50)).unwrap();
-            let layer_parallel = run_multi_task_streams(
-                &p,
-                &candidate,
-                &streams,
-                window_ms(50).with_layer_parallel(),
-            )
-            .unwrap();
-            assert_eq!(serial, layer_parallel, "streaming layer-parallel run");
-        }
-    }
-
-    #[test]
-    fn pipelined_streams_match_serial_for_any_capacity() {
-        use ev_datasets::mvsec::SequenceId;
-        let p = problem();
-        let candidate = baseline::rr_network(&p);
-        let streams = vec![
-            StreamTask {
-                sequence: SequenceId::IndoorFlying2.sequence(),
-                bins_per_interval: 8,
-                dsfa: crate::dsfa::DsfaConfig::default(),
-            },
-            StreamTask {
-                sequence: SequenceId::DenseTown10.sequence(),
-                bins_per_interval: 4,
-                dsfa: crate::dsfa::DsfaConfig {
-                    cmode: crate::dsfa::CMode::CBatch,
-                    mb_size: 1,
-                    ..crate::dsfa::DsfaConfig::default()
-                },
-            },
-        ];
-        let serial = run_multi_task_streams(&p, &candidate, &streams, window_ms(60)).unwrap();
-        assert!(serial.per_task.iter().all(|t| t.completed > 0));
-        for capacity in [0usize, 1, 2, 16] {
-            let mut config = window_ms(60);
-            config.mode = ExecMode::Pipelined {
-                channel_capacity: capacity,
-            };
-            let pipelined = run_multi_task_streams(&p, &candidate, &streams, config).unwrap();
-            assert_eq!(serial, pipelined, "channel capacity {capacity}");
-        }
-        let sharded = run_multi_task_streams(
-            &p,
-            &candidate,
-            &streams,
-            window_ms(60).with_sharded_engines(0),
-        )
-        .unwrap();
-        assert_eq!(serial, sharded);
-    }
-
-    #[test]
-    fn parallel_streams_match_serial_exactly() {
-        use ev_datasets::mvsec::SequenceId;
-        let p = problem();
-        let candidate = baseline::rr_layer(&p);
-        let streams = vec![
-            StreamTask {
-                sequence: SequenceId::IndoorFlying1.sequence(),
-                bins_per_interval: 4,
-                dsfa: crate::dsfa::DsfaConfig::default(),
-            },
-            StreamTask {
-                sequence: SequenceId::OutdoorDay1.sequence(),
-                bins_per_interval: 4,
-                dsfa: crate::dsfa::DsfaConfig::default(),
-            },
-        ];
-        let serial = run_multi_task_streams(&p, &candidate, &streams, window_ms(40)).unwrap();
-        let parallel = run_multi_task_streams(
-            &p,
-            &candidate,
-            &streams,
-            window_ms(40).with_parallel_runtime(),
-        )
-        .unwrap();
-        assert_eq!(serial, parallel);
     }
 }

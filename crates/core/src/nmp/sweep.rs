@@ -55,7 +55,7 @@
 //! ```
 
 use crate::exec::parallel::parallel_try_map;
-use crate::multipipe::{run_multi_task_runtime, ExecMode, MultiTaskRuntimeConfig};
+use crate::multipipe::{run_multi_task_runtime, MultiTaskRuntimeConfig};
 use crate::nmp::baseline;
 use crate::nmp::evolution::{run_nmp, GenerationStat, NmpConfig};
 use crate::nmp::fitness::{FitnessConfig, FitnessEvaluator};
@@ -782,7 +782,7 @@ fn prepare_problems(
 /// (conventionally RR-Network). A mapping no better than round-robin
 /// is mildly overloaded (queues drop) while a good mapping keeps up,
 /// so queue capacity and mapping quality both show in the playback.
-/// Shared by the sweep playback and the Figure 9 `--mode` playback so
+/// Shared by the sweep playback and the Figure 9 `--playback` view so
 /// the rule can never silently diverge between them.
 pub fn near_saturation_periods(baseline: &crate::nmp::fitness::FitnessReport) -> Vec<TimeDelta> {
     baseline
@@ -833,12 +833,10 @@ fn assemble_report(
     cell: &SweepCell,
     window: TimeWindow,
     keep_history: bool,
-    playback_mode: ExecMode,
 ) -> Result<SweepCellReport, EvEdgeError> {
     let runtime_config = MultiTaskRuntimeConfig {
         window,
         queue_capacity: cell.queue_capacity,
-        mode: playback_mode,
     };
     let playback = run_multi_task_runtime(
         &prepared.problem,
@@ -884,7 +882,6 @@ fn execute_cells(
     spec: &SweepSpec,
     cells: &[SweepCell],
     workers: usize,
-    playback_mode: ExecMode,
 ) -> Result<SweepExecution, EvEdgeError> {
     spec.validate()?;
     let zoo = spec.zoo.config();
@@ -940,7 +937,6 @@ fn execute_cells(
             &cell,
             window,
             keep_history,
-            playback_mode,
         )
     })?;
     Ok(SweepExecution {
@@ -970,7 +966,7 @@ pub fn run_cells(
     cells: &[SweepCell],
     workers: usize,
 ) -> Result<Vec<SweepCellReport>, EvEdgeError> {
-    Ok(execute_cells(spec, cells, workers, ExecMode::Serial)?.reports)
+    Ok(execute_cells(spec, cells, workers)?.reports)
 }
 
 /// Expands a spec and evaluates every cell on the worker pool (`0` =
@@ -983,29 +979,8 @@ pub fn run_cells(
 /// propagates search/runtime errors from cells (first in canonical
 /// order).
 pub fn run_sweep(spec: &SweepSpec, workers: usize) -> Result<SweepReport, EvEdgeError> {
-    run_sweep_mode(spec, workers, ExecMode::Serial)
-}
-
-/// [`run_sweep`] with an explicit [`ExecMode`] for every cell's
-/// runtime playback. The mode is a *wall-clock* choice: every mode
-/// produces bitwise-identical playback numbers (see
-/// [`crate::multipipe::ExecMode`]), so the report — including its
-/// serialized JSON — is byte-identical to [`run_sweep`]'s for any
-/// mode, which is why the mode is a call-site parameter and not a
-/// [`SweepSpec`] axis.
-///
-/// # Errors
-///
-/// Returns [`EvEdgeError::InvalidSweepSpec`] for degenerate specs and
-/// propagates search/runtime errors from cells (first in canonical
-/// order).
-pub fn run_sweep_mode(
-    spec: &SweepSpec,
-    workers: usize,
-    playback_mode: ExecMode,
-) -> Result<SweepReport, EvEdgeError> {
     let cells = spec.cells()?;
-    let execution = execute_cells(spec, &cells, workers, playback_mode)?;
+    let execution = execute_cells(spec, &cells, workers)?;
     let best_cell = execution
         .reports
         .iter()
@@ -1165,20 +1140,6 @@ mod tests {
         let serial = run_sweep(&spec, 1).unwrap();
         let parallel = run_sweep(&spec, 4).unwrap();
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn playback_mode_does_not_change_the_report() {
-        let spec = tiny_spec();
-        let serial = run_sweep(&spec, 1).unwrap();
-        for mode in [
-            ExecMode::LayerParallel,
-            ExecMode::ThreadPerQueue,
-            ExecMode::Sharded { shards: 0 },
-        ] {
-            let moded = run_sweep_mode(&spec, 2, mode).unwrap();
-            assert_eq!(serial, moded, "playback mode {mode:?}");
-        }
     }
 
     #[test]

@@ -15,29 +15,12 @@
 //! The inference-queue drop rule of §4.2 affects which frames contribute
 //! to accuracy, not the latency results, and is reflected through the
 //! DSFA aggregation term of the accuracy model.
-//!
-//! This driver is written against the [`TaskEngine`] trait, so
-//! [`PipelineOptions::exec_mode`] selects the same engine machinery as
-//! the multi-task drivers — serial, thread-per-queue, E2SF on a
-//! producer thread, or a (degenerate, single-task) sharded engine —
-//! with bitwise-identical reports in every mode (including
-//! [`ExecMode::Optimizing`], whose transformations are all cross-task
-//! or cross-queue and so have no effect here). With one task there is
-//! no cross-stream merge and no contention, and the whole-job
-//! [`BatchCostModel`] reserves a single platform-wide queue, so the
-//! intra-job segment machinery of [`crate::exec::layer_parallel`] has
-//! nothing to split here; the modes exercise the machinery, the
-//! *speedups* live in [`crate::multipipe`].
 
 use crate::dsfa::DsfaConfig;
 use crate::e2sf::E2sfConfig;
-use crate::exec::engine::{EngineReport, ExecEngine, TaskEngine};
+use crate::exec::engine::{EngineReport, ExecEngine};
 use crate::exec::job::{BatchCostModel, JobModel, SchedGraphBuilder};
-use crate::exec::pipelined::FrameBatchResult;
-use crate::exec::sharded::ShardedEngine;
 use crate::exec::stage::{DirectStage, DsfaStage, E2sfStage, Stage};
-use crate::frame::SparseFrame;
-use crate::multipipe::ExecMode;
 use crate::nmp::candidate::{Assignment, Candidate};
 use crate::nmp::evolution::{run_nmp, NmpConfig};
 use crate::nmp::fitness::FitnessConfig;
@@ -52,7 +35,7 @@ use ev_nn::{Domain, Precision};
 use ev_platform::energy::Energy;
 use ev_platform::latency::{default_domain_density, layer_cost, LayerContext};
 use ev_platform::pe::Platform;
-use ev_platform::timeline::{AtomicTimeline, DeviceTimeline};
+use ev_platform::timeline::DeviceTimeline;
 
 pub use crate::exec::job::JobRecord;
 
@@ -141,12 +124,6 @@ pub struct PipelineOptions {
     pub nmp: NmpConfig,
     /// ΔA threshold for the NMP variant (metric units).
     pub max_degradation: f64,
-    /// Which engine machinery executes the jobs. Every mode produces a
-    /// bitwise-identical report (see the [module docs](self));
-    /// [`ExecMode::Sharded`] and [`ExecMode::Optimizing`] run the
-    /// sharded engine, which cannot record jobs, leaving
-    /// [`PipelineReport::jobs`] empty.
-    pub exec_mode: ExecMode,
 }
 
 impl PipelineOptions {
@@ -191,16 +168,7 @@ impl PipelineOptions {
                 ..NmpConfig::default()
             },
             max_degradation,
-            exec_mode: ExecMode::Serial,
         }
-    }
-
-    /// Selects the engine machinery (identical results, different
-    /// wall-clock shape).
-    #[must_use]
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
     }
 }
 
@@ -316,71 +284,22 @@ pub fn run_single_task(
             options.variant,
         )
     });
-    let start = setup.window.start();
-    let static_power_w = setup.platform.static_power_w;
-    let (frame_count, aggregation, report) = match options.exec_mode {
-        // Serial and pipelined differ only in where E2SF runs: inline,
-        // or on a producer thread (selected by `Some(channel_capacity)`).
-        ExecMode::Serial | ExecMode::Pipelined { .. } => {
-            let channel_capacity = match options.exec_mode {
-                ExecMode::Pipelined { channel_capacity } => Some(channel_capacity),
-                _ => None,
-            };
-            drive_single_task(
-                ExecEngine::new(start, DeviceTimeline::new(1), 1, queue_capacity)?
-                    .with_job_records(),
-                &mut model,
-                events,
-                &intervals,
-                bins,
-                options,
-                setup.window,
-                static_power_w,
-                channel_capacity,
-            )?
-        }
-        // The whole-job cost model reserves one platform-wide queue, so
-        // both reservation-machinery modes run it over the atomic
-        // free-time table.
-        ExecMode::ThreadPerQueue | ExecMode::LayerParallel => drive_single_task(
-            ExecEngine::new(start, AtomicTimeline::new(1), 1, queue_capacity)?.with_job_records(),
-            &mut model,
-            events,
-            &intervals,
-            bins,
-            options,
-            setup.window,
-            static_power_w,
-            None,
-        )?,
-        ExecMode::Sharded { shards } => drive_single_task(
-            ShardedEngine::new(start, DeviceTimeline::new(1), 1, queue_capacity, shards)?,
-            &mut model,
-            events,
-            &intervals,
-            bins,
-            options,
-            setup.window,
-            static_power_w,
-            None,
-        )?,
-        // One task on one platform-wide queue leaves nothing to
-        // re-order or steal, so the optimizing mode degenerates to the
-        // work-stealing sharded engine with the task's (total) queue
-        // footprint — the report stays bitwise serial here.
-        ExecMode::Optimizing => drive_single_task(
-            ShardedEngine::new(start, DeviceTimeline::new(1), 1, queue_capacity, 0)?
-                .with_work_stealing(vec![Some(vec![0])]),
-            &mut model,
-            events,
-            &intervals,
-            bins,
-            options,
-            setup.window,
-            static_power_w,
-            None,
-        )?,
-    };
+    let engine = ExecEngine::new(
+        setup.window.start(),
+        DeviceTimeline::new(1),
+        1,
+        queue_capacity,
+    )?
+    .with_job_records();
+    let (frame_count, aggregation, report) = drive_single_task(
+        engine,
+        &mut model,
+        E2sfStage::new(E2sfConfig::new(bins), events),
+        &intervals,
+        options,
+        setup.window,
+        setup.platform.static_power_w,
+    )?;
 
     // 4. Accuracy estimate.
     let shares =
@@ -409,104 +328,63 @@ pub fn run_single_task(
     })
 }
 
-/// Drives the single-task frame loop over any [`TaskEngine`]: E2SF
-/// conversion (inline, or on a producer thread when `channel_capacity`
-/// is `Some` — the [`ExecMode::Pipelined`] shape, overlapping event
-/// binning for interval *k+1* with inference for interval *k*), the
-/// optional DSFA aggregation with its §4.2 hardware-availability gate,
-/// job submission and draining. Returns `(frames, aggregation
-/// aggressiveness, report)`.
-///
-/// Determinism: frames carry their ready times and the consumer applies
-/// intervals in order, so the producer thread moves only wall-clock
-/// work — the report is bitwise identical to the inline path.
-#[allow(clippy::too_many_arguments)]
-fn drive_single_task<E: TaskEngine>(
-    mut engine: E,
+/// Drives the single-task frame loop: E2SF conversion interval by
+/// interval, the optional DSFA aggregation with its §4.2
+/// hardware-availability gate, job submission and draining. Returns
+/// `(frames, aggregation aggressiveness, report)`.
+fn drive_single_task(
+    mut engine: ExecEngine<DeviceTimeline>,
     model: &mut dyn JobModel,
-    events: ev_core::EventSlice,
+    mut e2sf: E2sfStage,
     intervals: &[TimeWindow],
-    bins: usize,
     options: &PipelineOptions,
     window: TimeWindow,
     static_power_w: f64,
-    channel_capacity: Option<usize>,
 ) -> Result<(usize, f64, EngineReport), EvEdgeError> {
-    std::thread::scope(|scope| {
-        // The per-interval frame source: an inline E2SF stage, or a
-        // bounded channel fed by an E2SF producer thread.
-        let mut inline: Option<E2sfStage> = None;
-        let mut frame_rx = None;
-        match channel_capacity {
-            None => inline = Some(E2sfStage::new(E2sfConfig::new(bins), events)),
-            Some(capacity) => {
-                let (tx, rx) = std::sync::mpsc::sync_channel::<FrameBatchResult>(capacity.max(1));
-                let producer_intervals = intervals.to_vec();
-                scope.spawn(move || {
-                    let mut e2sf = E2sfStage::new(E2sfConfig::new(bins), events);
-                    for interval in producer_intervals {
-                        if tx.send(e2sf.push(interval)).is_err() {
-                            return; // consumer gone
-                        }
+    let mut frame_count = 0usize;
+    let aggregation = if options.variant.uses_dsfa() {
+        // DSFA needs the per-frame hardware-availability gate between
+        // the stages, so the driver interleaves them by hand.
+        let mut dsfa = DsfaStage::new(options.dsfa)?;
+        for interval in intervals {
+            for frame in e2sf.push(*interval)? {
+                frame_count += 1;
+                let ready = frame.ready_at();
+                // Early dispatch when the hardware is already idle
+                // (§4.2).
+                if engine.task_idle_at(0, ready) {
+                    for job in dsfa.flush(ready)? {
+                        engine.submit(0, job);
+                        engine.drain(0, model)?;
                     }
-                });
-                frame_rx = Some(rx);
+                }
+                for job in dsfa.push(frame)? {
+                    engine.submit(0, job);
+                    engine.drain(0, model)?;
+                }
             }
         }
-        let mut frames_for = |interval: TimeWindow| -> Result<Vec<SparseFrame>, EvEdgeError> {
-            match (&mut inline, &frame_rx) {
-                (Some(e2sf), _) => e2sf.push(interval),
-                (None, Some(rx)) => rx.recv().expect("one E2SF batch per interval"),
-                (None, None) => unreachable!("a frame source always exists"),
-            }
-        };
-
-        let mut frame_count = 0usize;
-        let aggregation = if options.variant.uses_dsfa() {
-            // DSFA needs the per-frame hardware-availability gate
-            // between the stages, so the driver interleaves them by
-            // hand.
-            let mut dsfa = DsfaStage::new(options.dsfa)?;
-            for interval in intervals {
-                for frame in frames_for(*interval)? {
-                    frame_count += 1;
-                    let ready = frame.ready_at();
-                    // Early dispatch when the hardware is already idle
-                    // (§4.2).
-                    if engine.task_idle_at(0, ready) {
-                        for job in dsfa.flush(ready)? {
-                            engine.submit(0, job);
-                            engine.drain(0, model)?;
-                        }
-                    }
-                    for job in dsfa.push(frame)? {
-                        engine.submit(0, job);
-                        engine.drain(0, model)?;
-                    }
+        let tail = engine.task_free_at(0).max(window.end());
+        for job in dsfa.flush(tail)? {
+            engine.submit(0, job);
+            engine.drain(0, model)?;
+        }
+        dsfa.aggregation_aggressiveness()
+    } else {
+        // No aggregation state between frames: one job per frame.
+        let mut direct = DirectStage;
+        for interval in intervals {
+            for frame in e2sf.push(*interval)? {
+                frame_count += 1;
+                for job in direct.push(frame)? {
+                    engine.submit(0, job);
+                    engine.drain(0, model)?;
                 }
             }
-            let tail = engine.task_free_at(0).max(window.end());
-            for job in dsfa.flush(tail)? {
-                engine.submit(0, job);
-                engine.drain(0, model)?;
-            }
-            dsfa.aggregation_aggressiveness()
-        } else {
-            // No aggregation state between frames: one job per frame.
-            let mut direct = DirectStage;
-            for interval in intervals {
-                for frame in frames_for(*interval)? {
-                    frame_count += 1;
-                    for job in direct.push(frame)? {
-                        engine.submit(0, job);
-                        engine.drain(0, model)?;
-                    }
-                }
-            }
-            0.0
-        };
-        Ok((frame_count, aggregation, engine.finish(static_power_w)))
-    })
+        }
+        0.0
+    };
+    Ok((frame_count, aggregation, engine.finish(static_power_w)))
 }
 
 /// Models one inference job under a mapping: per-layer roofline costs,
@@ -655,49 +533,6 @@ mod tests {
         assert_eq!(report.inferences, report.frames);
         let job_events: usize = report.jobs.iter().map(|j| j.events).sum();
         assert_eq!(job_events, report.events);
-    }
-
-    #[test]
-    fn every_exec_mode_matches_the_serial_pipeline() {
-        for variant in [PipelineVariant::E2sf, PipelineVariant::E2sfDsfa] {
-            let mut options = PipelineOptions::for_variant(variant, NetworkId::SpikeFlowNet);
-            options.nmp = NmpConfig {
-                population: 12,
-                generations: 8,
-                seed: 5,
-                ..NmpConfig::default()
-            };
-            let serial = run_single_task(&setup(NetworkId::SpikeFlowNet), &options).unwrap();
-            for mode in [
-                ExecMode::ThreadPerQueue,
-                ExecMode::LayerParallel,
-                ExecMode::Pipelined {
-                    channel_capacity: 0,
-                },
-                ExecMode::Pipelined {
-                    channel_capacity: 4,
-                },
-                ExecMode::Sharded { shards: 0 },
-                ExecMode::Optimizing,
-            ] {
-                let moded = run_single_task(
-                    &setup(NetworkId::SpikeFlowNet),
-                    &options.clone().with_exec_mode(mode),
-                )
-                .unwrap();
-                if matches!(mode, ExecMode::Sharded { .. } | ExecMode::Optimizing) {
-                    // The sharded engine records no jobs. With a single
-                    // task the optimizing transformations have nothing
-                    // to re-order, so even that mode is bitwise serial.
-                    assert!(moded.jobs.is_empty());
-                    let mut jobless = serial.clone();
-                    jobless.jobs.clear();
-                    assert_eq!(jobless, moded, "mode {mode:?} ({variant:?})");
-                } else {
-                    assert_eq!(serial, moded, "mode {mode:?} ({variant:?})");
-                }
-            }
-        }
     }
 
     #[test]

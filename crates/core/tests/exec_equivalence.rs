@@ -1,60 +1,23 @@
 //! Engine equivalence: the multi-task runtime is the unified exec
 //! engine — a single-task problem run through `run_multi_task_runtime`
 //! must produce exactly the counts, latencies, energy and makespan of
-//! the same workload driven through `ExecEngine` directly — and every
-//! order-preserving execution mode (thread-per-queue, stage-pipelined,
-//! task-sharded, intra-task layer-parallel) is the serial engine:
-//! reports are bitwise identical for any channel capacity, shard
-//! count, queue capacity and mapped-PE configuration.
-//!
-//! The opt-in `ExecMode::Optimizing` is held to the weaker
-//! semantic-equivalence contract instead (`ev_edge::exec::equivalence`):
-//! the same job set with the same payloads and drop decisions, and
-//! every per-job completion, latency statistic, the makespan, and
-//! total energy no worse than serial.
+//! the same workload driven through `ExecEngine` directly. The
+//! `ev_edge::exec::equivalence` checker is exercised on a recorded
+//! serial run: it accepts the run against itself and rejects each
+//! perturbed copy with the right error.
 
 use ev_core::{TimeDelta, TimeWindow, Timestamp};
-use ev_datasets::mvsec::SequenceId;
 use ev_edge::exec::clock::EventClock;
-use ev_edge::exec::engine::{EngineReport, ExecEngine, TaskStats};
+use ev_edge::exec::engine::{EngineReport, ExecEngine};
 use ev_edge::exec::equivalence::{check_job_records, check_reports, EquivalenceError};
 use ev_edge::exec::job::{JobInput, MappedJobModel};
-use ev_edge::exec::layer_parallel::OptimizingModel;
-use ev_edge::multipipe::{
-    run_multi_task_runtime, run_multi_task_streams, ExecMode, MultiTaskRuntimeConfig,
-    MultiTaskRuntimeReport, StreamTask,
-};
+use ev_edge::multipipe::{run_multi_task_runtime, MultiTaskRuntimeConfig};
 use ev_edge::nmp::baseline;
 use ev_edge::nmp::multitask::{MultiTaskProblem, TaskSpec};
-use ev_edge::nmp::sweep::TaskMix;
 use ev_edge::EvEdgeError;
 use ev_nn::zoo::{NetworkId, ZooConfig};
 use ev_platform::pe::Platform;
 use ev_platform::timeline::DeviceTimeline;
-
-/// Recasts a runtime report as an [`EngineReport`] so the
-/// `exec::equivalence` checker can compare two of them (`busy_time` is
-/// not carried by the runtime report and not part of the contract).
-fn as_engine_report(report: &MultiTaskRuntimeReport) -> EngineReport {
-    EngineReport {
-        per_task: report
-            .per_task
-            .iter()
-            .map(|t| TaskStats {
-                arrivals: t.arrivals,
-                completed: t.completed,
-                dropped: t.dropped,
-                mean_latency: t.mean_latency,
-                max_latency: t.max_latency,
-            })
-            .collect(),
-        jobs: Vec::new(),
-        makespan: report.makespan,
-        busy_time: TimeDelta::ZERO,
-        energy: report.energy,
-        utilization: report.utilization.clone(),
-    }
-}
 
 fn single_task_problem() -> MultiTaskProblem {
     let cfg = ZooConfig::mvsec();
@@ -184,518 +147,6 @@ fn overloaded_single_task_drops_identically() {
     );
 }
 
-/// Every execution mode of the periodic runtime is the serial engine:
-/// identical drop counts, latencies, energy, makespan and utilization
-/// for any worker/channel/shard count.
-#[test]
-fn every_exec_mode_matches_serial_periodic_runtime() {
-    let problem = three_task_problem();
-    let candidate = baseline::rr_layer(&problem);
-    let periods = [
-        TimeDelta::from_millis(4),
-        TimeDelta::from_millis(6),
-        TimeDelta::from_millis(9),
-    ];
-    let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(70));
-    let serial_config = MultiTaskRuntimeConfig::new(window);
-    let serial = run_multi_task_runtime(&problem, &candidate, &periods, serial_config).unwrap();
-    assert!(serial.per_task.iter().all(|t| t.completed > 0));
-
-    let modes = [
-        ExecMode::ThreadPerQueue,
-        ExecMode::LayerParallel,
-        ExecMode::Pipelined {
-            channel_capacity: 0,
-        },
-        ExecMode::Pipelined {
-            channel_capacity: 1,
-        },
-        ExecMode::Pipelined {
-            channel_capacity: 32,
-        },
-        ExecMode::Sharded { shards: 0 },
-        ExecMode::Sharded { shards: 1 },
-        ExecMode::Sharded { shards: 2 },
-        ExecMode::Sharded { shards: 3 },
-    ];
-    for mode in modes {
-        let mut config = serial_config;
-        config.mode = mode;
-        let report = run_multi_task_runtime(&problem, &candidate, &periods, config).unwrap();
-        assert_eq!(serial, report, "mode {mode:?}");
-    }
-}
-
-/// The full streaming scenario (E2SF + DSFA frontends) is bitwise
-/// identical across modes too — including the pipelined runtime whose
-/// frontend stages run on worker threads.
-#[test]
-fn every_exec_mode_matches_serial_streams() {
-    let problem = three_task_problem();
-    let candidate = baseline::rr_network(&problem);
-    let streams = vec![
-        StreamTask {
-            sequence: SequenceId::IndoorFlying1.sequence(),
-            bins_per_interval: 6,
-            dsfa: ev_edge::dsfa::DsfaConfig::default(),
-        },
-        StreamTask {
-            sequence: SequenceId::OutdoorDay1.sequence(),
-            bins_per_interval: 4,
-            dsfa: ev_edge::dsfa::DsfaConfig {
-                cmode: ev_edge::dsfa::CMode::CBatch,
-                mb_size: 1,
-                ..ev_edge::dsfa::DsfaConfig::default()
-            },
-        },
-        StreamTask {
-            sequence: SequenceId::DenseTown10.sequence(),
-            bins_per_interval: 8,
-            dsfa: ev_edge::dsfa::DsfaConfig {
-                ebuf_size: 4,
-                mb_size: 2,
-                ..ev_edge::dsfa::DsfaConfig::default()
-            },
-        },
-    ];
-    let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(50));
-    let serial_config = MultiTaskRuntimeConfig::new(window);
-    let serial = run_multi_task_streams(&problem, &candidate, &streams, serial_config).unwrap();
-    assert!(serial.per_task.iter().all(|t| t.arrivals > 0));
-
-    let modes = [
-        ExecMode::ThreadPerQueue,
-        ExecMode::LayerParallel,
-        ExecMode::Pipelined {
-            channel_capacity: 0,
-        },
-        ExecMode::Pipelined {
-            channel_capacity: 2,
-        },
-        ExecMode::Pipelined {
-            channel_capacity: 64,
-        },
-        ExecMode::Sharded { shards: 0 },
-        ExecMode::Sharded { shards: 2 },
-    ];
-    for mode in modes {
-        let mut config = serial_config;
-        config.mode = mode;
-        let report = run_multi_task_streams(&problem, &candidate, &streams, config).unwrap();
-        assert_eq!(serial, report, "mode {mode:?}");
-    }
-}
-
-/// The layer-parallel runtime is the serial engine: bitwise-identical
-/// reports across queue capacities, task counts, and mapped-PE
-/// configurations — including the two round-robin baselines, whose
-/// RR-Layer placement produces maximally fragmented segment DAGs, and a
-/// searched NMP mapping.
-#[test]
-fn layer_parallel_matches_serial_across_capacities_tasks_and_mappings() {
-    use ev_edge::nmp::evolution::{run_nmp, NmpConfig};
-    use ev_edge::nmp::fitness::FitnessConfig;
-
-    let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(50));
-    for problem in [single_task_problem(), three_task_problem()] {
-        let searched = run_nmp(
-            &problem,
-            NmpConfig {
-                population: 8,
-                generations: 4,
-                seed: 17,
-                ..NmpConfig::default()
-            },
-            FitnessConfig::default(),
-        )
-        .unwrap()
-        .best;
-        // ≥2 mapped-PE configurations: RR-Network keeps whole networks
-        // on one PE (single-segment jobs), RR-Layer alternates PEs per
-        // layer (segment-per-layer jobs), and the searched mapping
-        // lands in between.
-        for candidate in [
-            baseline::rr_network(&problem),
-            baseline::rr_layer(&problem),
-            searched,
-        ] {
-            let periods: Vec<TimeDelta> = (0..problem.tasks().len())
-                .map(|t| TimeDelta::from_millis(3 + 2 * t as i64))
-                .collect();
-            for queue_capacity in [1usize, 2, 5] {
-                let mut serial_config = MultiTaskRuntimeConfig::new(window);
-                serial_config.queue_capacity = queue_capacity;
-                let serial =
-                    run_multi_task_runtime(&problem, &candidate, &periods, serial_config).unwrap();
-                assert!(serial.per_task.iter().all(|t| t.completed > 0));
-                let mut lp_config = serial_config;
-                lp_config.mode = ExecMode::LayerParallel;
-                let layer_parallel =
-                    run_multi_task_runtime(&problem, &candidate, &periods, lp_config).unwrap();
-                assert_eq!(
-                    serial,
-                    layer_parallel,
-                    "capacity {queue_capacity}, {} tasks",
-                    problem.tasks().len()
-                );
-            }
-        }
-    }
-}
-
-/// The optimizing periodic runtime keeps the semantic-equivalence
-/// contract against the serial reference: identical names and
-/// counters, every latency statistic, the makespan and the energy no
-/// worse, for both round-robin baselines.
-#[test]
-fn optimizing_periodic_runtime_keeps_the_equivalence_contract() {
-    let problem = three_task_problem();
-    let periods = [
-        TimeDelta::from_millis(4),
-        TimeDelta::from_millis(6),
-        TimeDelta::from_millis(9),
-    ];
-    let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(70));
-    for candidate in [baseline::rr_layer(&problem), baseline::rr_network(&problem)] {
-        let config = MultiTaskRuntimeConfig::new(window);
-        let serial = run_multi_task_runtime(&problem, &candidate, &periods, config).unwrap();
-        assert!(serial.per_task.iter().all(|t| t.completed > 0));
-        let optimizing =
-            run_multi_task_runtime(&problem, &candidate, &periods, config.with_optimizing())
-                .unwrap();
-        for (s, o) in serial.per_task.iter().zip(&optimizing.per_task) {
-            assert_eq!(s.name, o.name);
-        }
-        check_reports(&as_engine_report(&serial), &as_engine_report(&optimizing)).unwrap();
-    }
-}
-
-/// The optimizing streaming runtime — speculative pipelined frontend,
-/// work-stealing shards and wave reordering composed — keeps the
-/// contract on the full E2SF + DSFA scenario.
-#[test]
-fn optimizing_streams_keep_the_equivalence_contract() {
-    let problem = three_task_problem();
-    let candidate = baseline::rr_network(&problem);
-    let streams = vec![
-        StreamTask {
-            sequence: SequenceId::IndoorFlying1.sequence(),
-            bins_per_interval: 6,
-            dsfa: ev_edge::dsfa::DsfaConfig::default(),
-        },
-        StreamTask {
-            sequence: SequenceId::OutdoorDay1.sequence(),
-            bins_per_interval: 4,
-            dsfa: ev_edge::dsfa::DsfaConfig {
-                cmode: ev_edge::dsfa::CMode::CBatch,
-                mb_size: 1,
-                ..ev_edge::dsfa::DsfaConfig::default()
-            },
-        },
-        StreamTask {
-            sequence: SequenceId::DenseTown10.sequence(),
-            bins_per_interval: 8,
-            dsfa: ev_edge::dsfa::DsfaConfig {
-                ebuf_size: 4,
-                mb_size: 2,
-                ..ev_edge::dsfa::DsfaConfig::default()
-            },
-        },
-    ];
-    let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(50));
-    let config = MultiTaskRuntimeConfig::new(window);
-    let serial = run_multi_task_streams(&problem, &candidate, &streams, config).unwrap();
-    assert!(serial.per_task.iter().all(|t| t.arrivals > 0));
-    let optimizing =
-        run_multi_task_streams(&problem, &candidate, &streams, config.with_optimizing()).unwrap();
-    check_reports(&as_engine_report(&serial), &as_engine_report(&optimizing)).unwrap();
-}
-
-/// Drives the same periodic workload through a recording engine twice —
-/// once under the serial mapped model, once under the optimizing
-/// model — and returns both job-record streams plus both reports.
-fn recorded_runs(
-    problem: &MultiTaskProblem,
-    candidate: &ev_edge::nmp::candidate::Candidate,
-    periods: &[TimeDelta],
-    window: TimeWindow,
-) -> (EngineReport, EngineReport) {
-    let mut reports = Vec::new();
-    for optimizing in [false, true] {
-        let mut engine = ExecEngine::new(
-            window.start(),
-            DeviceTimeline::new(problem.platform().queue_count()),
-            problem.tasks().len(),
-            2,
-        )
-        .unwrap()
-        .with_job_records();
-        let mut serial_model;
-        let mut optimizing_model;
-        let model: &mut dyn ev_edge::exec::job::JobModel = if optimizing {
-            optimizing_model = OptimizingModel::new(problem, candidate);
-            &mut optimizing_model
-        } else {
-            serial_model = MappedJobModel::new(problem, candidate);
-            &mut serial_model
-        };
-        let mut clock: EventClock<usize> = EventClock::new(window.start());
-        for task in 0..periods.len() {
-            clock.schedule(window.start(), task);
-        }
-        while let Some((arrival, task)) = clock.next_event() {
-            engine.submit(task, JobInput::arrival(arrival));
-            let next = arrival + periods[task];
-            if next < window.end() {
-                clock.schedule(next, task);
-            }
-            engine.service_all(arrival, model).unwrap();
-        }
-        engine.drain_all(model).unwrap();
-        reports.push(engine.finish(problem.platform().static_power_w));
-    }
-    let optimized = reports.pop().unwrap();
-    (reports.pop().unwrap(), optimized)
-}
-
-/// Job-record granularity: under the optimizing model every task runs
-/// exactly the serial job set (payload for payload) and no job
-/// completes later than its serial counterpart.
-#[test]
-fn optimizing_job_records_match_serial_payloads() {
-    let problem = three_task_problem();
-    let candidate = baseline::rr_layer(&problem);
-    let periods = [
-        TimeDelta::from_millis(3),
-        TimeDelta::from_millis(5),
-        TimeDelta::from_millis(7),
-    ];
-    let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(60));
-    let (serial, optimized) = recorded_runs(&problem, &candidate, &periods, window);
-    assert!(!serial.jobs.is_empty());
-    check_job_records(&serial.jobs, &optimized.jobs, problem.tasks().len()).unwrap();
-    check_reports(&serial, &optimized).unwrap();
-}
-
-/// The checker itself must reject broken schedules: a dropped job, a
-/// mutated payload and an inflated latency — each perturbation applied
-/// to a *real* optimizing run — surface as the right error.
-#[test]
-fn checker_rejects_perturbed_schedules() {
-    let problem = three_task_problem();
-    let candidate = baseline::rr_layer(&problem);
-    let periods = [
-        TimeDelta::from_millis(3),
-        TimeDelta::from_millis(5),
-        TimeDelta::from_millis(7),
-    ];
-    let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(60));
-    let (serial, optimized) = recorded_runs(&problem, &candidate, &periods, window);
-    let tasks = problem.tasks().len();
-
-    // A dropped job.
-    let mut dropped = optimized.jobs.clone();
-    dropped.pop().unwrap();
-    assert!(matches!(
-        check_job_records(&serial.jobs, &dropped, tasks),
-        Err(EquivalenceError::JobCountMismatch { .. })
-    ));
-
-    // A mutated per-job payload.
-    let mut mutated = optimized.jobs.clone();
-    mutated[0].events += 1;
-    assert!(matches!(
-        check_job_records(&serial.jobs, &mutated, tasks),
-        Err(EquivalenceError::PayloadMismatch { .. })
-    ));
-
-    // An inflated per-job completion (pushed past any serial end).
-    let mut inflated = optimized.jobs.clone();
-    inflated[0].end += TimeDelta::from_millis(10_000);
-    assert!(matches!(
-        check_job_records(&serial.jobs, &inflated, tasks),
-        Err(EquivalenceError::JobLatencyRegression { .. })
-    ));
-
-    // An inflated aggregate latency at report level.
-    let mut slower = optimized.clone();
-    slower.per_task[0].max_latency = serial.per_task[0].max_latency + TimeDelta::from_micros(1);
-    assert!(matches!(
-        check_reports(&serial, &slower),
-        Err(EquivalenceError::MaxLatencyRegression { .. })
-    ));
-}
-
-/// The speculative DSFA stage optimizes the sync *protocol*, not the
-/// schedule: over the same engine and model, its report is bitwise
-/// identical to the plain pipelined stage — every skipped round trip
-/// was provably decision-free.
-#[test]
-fn speculative_pipelined_stage_is_bitwise_identical() {
-    use ev_edge::e2sf::E2sfConfig;
-    use ev_edge::exec::pipelined::{
-        run_pipelined_streams, run_pipelined_streams_speculative, FrameBatchResult,
-    };
-    use ev_edge::exec::stage::{DsfaStage, E2sfStage, Stage};
-    use std::sync::mpsc::SyncSender;
-
-    let problem = three_task_problem();
-    let candidate = baseline::rr_network(&problem);
-    let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(40));
-    let sequences = [
-        SequenceId::IndoorFlying1,
-        SequenceId::OutdoorDay1,
-        SequenceId::DenseTown10,
-    ];
-    let bins_per_task = [6usize, 4, 8];
-    let mut reports = Vec::new();
-    for speculative in [false, true] {
-        let frontends: Vec<DsfaStage> = (0..sequences.len())
-            .map(|_| DsfaStage::new(ev_edge::dsfa::DsfaConfig::default()))
-            .collect::<Result<_, _>>()
-            .unwrap();
-        let producers: Vec<_> = (0..sequences.len())
-            .map(|t| {
-                let sequence = sequences[t].sequence();
-                let bins = bins_per_task[t];
-                move |tx: SyncSender<FrameBatchResult>| {
-                    let produce = || -> Result<(), EvEdgeError> {
-                        let events = sequence.generate(window)?;
-                        let mut e2sf = E2sfStage::new(E2sfConfig::new(bins), events);
-                        for interval in sequence.frame_intervals(window) {
-                            if tx.send(Ok(e2sf.push(interval)?)).is_err() {
-                                return Ok(());
-                            }
-                        }
-                        Ok(())
-                    };
-                    if let Err(e) = produce() {
-                        let _ = tx.send(Err(e));
-                    }
-                }
-            })
-            .collect();
-        let engine = ExecEngine::new(
-            window.start(),
-            DeviceTimeline::new(problem.platform().queue_count()),
-            sequences.len(),
-            2,
-        )
-        .unwrap();
-        let mut model = MappedJobModel::new(&problem, &candidate);
-        let run = if speculative {
-            run_pipelined_streams_speculative
-        } else {
-            run_pipelined_streams
-        };
-        reports.push(
-            run(
-                engine,
-                frontends,
-                producers,
-                &mut model,
-                window,
-                2,
-                problem.platform().static_power_w,
-            )
-            .unwrap(),
-        );
-    }
-    assert!(reports[0].per_task.iter().any(|t| t.completed > 0));
-    assert_eq!(reports[0], reports[1]);
-}
-
-/// The heterogeneous workload classes — data-dependent GraphNet tasks
-/// (GNN-heavy mix) and the always-on corner-detection frontend beside
-/// dense inference (corner+inference mix) — are bitwise identical
-/// across every order-preserving execution mode, on both the GPU-class
-/// preset and the composable-dataflow fabric. The data-dependent costs
-/// enter the profile once, at problem-construction time, so no mode can
-/// see a different price for the same layer.
-#[test]
-fn heterogeneous_mixes_match_serial_across_all_order_preserving_modes() {
-    let cfg = ZooConfig::mvsec();
-    for (mix, platform) in [
-        (TaskMix::GnnHeavy, Platform::xavier_agx()),
-        (
-            TaskMix::CornerPlusInference,
-            Platform::composable_dataflow(),
-        ),
-    ] {
-        let problem = mix.build_problem(platform, &cfg).unwrap();
-        assert!(
-            problem.tasks().iter().any(|t| t.densities.is_some()),
-            "mix {} must carry at least one data-dependent task",
-            mix.name()
-        );
-        let periods: Vec<TimeDelta> = (0..problem.tasks().len())
-            .map(|t| TimeDelta::from_millis(3 + 2 * t as i64))
-            .collect();
-        let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(50));
-        for candidate in [baseline::rr_network(&problem), baseline::rr_layer(&problem)] {
-            let serial_config = MultiTaskRuntimeConfig::new(window);
-            let serial =
-                run_multi_task_runtime(&problem, &candidate, &periods, serial_config).unwrap();
-            assert!(
-                serial.per_task.iter().all(|t| t.completed > 0),
-                "mix {} must execute every task",
-                mix.name()
-            );
-            let modes = [
-                ExecMode::ThreadPerQueue,
-                ExecMode::LayerParallel,
-                ExecMode::Pipelined {
-                    channel_capacity: 0,
-                },
-                ExecMode::Pipelined {
-                    channel_capacity: 8,
-                },
-                ExecMode::Sharded { shards: 0 },
-                ExecMode::Sharded { shards: 2 },
-            ];
-            for mode in modes {
-                let mut config = serial_config;
-                config.mode = mode;
-                let report =
-                    run_multi_task_runtime(&problem, &candidate, &periods, config).unwrap();
-                assert_eq!(serial, report, "mix {}, mode {mode:?}", mix.name());
-            }
-        }
-    }
-}
-
-/// The sixth mode: on the same heterogeneous mixes the optimizing
-/// runtime keeps the semantic-equivalence contract — same task names,
-/// and every latency statistic, the makespan and the energy bounded
-/// above by serial.
-#[test]
-fn optimizing_keeps_the_contract_on_heterogeneous_mixes() {
-    let cfg = ZooConfig::mvsec();
-    for (mix, platform) in [
-        (TaskMix::GnnHeavy, Platform::composable_dataflow()),
-        (TaskMix::CornerPlusInference, Platform::xavier_agx()),
-    ] {
-        let problem = mix.build_problem(platform, &cfg).unwrap();
-        let periods: Vec<TimeDelta> = (0..problem.tasks().len())
-            .map(|t| TimeDelta::from_millis(3 + 2 * t as i64))
-            .collect();
-        let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(50));
-        for candidate in [baseline::rr_layer(&problem), baseline::rr_network(&problem)] {
-            let config = MultiTaskRuntimeConfig::new(window);
-            let serial = run_multi_task_runtime(&problem, &candidate, &periods, config).unwrap();
-            assert!(serial.per_task.iter().all(|t| t.completed > 0));
-            let optimizing =
-                run_multi_task_runtime(&problem, &candidate, &periods, config.with_optimizing())
-                    .unwrap();
-            for (s, o) in serial.per_task.iter().zip(&optimizing.per_task) {
-                assert_eq!(s.name, o.name, "mix {}", mix.name());
-            }
-            check_reports(&as_engine_report(&serial), &as_engine_report(&optimizing))
-                .unwrap_or_else(|e| panic!("mix {}: contract violated: {e:?}", mix.name()));
-        }
-    }
-}
-
 #[test]
 fn zero_queue_capacity_propagates_as_error() {
     let problem = single_task_problem();
@@ -707,5 +158,90 @@ fn zero_queue_capacity_propagates_as_error() {
     assert!(matches!(
         result,
         Err(EvEdgeError::InvalidQueueCapacity { capacity: 0 })
+    ));
+}
+
+/// Drives a periodic workload through a recording engine under the
+/// serial mapped model and returns its report, job records included.
+fn recorded_run(
+    problem: &MultiTaskProblem,
+    candidate: &ev_edge::nmp::candidate::Candidate,
+    periods: &[TimeDelta],
+    window: TimeWindow,
+) -> EngineReport {
+    let mut engine = ExecEngine::new(
+        window.start(),
+        DeviceTimeline::new(problem.platform().queue_count()),
+        problem.tasks().len(),
+        2,
+    )
+    .unwrap()
+    .with_job_records();
+    let mut model = MappedJobModel::new(problem, candidate);
+    let mut clock: EventClock<usize> = EventClock::new(window.start());
+    for task in 0..periods.len() {
+        clock.schedule(window.start(), task);
+    }
+    while let Some((arrival, task)) = clock.next_event() {
+        engine.submit(task, JobInput::arrival(arrival));
+        let next = arrival + periods[task];
+        if next < window.end() {
+            clock.schedule(next, task);
+        }
+        engine.service_all(arrival, &mut model).unwrap();
+    }
+    engine.drain_all(&mut model).unwrap();
+    engine.finish(problem.platform().static_power_w)
+}
+
+/// The checker accepts a real recorded run against itself and rejects
+/// broken copies of it: a dropped job, a mutated payload and an
+/// inflated latency each surface as the right error.
+#[test]
+fn checker_rejects_perturbed_schedules() {
+    let problem = three_task_problem();
+    let candidate = baseline::rr_layer(&problem);
+    let periods = [
+        TimeDelta::from_millis(3),
+        TimeDelta::from_millis(5),
+        TimeDelta::from_millis(7),
+    ];
+    let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(60));
+    let serial = recorded_run(&problem, &candidate, &periods, window);
+    let tasks = problem.tasks().len();
+    assert!(!serial.jobs.is_empty());
+    check_job_records(&serial.jobs, &serial.jobs, tasks).unwrap();
+    check_reports(&serial, &serial).unwrap();
+
+    // A dropped job.
+    let mut dropped = serial.jobs.clone();
+    dropped.pop().unwrap();
+    assert!(matches!(
+        check_job_records(&serial.jobs, &dropped, tasks),
+        Err(EquivalenceError::JobCountMismatch { .. })
+    ));
+
+    // A mutated per-job payload.
+    let mut mutated = serial.jobs.clone();
+    mutated[0].events += 1;
+    assert!(matches!(
+        check_job_records(&serial.jobs, &mutated, tasks),
+        Err(EquivalenceError::PayloadMismatch { .. })
+    ));
+
+    // An inflated per-job completion (pushed past any serial end).
+    let mut inflated = serial.jobs.clone();
+    inflated[0].end += TimeDelta::from_millis(10_000);
+    assert!(matches!(
+        check_job_records(&serial.jobs, &inflated, tasks),
+        Err(EquivalenceError::JobLatencyRegression { .. })
+    ));
+
+    // An inflated aggregate latency at report level.
+    let mut slower = serial.clone();
+    slower.per_task[0].max_latency = serial.per_task[0].max_latency + TimeDelta::from_micros(1);
+    assert!(matches!(
+        check_reports(&serial, &slower),
+        Err(EquivalenceError::MaxLatencyRegression { .. })
     ));
 }

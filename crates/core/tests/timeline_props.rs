@@ -1,13 +1,12 @@
-//! Property tests for the reservation timelines: across random
+//! Property tests for the reservation timeline: across random
 //! sequences of single reservations, back-to-back run chains and
-//! multi-chain waves (including out-of-range queues), the lock-free
-//! atomic free-time table and the channel-based per-queue workers
-//! replay the serial [`DeviceTimeline`] reservation sequence exactly —
-//! the invariant behind bitwise-identical reports in every exec mode.
+//! multi-chain waves (including out-of-range queues), the batched
+//! `reserve_run` / `reserve_runs` entry points of [`DeviceTimeline`]
+//! book exactly the slots that one `reserve_next` call per slot books —
+//! the invariant `MappedJobModel`'s run batching rests on.
 
 use ev_core::{TimeDelta, Timestamp};
-use ev_edge::exec::parallel::ParallelTimeline;
-use ev_platform::timeline::{AtomicTimeline, DeviceTimeline, ReservationTimeline, RunRequest};
+use ev_platform::timeline::{DeviceTimeline, ReservationTimeline, RunRequest};
 use proptest::prelude::*;
 
 const QUEUES: usize = 3;
@@ -30,8 +29,8 @@ enum Op {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    // `QUEUES + 1` makes out-of-range queues reachable: both
-    // implementations must fail them identically.
+    // `QUEUES + 1` makes out-of-range queues reachable: the batched and
+    // per-slot paths must fail them identically.
     let chains = prop::collection::vec(
         (
             0usize..QUEUES + 1,
@@ -63,44 +62,34 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 type Slots = Vec<Vec<(Timestamp, Timestamp)>>;
 
-fn apply<T: ReservationTimeline>(tl: &mut T, op: &Op) -> Result<Slots, String> {
+/// Applies `op` through the batched entry points.
+fn apply_batched(tl: &mut DeviceTimeline, op: &Op) -> Result<Slots, String> {
     match op {
         Op::Next {
             queue,
             ready,
             duration,
         } => tl
-            .reserve_next(
-                *queue,
-                Timestamp::from_micros(*ready),
-                TimeDelta::from_micros(*duration),
-            )
+            .reserve_next(*queue, us(*ready), TimeDelta::from_micros(*duration))
             .map(|slot| vec![vec![slot]])
             .map_err(|e| e.to_string()),
         Op::Run {
             queue,
             ready,
             durations,
-        } => {
-            let d: Vec<TimeDelta> = durations
-                .iter()
-                .map(|&us| TimeDelta::from_micros(us))
-                .collect();
-            tl.reserve_run(*queue, Timestamp::from_micros(*ready), &d)
-                .map(|slots| vec![slots])
-                .map_err(|e| e.to_string())
-        }
+        } => tl
+            .reserve_run(*queue, us(*ready), &deltas(durations))
+            .map(|slots| vec![slots])
+            .map_err(|e| e.to_string()),
         Op::Wave { chains } => {
-            let durations: Vec<Vec<TimeDelta>> = chains
-                .iter()
-                .map(|(_, _, ds)| ds.iter().map(|&us| TimeDelta::from_micros(us)).collect())
-                .collect();
+            let durations: Vec<Vec<TimeDelta>> =
+                chains.iter().map(|(_, _, ds)| deltas(ds)).collect();
             let requests: Vec<RunRequest<'_>> = chains
                 .iter()
                 .zip(&durations)
                 .map(|(&(queue, ready, _), durations)| RunRequest {
                     queue,
-                    ready: Timestamp::from_micros(ready),
+                    ready: us(ready),
                     durations,
                 })
                 .collect();
@@ -109,41 +98,68 @@ fn apply<T: ReservationTimeline>(tl: &mut T, op: &Op) -> Result<Slots, String> {
     }
 }
 
+/// Applies `op` one `reserve_next` per slot, each slot of a chain ready
+/// when the previous one ends.
+fn apply_per_slot(tl: &mut DeviceTimeline, op: &Op) -> Result<Slots, String> {
+    let chains = match op {
+        Op::Next {
+            queue,
+            ready,
+            duration,
+        } => vec![(*queue, *ready, vec![*duration])],
+        Op::Run {
+            queue,
+            ready,
+            durations,
+        } => vec![(*queue, *ready, durations.clone())],
+        Op::Wave { chains } => chains.clone(),
+    };
+    let mut out = Vec::with_capacity(chains.len());
+    for (queue, ready, durations) in chains {
+        let mut slots = Vec::with_capacity(durations.len());
+        let mut next_ready = us(ready);
+        for d in deltas(&durations) {
+            let slot = tl
+                .reserve_next(queue, next_ready, d)
+                .map_err(|e| e.to_string())?;
+            next_ready = slot.1;
+            slots.push(slot);
+        }
+        out.push(slots);
+    }
+    Ok(out)
+}
+
+fn us(micros: u64) -> Timestamp {
+    Timestamp::from_micros(micros)
+}
+
+fn deltas(micros: &[i64]) -> Vec<TimeDelta> {
+    micros
+        .iter()
+        .map(|&us| TimeDelta::from_micros(us))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Serial ≡ atomic ≡ channel: identical slots, identical failures,
-    /// identical accounting after every random operation sequence.
+    /// Batched ≡ per-slot: identical slots, identical failures and
+    /// identical timeline state after every random operation sequence.
     #[test]
     fn timelines_agree(ops in prop::collection::vec(arb_op(), 1..20)) {
-        let mut serial = DeviceTimeline::new(QUEUES);
-        let mut atomic = AtomicTimeline::new(QUEUES);
-        let mut channel = ParallelTimeline::new(QUEUES);
+        let mut batched = DeviceTimeline::new(QUEUES);
+        let mut per_slot = DeviceTimeline::new(QUEUES);
         for op in &ops {
-            let s = apply(&mut serial, op);
-            let a = apply(&mut atomic, op);
-            let c = apply(&mut channel, op);
-            prop_assert_eq!(s.is_ok(), a.is_ok(), "atomic success parity on {:?}", op);
-            prop_assert_eq!(s.is_ok(), c.is_ok(), "channel success parity on {:?}", op);
-            if let Ok(slots) = &s {
-                prop_assert_eq!(slots, a.as_ref().expect("parity checked"));
-                prop_assert_eq!(slots, c.as_ref().expect("parity checked"));
+            let b = apply_batched(&mut batched, op);
+            let p = apply_per_slot(&mut per_slot, op);
+            prop_assert_eq!(b.is_ok(), p.is_ok(), "success parity on {:?}", op);
+            if let Ok(slots) = &b {
+                prop_assert_eq!(slots, p.as_ref().expect("parity checked"));
             }
+            // A failing wave keeps the chains booked before the failing
+            // one on both paths, so the states never drift apart.
+            prop_assert_eq!(&batched, &per_slot);
         }
-        let probe = Timestamp::from_micros(1);
-        for q in 0..QUEUES {
-            prop_assert_eq!(atomic.busy_time(q), serial.busy_time(q));
-            prop_assert_eq!(channel.busy_time(q), serial.busy_time(q));
-            prop_assert_eq!(
-                atomic.earliest_start(q, probe).expect("valid queue"),
-                serial.earliest_start(q, probe).expect("valid queue")
-            );
-            prop_assert_eq!(
-                channel.earliest_start(q, probe).expect("valid queue"),
-                serial.earliest_start(q, probe).expect("valid queue")
-            );
-        }
-        prop_assert_eq!(atomic.total_busy(), serial.total_busy());
-        prop_assert_eq!(channel.total_busy(), serial.total_busy());
     }
 }

@@ -106,10 +106,9 @@ impl NetworkGraph {
     /// holds `true` at column `j` iff layer `j`'s output feeds layer
     /// `i`, directly or through intermediate layers.
     ///
-    /// This closure is the data-independence oracle of intra-task
-    /// parallel dispatch (`ev_edge::exec::layer_parallel`): two layers
-    /// may execute concurrently exactly when neither appears in the
-    /// other's row.
+    /// This closure is a data-independence oracle: two layers may
+    /// execute concurrently exactly when neither appears in the other's
+    /// row.
     ///
     /// # Examples
     ///

@@ -643,8 +643,8 @@ impl NetworkId {
     ///
     /// The schedule has one entry per entry of
     /// [`NetworkGraph::workloads`](crate::graph::NetworkGraph) and feeds
-    /// the platform profile's `densities` argument, so every execution
-    /// mode prices the network identically.
+    /// the platform profile's `densities` argument, so every driver
+    /// prices the network identically.
     pub fn density_schedule(self, cfg: &ZooConfig) -> Option<Vec<f64>> {
         match self {
             NetworkId::GraphNet => crate::gnn::graph_net_density_schedule(cfg).ok(),

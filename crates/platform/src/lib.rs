@@ -45,9 +45,7 @@ pub use latency::{layer_cost, transfer_cost, CostEstimate, LayerContext};
 pub use pe::{PeId, PeKind, Platform, ProcessingElement};
 pub use profile::NetworkProfile;
 pub use schedule::{list_schedule, SchedNode, Schedule};
-pub use timeline::{
-    AtomicTimeline, DeviceTimeline, ReservationTimeline, RunRequest, TimelineSnapshot,
-};
+pub use timeline::{DeviceTimeline, ReservationTimeline, RunRequest};
 
 use core::fmt;
 use ev_core::Timestamp;

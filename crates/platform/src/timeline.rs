@@ -8,14 +8,12 @@
 
 use crate::PlatformError;
 use ev_core::{TimeDelta, Timestamp};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// One queue's back-to-back reservation chain inside a
 /// [`ReservationTimeline::reserve_runs`] wave: `durations.len()` slots
 /// on `queue`, the first at the earliest feasible start for work ready
 /// at `ready`. Durations are borrowed so a caller replaying a
-/// precomputed decomposition (e.g. a layer-parallel segment DAG) pays
-/// no allocation per wave.
+/// precomputed decomposition pays no allocation per wave.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunRequest<'a> {
     /// The target reservation queue.
@@ -29,9 +27,8 @@ pub struct RunRequest<'a> {
 /// The shared accounting API of per-queue reservation trackers.
 ///
 /// The unified execution engine (`ev_edge::exec`) is written against this
-/// trait so the same dispatch loop can run over the serial
-/// [`DeviceTimeline`] or a multi-threaded implementation where every
-/// queue is owned by a worker thread (see `ev_edge::exec::parallel`).
+/// trait so a caller can wrap the [`DeviceTimeline`] it dispatches onto
+/// (e.g. to time or count reservations) without touching the engine.
 pub trait ReservationTimeline {
     /// Number of reservation queues.
     fn queues(&self) -> usize;
@@ -92,9 +89,7 @@ pub trait ReservationTimeline {
     /// This is the batching entry point for dependency *chains* that
     /// stay on one queue (e.g. consecutive network layers mapped to the
     /// same processing element): the result is identical to calling
-    /// [`ReservationTimeline::reserve_next`] once per slot, but a
-    /// message-passing implementation can satisfy the whole run in a
-    /// single round trip (see `ev_edge::exec::parallel`).
+    /// [`ReservationTimeline::reserve_next`] once per slot, in one call.
     ///
     /// # Errors
     ///
@@ -144,14 +139,7 @@ pub trait ReservationTimeline {
     /// requests targeting the *same* queue are applied in request
     /// order, and requests targeting different queues are independent
     /// (a FIFO queue's reservations depend only on its own history and
-    /// each request's ready time). The point of the batched entry is
-    /// concurrency: a message-passing implementation can hand every
-    /// request to its queue's worker *before* collecting any reply, so
-    /// chains on different queues are computed in parallel (see
-    /// `ev_edge::exec::parallel::ParallelTimeline`). This is the
-    /// dispatch primitive of the intra-task layer-parallel runtime
-    /// (`ev_edge::exec::layer_parallel`), where a wave holds the
-    /// data-independent same-PE layer segments of one inference job.
+    /// each request's ready time).
     ///
     /// # Errors
     ///
@@ -383,365 +371,6 @@ impl ReservationTimeline for DeviceTimeline {
     }
 }
 
-/// A sharded atomic free-time table: the lock-free counterpart of
-/// [`DeviceTimeline`].
-///
-/// Every queue's state is its own trio of atomic cells — free time in
-/// microseconds, accumulated busy time, completed-job count — so a
-/// reservation costs a compare-exchange instead of the two bounded-channel
-/// round trips of a thread-per-queue worker
-/// (`ev_edge::exec::parallel::ParallelTimeline`, which stays available as
-/// the message-passing fallback).
-///
-/// Correctness rests on the *monotone free-time bound*: a queue's free
-/// time never moves backward (a reservation starting at `start ≥ free`
-/// publishes `start + duration ≥ free`), and a successful
-/// compare-exchange proves the claimed slot begins at or after the bound
-/// it read. Concurrent claimers therefore serialize into exactly the
-/// back-to-back chains a serial timeline would build; only the
-/// interleaving *order* is scheduling-dependent, which is why the
-/// deterministic runtimes drive this table from a single dispatcher
-/// thread and get bitwise-identical reports.
-///
-/// # Examples
-///
-/// ```
-/// use ev_platform::timeline::AtomicTimeline;
-/// use ev_platform::ReservationTimeline;
-/// use ev_core::{TimeDelta, Timestamp};
-///
-/// # fn main() -> Result<(), ev_platform::PlatformError> {
-/// let mut tl = AtomicTimeline::new(2);
-/// let (start, end) = tl.reserve_next(0, Timestamp::from_millis(5), TimeDelta::from_millis(10))?;
-/// assert_eq!(start, Timestamp::from_millis(5));
-/// assert_eq!(end, Timestamp::from_millis(15));
-/// assert_eq!(tl.earliest_start(0, Timestamp::ZERO)?, Timestamp::from_millis(15));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct AtomicTimeline {
-    free_at: Vec<AtomicU64>,
-    busy: Vec<AtomicI64>,
-    completed: Vec<AtomicU64>,
-}
-
-impl AtomicTimeline {
-    /// A table with `queues` idle queues.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queues` is zero.
-    pub fn new(queues: usize) -> Self {
-        assert!(queues > 0, "timeline needs at least one queue");
-        AtomicTimeline {
-            free_at: (0..queues).map(|_| AtomicU64::new(0)).collect(),
-            busy: (0..queues).map(|_| AtomicI64::new(0)).collect(),
-            completed: (0..queues).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Number of queues.
-    pub fn queues(&self) -> usize {
-        self.free_at.len()
-    }
-
-    fn cell(&self, queue: usize) -> Result<&AtomicU64, PlatformError> {
-        self.free_at.get(queue).ok_or(PlatformError::InvalidQueue {
-            node: 0,
-            queue,
-            queues: self.free_at.len(),
-        })
-    }
-
-    /// Earliest time work ready at `ready` can start on `queue`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::InvalidQueue`] for out-of-range queues.
-    pub fn earliest_start(
-        &self,
-        queue: usize,
-        ready: Timestamp,
-    ) -> Result<Timestamp, PlatformError> {
-        let free = self.cell(queue)?.load(Ordering::Acquire);
-        Ok(ready.max(Timestamp::from_micros(free)))
-    }
-
-    /// Reserves `queue` for `[start, start + duration)`; shared-reference
-    /// counterpart of [`DeviceTimeline::reserve`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::InvalidQueue`] for out-of-range queues, or
-    /// [`PlatformError::ReservationConflict`] when `start` precedes the
-    /// queue's free time.
-    pub fn reserve(
-        &self,
-        queue: usize,
-        start: Timestamp,
-        duration: TimeDelta,
-    ) -> Result<Timestamp, PlatformError> {
-        let cell = self.cell(queue)?;
-        let end = start + duration;
-        let mut free = cell.load(Ordering::Acquire);
-        loop {
-            if start.as_micros() < free {
-                return Err(PlatformError::ReservationConflict {
-                    queue,
-                    requested: start,
-                    free_at: Timestamp::from_micros(free),
-                });
-            }
-            match cell.compare_exchange_weak(
-                free,
-                end.as_micros(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    self.note_reserved(queue, duration, 1);
-                    return Ok(end);
-                }
-                Err(actual) => free = actual,
-            }
-        }
-    }
-
-    /// Claims the earliest feasible `[start, start + duration)` slot for
-    /// work ready at `ready` in one compare-exchange loop (never
-    /// conflicts: a lost race simply re-reads the new bound).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::InvalidQueue`] for out-of-range queues.
-    pub fn claim_next(
-        &self,
-        queue: usize,
-        ready: Timestamp,
-        duration: TimeDelta,
-    ) -> Result<(Timestamp, Timestamp), PlatformError> {
-        let cell = self.cell(queue)?;
-        let mut free = cell.load(Ordering::Acquire);
-        loop {
-            let start = ready.max(Timestamp::from_micros(free));
-            let end = start + duration;
-            match cell.compare_exchange_weak(
-                free,
-                end.as_micros(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    self.note_reserved(queue, duration, 1);
-                    return Ok((start, end));
-                }
-                Err(actual) => free = actual,
-            }
-        }
-    }
-
-    // Counter publication order is load-bearing for samplers: the busy
-    // increment is sequenced *before* the completed increment, and both
-    // are `Release`, so an `Acquire` reader that observes a claim in
-    // `completed` also observes that claim's contribution to `busy`
-    // (see [`AtomicTimeline::snapshot`]). With the previous `Relaxed`
-    // orderings a utilization snapshot taken right after a wave
-    // completed was allowed to miss the wave's `fetch_add`s entirely on
-    // weakly-ordered hardware — exactly the signal an admission
-    // controller watches.
-    fn note_reserved(&self, queue: usize, busy: TimeDelta, jobs: u64) {
-        self.busy[queue].fetch_add(busy.as_micros(), Ordering::Release);
-        self.completed[queue].fetch_add(jobs, Ordering::Release);
-    }
-
-    /// When `queue` becomes free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::InvalidQueue`] for out-of-range queues.
-    pub fn free_at(&self, queue: usize) -> Result<Timestamp, PlatformError> {
-        Ok(Timestamp::from_micros(
-            self.cell(queue)?.load(Ordering::Acquire),
-        ))
-    }
-
-    /// Busy time accumulated on `queue`.
-    ///
-    /// The counter is exact once the claiming threads have been joined
-    /// (or otherwise synchronized with); a concurrent reader sees a
-    /// monotone prefix that includes at least every claim whose
-    /// completion it has observed.
-    pub fn busy_time(&self, queue: usize) -> TimeDelta {
-        self.busy
-            .get(queue)
-            .map(|b| TimeDelta::from_micros(b.load(Ordering::Acquire)))
-            .unwrap_or(TimeDelta::ZERO)
-    }
-
-    /// Jobs completed on `queue` (same visibility contract as
-    /// [`AtomicTimeline::busy_time`]).
-    pub fn completed_jobs(&self, queue: usize) -> u64 {
-        self.completed
-            .get(queue)
-            .map(|c| c.load(Ordering::Acquire))
-            .unwrap_or(0)
-    }
-
-    /// A causally consistent read of every queue's load counters — the
-    /// signal an admission controller samples (`ev_serve`).
-    ///
-    /// Per queue, the fields are read `completed` → `busy` → `free_at`
-    /// with `Acquire` loads, pairing with the `Release` publication
-    /// order in the claim paths (busy before completed, both after the
-    /// free-time compare-exchange). The snapshot therefore guarantees,
-    /// per queue:
-    ///
-    /// - every claim counted in `completed` is also counted in `busy`
-    ///   (so `busy / completed` never under-reports mean slot length);
-    /// - every claim counted in `busy` has published its `free_at`
-    ///   extension (so `free_at` never lags the busy account).
-    ///
-    /// After a happens-before edge with the claiming threads (a
-    /// `thread::join`, a channel receive), all three fields are exact.
-    /// An unsynchronized sampler instead sees a conservative prefix of
-    /// the in-flight wave — counters are monotone, never garbage.
-    pub fn snapshot(&self) -> TimelineSnapshot {
-        let queues = self.queues();
-        let mut snap = TimelineSnapshot {
-            completed: Vec::with_capacity(queues),
-            busy: Vec::with_capacity(queues),
-            free_at: Vec::with_capacity(queues),
-        };
-        for q in 0..queues {
-            snap.completed
-                .push(self.completed[q].load(Ordering::Acquire));
-            snap.busy
-                .push(TimeDelta::from_micros(self.busy[q].load(Ordering::Acquire)));
-            snap.free_at.push(Timestamp::from_micros(
-                self.free_at[q].load(Ordering::Acquire),
-            ));
-        }
-        snap
-    }
-}
-
-/// One causally consistent read of an [`AtomicTimeline`]'s per-queue
-/// counters (see [`AtomicTimeline::snapshot`] for the visibility
-/// contract).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimelineSnapshot {
-    /// Jobs completed per queue.
-    pub completed: Vec<u64>,
-    /// Busy time accumulated per queue.
-    pub busy: Vec<TimeDelta>,
-    /// When each queue becomes free.
-    pub free_at: Vec<Timestamp>,
-}
-
-impl TimelineSnapshot {
-    /// Number of queues captured.
-    pub fn queues(&self) -> usize {
-        self.busy.len()
-    }
-
-    /// Busy time summed over every queue.
-    pub fn total_busy(&self) -> TimeDelta {
-        self.busy.iter().fold(TimeDelta::ZERO, |acc, &b| acc + b)
-    }
-
-    /// Jobs completed summed over every queue.
-    pub fn total_completed(&self) -> u64 {
-        self.completed.iter().sum()
-    }
-
-    /// Mean per-queue utilization over an elapsed wall of simulated
-    /// time: `total_busy / (queues × elapsed)`, `0.0` before any time
-    /// has elapsed. May exceed `1.0` when reservations are booked past
-    /// `elapsed` — exactly the overload signal an admission watermark
-    /// trips on.
-    pub fn utilization(&self, elapsed: TimeDelta) -> f64 {
-        if elapsed.as_micros() <= 0 || self.busy.is_empty() {
-            return 0.0;
-        }
-        self.total_busy().as_secs_f64() / (self.queues() as f64 * elapsed.as_secs_f64())
-    }
-}
-
-impl ReservationTimeline for AtomicTimeline {
-    fn queues(&self) -> usize {
-        AtomicTimeline::queues(self)
-    }
-
-    fn earliest_start(&self, queue: usize, ready: Timestamp) -> Result<Timestamp, PlatformError> {
-        AtomicTimeline::earliest_start(self, queue, ready)
-    }
-
-    fn reserve(
-        &mut self,
-        queue: usize,
-        start: Timestamp,
-        duration: TimeDelta,
-    ) -> Result<Timestamp, PlatformError> {
-        AtomicTimeline::reserve(self, queue, start, duration)
-    }
-
-    fn busy_time(&self, queue: usize) -> TimeDelta {
-        AtomicTimeline::busy_time(self, queue)
-    }
-
-    fn completed_jobs(&self, queue: usize) -> u64 {
-        AtomicTimeline::completed_jobs(self, queue)
-    }
-
-    fn reserve_next(
-        &mut self,
-        queue: usize,
-        ready: Timestamp,
-        duration: TimeDelta,
-    ) -> Result<(Timestamp, Timestamp), PlatformError> {
-        self.claim_next(queue, ready, duration)
-    }
-
-    fn reserve_run(
-        &mut self,
-        queue: usize,
-        ready: Timestamp,
-        durations: &[TimeDelta],
-    ) -> Result<Vec<(Timestamp, Timestamp)>, PlatformError> {
-        // A back-to-back chain occupies one contiguous block, so the
-        // whole run is claimed with a single compare-exchange and the
-        // per-slot boundaries are derived locally.
-        if durations.is_empty() {
-            return Ok(Vec::new());
-        }
-        let total = durations.iter().fold(TimeDelta::ZERO, |acc, &d| acc + d);
-        let cell = self.cell(queue)?;
-        let mut free = cell.load(Ordering::Acquire);
-        let start = loop {
-            let start = ready.max(Timestamp::from_micros(free));
-            match cell.compare_exchange_weak(
-                free,
-                (start + total).as_micros(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break start,
-                Err(actual) => free = actual,
-            }
-        };
-        self.note_reserved(queue, total, durations.len() as u64);
-        let mut slots = Vec::with_capacity(durations.len());
-        let mut at = start;
-        for &d in durations {
-            let end = at + d;
-            slots.push((at, end));
-            at = end;
-        }
-        Ok(slots)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -788,6 +417,34 @@ mod tests {
         let u = tl.utilization(0, TimeDelta::from_millis(100));
         assert!((u - 0.25).abs() < 1e-9);
         assert_eq!(tl.utilization(0, TimeDelta::ZERO), 0.0);
+        // The trait-level completion count mirrors the inherent one, and
+        // defaults to zero for trackers that do not count completions.
+        assert_eq!(ReservationTimeline::completed_jobs(&tl, 0), 1);
+        struct NoCounts;
+        impl ReservationTimeline for NoCounts {
+            fn queues(&self) -> usize {
+                1
+            }
+            fn earliest_start(
+                &self,
+                _queue: usize,
+                ready: Timestamp,
+            ) -> Result<Timestamp, PlatformError> {
+                Ok(ready)
+            }
+            fn reserve(
+                &mut self,
+                _queue: usize,
+                start: Timestamp,
+                duration: TimeDelta,
+            ) -> Result<Timestamp, PlatformError> {
+                Ok(start + duration)
+            }
+            fn busy_time(&self, _queue: usize) -> TimeDelta {
+                TimeDelta::ZERO
+            }
+        }
+        assert_eq!(ReservationTimeline::completed_jobs(&NoCounts, 0), 0);
     }
 
     #[test]
@@ -876,223 +533,5 @@ mod tests {
                 durations: &bad_chain,
             }])
             .is_err());
-    }
-
-    #[test]
-    fn atomic_timeline_matches_device_timeline() {
-        let d = |v: i64| TimeDelta::from_millis(v);
-        let mut serial = DeviceTimeline::new(3);
-        let mut atomic = AtomicTimeline::new(3);
-        let ops = [
-            (0usize, 2u64, 7i64),
-            (1, 0, 3),
-            (0, 1, 2),
-            (2, 30, 5),
-            (1, 2, 1),
-            (0, 50, 4),
-        ];
-        for &(q, ready, dur) in &ops {
-            let s = ReservationTimeline::reserve_next(&mut serial, q, ms(ready), d(dur)).unwrap();
-            let a = ReservationTimeline::reserve_next(&mut atomic, q, ms(ready), d(dur)).unwrap();
-            assert_eq!(s, a);
-        }
-        for q in 0..3 {
-            assert_eq!(
-                DeviceTimeline::busy_time(&serial, q),
-                AtomicTimeline::busy_time(&atomic, q)
-            );
-            assert_eq!(serial.completed_jobs(q), atomic.completed_jobs(q));
-            assert_eq!(serial.free_at(q).unwrap(), atomic.free_at(q).unwrap());
-        }
-    }
-
-    #[test]
-    fn atomic_reserve_run_matches_per_slot() {
-        let d = |v: i64| TimeDelta::from_millis(v);
-        let durations = [d(4), d(1), d(7)];
-        let mut run_tl = AtomicTimeline::new(1);
-        run_tl.reserve(0, ms(0), d(10)).unwrap();
-        let slots = ReservationTimeline::reserve_run(&mut run_tl, 0, ms(2), &durations).unwrap();
-
-        let mut step_tl = DeviceTimeline::new(1);
-        step_tl.reserve(0, ms(0), d(10)).unwrap();
-        let expected = step_tl.reserve_run(0, ms(2), &durations).unwrap();
-        assert_eq!(slots, expected);
-        assert_eq!(
-            AtomicTimeline::busy_time(&run_tl, 0),
-            DeviceTimeline::busy_time(&step_tl, 0)
-        );
-        assert_eq!(run_tl.completed_jobs(0), step_tl.completed_jobs(0));
-        assert!(ReservationTimeline::reserve_run(&mut run_tl, 0, ms(0), &[])
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn atomic_conflicts_and_invalid_queues() {
-        let tl = AtomicTimeline::new(1);
-        tl.reserve(0, ms(0), TimeDelta::from_millis(10)).unwrap();
-        assert!(matches!(
-            tl.reserve(0, ms(5), TimeDelta::from_millis(1)),
-            Err(PlatformError::ReservationConflict { .. })
-        ));
-        assert!(tl.earliest_start(3, ms(0)).is_err());
-        assert!(tl.free_at(3).is_err());
-        assert_eq!(tl.busy_time(3), TimeDelta::ZERO);
-        assert_eq!(tl.completed_jobs(3), 0);
-    }
-
-    #[test]
-    fn atomic_concurrent_claims_serialize() {
-        use std::sync::Arc;
-        let tl = Arc::new(AtomicTimeline::new(1));
-        let threads = 4;
-        let per_thread = 50;
-        let d = TimeDelta::from_micros(7);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let tl = Arc::clone(&tl);
-                scope.spawn(move || {
-                    for _ in 0..per_thread {
-                        tl.claim_next(0, Timestamp::ZERO, d).unwrap();
-                    }
-                });
-            }
-        });
-        // Monotone free-time bound: every claim extends the chain, so the
-        // final bound is exactly the sum of all durations.
-        let total = (threads * per_thread) as i64 * 7;
-        assert_eq!(tl.free_at(0).unwrap(), Timestamp::from_micros(total as u64));
-        assert_eq!(tl.busy_time(0), TimeDelta::from_micros(total));
-        assert_eq!(tl.completed_jobs(0), (threads * per_thread) as u64);
-    }
-
-    /// Regression test for the counter orderings: an unsynchronized
-    /// sampler must see a causally consistent prefix (a claim observed
-    /// in `completed` is also accounted in `busy`, and `free_at` never
-    /// lags the busy account), and the moment a wave's threads are
-    /// joined every counter is exact. Under the old `Relaxed`
-    /// publication both properties were allowed to fail on
-    /// weakly-ordered hardware.
-    #[test]
-    fn atomic_snapshot_is_causally_consistent_under_contention() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let queues = 2;
-        let threads = 4;
-        let per_thread = 200;
-        let d = TimeDelta::from_micros(7);
-        let tl = Arc::new(AtomicTimeline::new(queues));
-        let done = Arc::new(AtomicBool::new(false));
-
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let tl = Arc::clone(&tl);
-                scope.spawn(move || {
-                    for _ in 0..per_thread {
-                        tl.claim_next(t % queues, Timestamp::ZERO, d).unwrap();
-                    }
-                });
-            }
-            let sampler_tl = Arc::clone(&tl);
-            let sampler_done = Arc::clone(&done);
-            scope.spawn(move || {
-                let mut last = sampler_tl.snapshot();
-                while !sampler_done.load(Ordering::Acquire) {
-                    let snap = sampler_tl.snapshot();
-                    for q in 0..queues {
-                        // Claims counted complete must be counted busy.
-                        assert!(
-                            snap.busy[q] >= TimeDelta::from_micros(snap.completed[q] as i64 * 7),
-                            "queue {q}: busy {:?} lags completed {}",
-                            snap.busy[q],
-                            snap.completed[q]
-                        );
-                        // Claims counted busy have published free_at.
-                        assert!(
-                            snap.free_at[q] >= Timestamp::ZERO + snap.busy[q],
-                            "queue {q}: free_at {:?} lags busy {:?}",
-                            snap.free_at[q],
-                            snap.busy[q]
-                        );
-                        // Monotone: never goes backward between reads.
-                        assert!(snap.completed[q] >= last.completed[q]);
-                        assert!(snap.busy[q] >= last.busy[q]);
-                    }
-                    last = snap;
-                }
-            });
-            // The scope joins every spawned thread on exit, but the
-            // sampler loops until flagged — release it once all claims
-            // have landed.
-            scope.spawn({
-                let done = Arc::clone(&done);
-                let tl = Arc::clone(&tl);
-                move || {
-                    // Busy-wait for all claims, then release the sampler.
-                    let expected = (threads * per_thread) as u64;
-                    while (0..queues).map(|q| tl.completed_jobs(q)).sum::<u64>() < expected {
-                        std::thread::yield_now();
-                    }
-                    done.store(true, Ordering::Release);
-                }
-            });
-        });
-
-        // Joined: totals are exact.
-        let per_queue = (threads / queues * per_thread) as i64 * 7;
-        for q in 0..queues {
-            assert_eq!(tl.busy_time(q), TimeDelta::from_micros(per_queue));
-            assert_eq!(tl.completed_jobs(q), (threads / queues * per_thread) as u64);
-        }
-        let snap = tl.snapshot();
-        assert_eq!(snap.queues(), queues);
-        assert_eq!(snap.total_completed(), (threads * per_thread) as u64);
-        assert_eq!(
-            snap.total_busy(),
-            TimeDelta::from_micros((threads * per_thread) as i64 * 7)
-        );
-    }
-
-    #[test]
-    fn snapshot_utilization_accounting() {
-        let tl = AtomicTimeline::new(2);
-        tl.reserve(0, ms(0), TimeDelta::from_millis(25)).unwrap();
-        tl.reserve(1, ms(0), TimeDelta::from_millis(75)).unwrap();
-        let snap = tl.snapshot();
-        // (25 + 75) / (2 × 100) = 0.5.
-        assert!((snap.utilization(TimeDelta::from_millis(100)) - 0.5).abs() < 1e-12);
-        assert_eq!(snap.utilization(TimeDelta::ZERO), 0.0);
-        // Booked past the elapsed wall → utilization above 1.0.
-        assert!(snap.utilization(TimeDelta::from_millis(10)) > 1.0);
-        assert_eq!(snap.free_at[1], ms(75));
-        // Trait-level accessor mirrors the inherent one (and defaults
-        // to zero for trackers without completion counts).
-        assert_eq!(ReservationTimeline::completed_jobs(&tl, 0), 1);
-        struct NoCounts;
-        impl ReservationTimeline for NoCounts {
-            fn queues(&self) -> usize {
-                1
-            }
-            fn earliest_start(
-                &self,
-                _queue: usize,
-                ready: Timestamp,
-            ) -> Result<Timestamp, PlatformError> {
-                Ok(ready)
-            }
-            fn reserve(
-                &mut self,
-                _queue: usize,
-                start: Timestamp,
-                duration: TimeDelta,
-            ) -> Result<Timestamp, PlatformError> {
-                Ok(start + duration)
-            }
-            fn busy_time(&self, _queue: usize) -> TimeDelta {
-                TimeDelta::ZERO
-            }
-        }
-        assert_eq!(ReservationTimeline::completed_jobs(&NoCounts, 0), 0);
     }
 }

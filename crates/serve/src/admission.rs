@@ -1,8 +1,8 @@
 //! Watermark admission control over the engine's load probe.
 //!
 //! The controller samples PE-timeline utilization — booked busy time
-//! over elapsed capacity, via [`LoadProbe`] (backed by
-//! `AtomicTimeline::busy`/`completed` in the service driver) — and
+//! over elapsed capacity, via [`LoadProbe`] (backed by the service
+//! driver's `DeviceTimeline` busy and completion counters) — and
 //! refuses new arrivals once it crosses the watermark. Shedding is
 //! *reject-newest*: an arrival the watermark refuses never displaces
 //! work that was already admitted, so admitted tenants keep their

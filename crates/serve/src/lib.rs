@@ -4,7 +4,7 @@
 //! mixes; this crate is the front door that turns those replay drivers
 //! into a long-lived service. Event streams are admitted and retired as
 //! **tenants** ([`TenantRegistry`]): each live tenant owns a bounded
-//! ingress queue feeding the exec core's [`TaskEngine`] dispatch loop,
+//! ingress queue feeding the exec core's [`ExecEngine`] dispatch loop,
 //! an [`AdmissionController`] sheds load (reject-newest, typed
 //! [`Overloaded`]) when PE-timeline utilization crosses a watermark,
 //! and tenant churn triggers incremental NMP remapping: the live mix is
@@ -19,7 +19,7 @@
 //! for a given scenario and seed, matching the determinism bar of the
 //! sweep and conformance suites.
 //!
-//! [`TaskEngine`]: ev_edge::exec::TaskEngine
+//! [`ExecEngine`]: ev_edge::exec::ExecEngine
 //!
 //! ## Example
 //!

@@ -2,7 +2,7 @@
 //!
 //! `run_service` slices the service window at every tenant join/leave
 //! into **epochs**. Each epoch runs the live mix through one
-//! `ExecEngine` over an `AtomicTimeline`, with arrivals generated by
+//! `ExecEngine` over a `DeviceTimeline`, with arrivals generated by
 //! the multipipe phase-preserving scheduler (each tenant keeps the
 //! cadence anchor it joined with, so slicing the window at churn
 //! boundaries never perturbs the arrival sequence). Arrivals pass the
@@ -28,7 +28,7 @@ use ev_edge::nmp::{
     AutoTuner, PlatformPreset, SearchAlgorithm, SweepSpec, TaskMix, TuneObjective, ZooPreset,
 };
 use ev_nn::zoo::NetworkId;
-use ev_platform::AtomicTimeline;
+use ev_platform::DeviceTimeline;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
@@ -643,7 +643,7 @@ fn run_epoch(
 ) -> Result<EpochStats, ServeError> {
     let live = registry.live();
     let tasks = live.len();
-    let timeline = AtomicTimeline::new(problem.platform().queue_count());
+    let timeline = DeviceTimeline::new(problem.platform().queue_count());
     let mut engine =
         ExecEngine::new(window.start(), timeline, tasks, config.queue_capacity)?.with_job_records();
     let mut model = MappedJobModel::new(problem, candidate);

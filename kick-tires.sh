@@ -5,9 +5,8 @@
 #   ./kick-tires.sh --full     full paper budget (minutes)
 #
 # Builds the workspace in release mode, smoke-tests the multi-tenant
-# service layer end to end (`serve_sim --quick`) and the opt-in
-# schedule-optimizing execution mode (`ext_multitask_runtime --quick
-# --mode optimizing`), then drives the
+# service layer end to end (`serve_sim --quick`), the heterogeneous
+# mixes and the benchmark harness (`evbench --smoke`), then drives the
 # declarative conformance suite in `specs/*.json`: each spec runs one
 # figure/table/service binary in a sandboxed output directory and
 # checks its report against golden snapshots (f64 bit-equality) and
@@ -64,14 +63,14 @@ cargo build --release --quiet
 echo "== kick-tires: service-layer smoke (serve_sim --quick) =="
 cargo run --release --quiet --bin serve_sim -- --quick
 
-echo "== kick-tires: schedule-optimizing mode smoke (ext_multitask_runtime --mode optimizing) =="
-cargo run --release --quiet --bin ext_multitask_runtime -- --quick --mode optimizing
-
-echo "== kick-tires: heterogeneous-mix smoke (fig9_multi_task --mix gnn-heavy --mode optimizing) =="
-cargo run --release --quiet --bin fig9_multi_task -- --quick --mix gnn-heavy --mode optimizing
+echo "== kick-tires: heterogeneous-mix smoke (fig9_multi_task --mix gnn-heavy --playback) =="
+cargo run --release --quiet --bin fig9_multi_task -- --quick --mix gnn-heavy --playback
 
 echo "== kick-tires: corner-frontend smoke (serve_sim --corner) =="
 cargo run --release --quiet --bin serve_sim -- --quick --corner
+
+echo "== kick-tires: benchmark smoke (evbench --smoke) =="
+cargo run --release --quiet --offline --manifest-path evbench/Cargo.toml -- --smoke
 
 echo "== kick-tires: running conformance suite ($budget) =="
 exec cargo run --release --quiet --bin conformance -- "$budget" ${extra[@]+"${extra[@]}"}
