@@ -17,7 +17,7 @@
 
 use crate::frame::SparseFrame;
 use crate::EvEdgeError;
-use ev_core::event::Polarity;
+use ev_core::event::{Event, Polarity};
 use ev_core::stream::EventSlice;
 use ev_core::{TimeDelta, TimeWindow};
 use ev_sparse::coo::{SparseEntry, SparseTensor};
@@ -86,29 +86,25 @@ impl Default for E2sfConfig {
     }
 }
 
-/// Reusable per-interval accumulation state for [`E2sf::convert_with`].
+/// Reusable accumulation state for [`E2sf::convert_with`].
 ///
-/// One flat `[C, H, W]`-indexed value plane per bin plus the list of
-/// touched flat indices. Accumulating an event is a single indexed add —
-/// no hash maps, no per-event entry records — and after each emit only
-/// the touched slots are cleared, so steady-state streaming conversion
-/// reuses every buffer. Because the flat index `(c*H + y)*W + x` is
-/// monotone in the canonical `(channel, row, col)` key, sorting the
-/// touched indices yields the frame's entries already in canonical order
-/// and the sort/merge pass of [`SparseTensor::from_entries`] is skipped
-/// entirely; the emitted frames are bitwise identical to
-/// [`E2sf::convert`]'s.
+/// One flat `[C, H, W]`-indexed value plane, shared by every bin, plus a
+/// bitmap with one bit per plane slot marking the slots the current bin
+/// touched. Events are time-sorted, so each bin is a contiguous run of
+/// them: the run scatter-adds into the plane, then the bitmap is walked
+/// word by word and each set bit becomes one entry while its slot is
+/// zeroed. Because the flat index `(c*H + y)*W + x` is monotone in the
+/// canonical `(channel, row, col)` key, the walk emits entries already
+/// in canonical order and the sort/merge pass of
+/// [`SparseTensor::from_entries`] is skipped; the emitted frames are
+/// bitwise identical to [`E2sf::convert`]'s. Between calls the plane and
+/// the bitmap are all zero, whatever geometry or channel count comes next.
 #[derive(Debug, Clone, Default)]
 pub struct E2sfScratch {
-    bins: Vec<BinScratch>,
-    slots: usize,
-}
-
-#[derive(Debug, Clone, Default)]
-struct BinScratch {
     values: Vec<f32>,
-    touched: Vec<u32>,
-    events: usize,
+    touched: Vec<u64>,
+    /// Set bits in `touched`: the entry count of the bin being built.
+    distinct: usize,
 }
 
 impl E2sfScratch {
@@ -117,15 +113,43 @@ impl E2sfScratch {
         E2sfScratch::default()
     }
 
-    fn ensure(&mut self, nb: usize, slots: usize) {
-        if self.slots != slots || self.bins.len() != nb {
-            self.bins.clear();
-            self.bins.resize_with(nb, BinScratch::default);
-            for bin in &mut self.bins {
-                bin.values = vec![0.0; slots];
-            }
-            self.slots = slots;
+    fn ensure(&mut self, slots: usize) {
+        // Everything is zero at rest, so resizing either way keeps it so.
+        if self.values.len() != slots {
+            self.values.resize(slots, 0.0);
+            self.touched.resize(slots.div_ceil(64), 0);
         }
+    }
+
+    #[inline]
+    fn mark(&mut self, idx: usize) {
+        let word = &mut self.touched[idx / 64];
+        let bit = 1u64 << (idx % 64);
+        self.distinct += usize::from(*word & bit == 0);
+        *word |= bit;
+    }
+
+    /// Emits the touched slots as canonical entries of a `[C, H, W]`
+    /// tensor with `plane = H * W` sites per channel, zeroing each slot
+    /// and bitmap word on the way.
+    fn drain(&mut self, plane: usize, w: usize) -> Vec<SparseEntry> {
+        let mut entries = Vec::with_capacity(core::mem::take(&mut self.distinct));
+        for (word_index, word) in self.touched.iter_mut().enumerate() {
+            let mut bits = core::mem::take(word);
+            while bits != 0 {
+                let idx = word_index * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let value = core::mem::take(&mut self.values[idx]);
+                let rem = idx % plane;
+                entries.push(SparseEntry::new(
+                    (idx / plane) as u32,
+                    (rem / w) as u32,
+                    (rem % w) as u32,
+                    value,
+                ));
+            }
+        }
+        entries
     }
 }
 
@@ -186,8 +210,8 @@ impl E2sf {
     }
 
     /// [`E2sf::convert`] with a caller-owned scratch arena: repeated
-    /// conversions reuse the per-bin accumulation planes, which is how
-    /// the streaming stages call it. Frames are bitwise identical to
+    /// conversions reuse its value plane and bitmap, which is how the
+    /// streaming stages call it. Frames are bitwise identical to
     /// `convert`'s.
     ///
     /// # Errors
@@ -209,67 +233,40 @@ impl E2sf {
         let (h, w) = (geometry.height as usize, geometry.width as usize);
         let channels = self.config.representation.channels();
         let plane = h * w;
-        let bins = interval.split(nb);
-        let bis = total_us as u64 / nb as u64; // bin duration biS
+        let bis = total_us as u64 / nb as u64; // bin duration biS, ≥ 1
         let with_timestamps =
             self.config.representation == FrameRepresentation::CountsAndTimestamps;
-        scratch.ensure(nb, channels * plane);
-        for ev in events.window(interval) {
-            // EBk = floor((tk − Tstart) / biS), clamped: the remainder of
-            // integer division can push trailing events past the last bin.
+        scratch.ensure(channels * plane);
+        // EBk = floor((tk − Tstart) / biS), clamped: the remainder of
+        // integer division can push trailing events past the last bin.
+        let bin_of = |ev: &Event| {
             let offset = ev.t.saturating_since(interval.start()).as_micros() as u64;
-            let k = ((offset / bis.max(1)) as usize).min(nb - 1);
-            let channel = ev.polarity.channel();
-            let bin_scratch = &mut scratch.bins[k];
-            // Count channels accumulate; a slot is touched iff nonzero
-            // (counts only grow from 1.0), so the zero test doubles as
-            // touched-list dedup.
-            let idx = (channel * h + ev.y as usize) * w + ev.x as usize;
-            let slot = &mut bin_scratch.values[idx];
-            if *slot == 0.0 {
-                bin_scratch.touched.push(idx as u32);
-            }
-            *slot += 1.0;
-            bin_scratch.events += 1;
-            if with_timestamps {
-                // Normalized timestamp within the bin, in (0, 1]: always
-                // positive, so the same nonzero-means-touched rule holds,
-                // and "most recent" replaces rather than accumulates.
-                let bin = bins[k];
-                let frac = (ev.t.saturating_since(bin.start()).as_micros() as f64 + 1.0)
-                    / bin.duration().as_micros().max(1) as f64;
-                let sidx = idx + 2 * plane;
-                let slot = &mut bin_scratch.values[sidx];
-                if *slot == 0.0 {
-                    bin_scratch.touched.push(sidx as u32);
-                }
-                *slot = frac.min(1.0) as f32;
-            }
-        }
+            ((offset / bis) as usize).min(nb - 1)
+        };
+        let mut rest = events.window(interval);
         let mut frames = Vec::with_capacity(nb);
-        for (bin_scratch, window) in scratch.bins.iter_mut().zip(bins) {
-            // Ascending flat index == ascending (channel, row, col), so
-            // the entries come out canonical and the constructor skips
-            // the sort. Only touched slots are cleared for the next call.
-            bin_scratch.touched.sort_unstable();
-            let mut entries = Vec::with_capacity(bin_scratch.touched.len());
-            for &idx in &bin_scratch.touched {
-                let idx = idx as usize;
-                let value = bin_scratch.values[idx];
-                bin_scratch.values[idx] = 0.0;
-                let rem = idx % plane;
-                entries.push(SparseEntry::new(
-                    (idx / plane) as u32,
-                    (rem / w) as u32,
-                    (rem % w) as u32,
-                    value,
-                ));
+        for (k, window) in interval.split(nb).into_iter().enumerate() {
+            // Events are time-sorted, so EBk never decreases and bin k is
+            // the run of remaining events with EBk == k.
+            let (run, tail) = rest.split_at(rest.partition_point(|ev| bin_of(ev) <= k));
+            rest = tail;
+            for ev in run {
+                let idx = (ev.polarity.channel() * h + ev.y as usize) * w + ev.x as usize;
+                scratch.values[idx] += 1.0;
+                scratch.mark(idx);
+                if with_timestamps {
+                    // Normalized timestamp within the bin, in (0, 1]:
+                    // "most recent" replaces rather than accumulates.
+                    let frac = (ev.t.saturating_since(window.start()).as_micros() as f64 + 1.0)
+                        / window.duration().as_micros().max(1) as f64;
+                    let sidx = idx + 2 * plane;
+                    scratch.values[sidx] = frac.min(1.0) as f32;
+                    scratch.mark(sidx);
+                }
             }
-            bin_scratch.touched.clear();
-            let count = bin_scratch.events;
-            bin_scratch.events = 0;
+            let entries = scratch.drain(plane, w);
             let tensor = SparseTensor::from_canonical_entries(channels, h, w, entries)?;
-            frames.push(SparseFrame::new(tensor, window, count));
+            frames.push(SparseFrame::new(tensor, window, run.len()));
         }
         Ok(frames)
     }

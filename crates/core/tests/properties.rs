@@ -4,9 +4,11 @@ use ev_core::event::{Event, Polarity, SensorGeometry};
 use ev_core::stream::EventSlice;
 use ev_core::time::{TimeDelta, TimeWindow, Timestamp};
 use ev_edge::dsfa::{CMode, Dsfa, DsfaConfig, MergedFrame};
-use ev_edge::e2sf::{E2sf, E2sfConfig, E2sfScratch};
+use ev_edge::e2sf::{E2sf, E2sfConfig, E2sfScratch, FrameRepresentation};
 use ev_edge::frame::SparseFrame;
+use ev_sparse::coo::{SparseEntry, SparseTensor};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const W: u16 = 24;
 const H: u16 = 20;
@@ -25,8 +27,118 @@ fn make_slice(events: Vec<Event>) -> EventSlice {
         .expect("bounded events")
 }
 
+/// E2SF spelled out bin by bin (paper §4.1): bin `k` takes the
+/// in-interval events whose clamped `EBk = min(floor((tk − Tstart) /
+/// biS), nB − 1)` is `k`, and `SparseTensor::from_entries` builds its
+/// frame from one `1.0` per event in its polarity's count channel plus,
+/// for the timestamp surfaces, the normalized time of the latest event
+/// of each polarity at each pixel.
+fn reference_frames(
+    events: &EventSlice,
+    interval: TimeWindow,
+    nb: usize,
+    representation: FrameRepresentation,
+) -> Vec<SparseFrame> {
+    let geometry = events.geometry();
+    let bis = interval.duration().as_micros() as u64 / nb as u64;
+    let bin_of = |ev: &Event| {
+        (((ev.t.as_micros() - interval.start().as_micros()) / bis) as usize).min(nb - 1)
+    };
+    let in_interval: Vec<&Event> = events.iter().filter(|ev| interval.contains(ev.t)).collect();
+    interval
+        .split(nb)
+        .into_iter()
+        .enumerate()
+        .map(|(k, bin)| {
+            let in_bin: Vec<&Event> = in_interval
+                .iter()
+                .copied()
+                .filter(|ev| bin_of(ev) == k)
+                .collect();
+            let mut entries: Vec<SparseEntry> = in_bin
+                .iter()
+                .map(|ev| {
+                    let channel = ev.polarity.channel() as u32;
+                    SparseEntry::new(channel, u32::from(ev.y), u32::from(ev.x), 1.0)
+                })
+                .collect();
+            if representation == FrameRepresentation::CountsAndTimestamps {
+                let mut latest = BTreeMap::new();
+                for ev in &in_bin {
+                    let since = (ev.t.as_micros() - bin.start().as_micros()) as f64;
+                    let frac = (since + 1.0) / bin.duration().as_micros() as f64;
+                    let channel = 2 + ev.polarity.channel() as u32;
+                    latest.insert((channel, ev.y, ev.x), frac.min(1.0) as f32);
+                }
+                entries.extend(latest.into_iter().map(|((channel, y, x), value)| {
+                    SparseEntry::new(channel, u32::from(y), u32::from(x), value)
+                }));
+            }
+            let tensor = SparseTensor::from_entries(
+                representation.channels(),
+                geometry.height as usize,
+                geometry.width as usize,
+                entries,
+            )
+            .expect("events lie on the sensor");
+            SparseFrame::new(tensor, bin, in_bin.len())
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// E2SF equals the naive per-bin reference, for both representations
+    /// and every `nB` in 1..16, on intervals `nB` need not divide (the
+    /// clamped last bin absorbs the remainder). One scratch serves every
+    /// conversion while sensor size, channel count (2 and 4 alternate),
+    /// `nB` and interval change under it.
+    #[test]
+    fn e2sf_matches_naive_per_bin_reference(
+        conversions in prop::collection::vec(
+            (
+                (1u32..40, 1u32..30),
+                1usize..16,
+                (0u64..3_000, 1u64..1_500, 0u64..16),
+                prop::collection::vec(
+                    (0u32..1_000, 0u32..1_000, 0u64..26_000, any::<bool>()),
+                    0..300,
+                ),
+            ),
+            1..6,
+        ),
+        timestamps_first in any::<bool>(),
+    ) {
+        let mut scratch = E2sfScratch::new();
+        for (i, ((w, h), nb, (start, quotient, remainder), raw)) in
+            conversions.into_iter().enumerate()
+        {
+            let events = raw
+                .into_iter()
+                .map(|(x, y, t, p)| {
+                    let (x, y) = ((x % w) as u16, (y % h) as u16);
+                    Event::new(x, y, Timestamp::from_micros(t), Polarity::from_bit(p))
+                })
+                .collect();
+            let slice = EventSlice::from_unsorted(SensorGeometry::new(w, h), events)
+                .expect("events lie on the sensor");
+            let len = nb as u64 * quotient + remainder % nb as u64;
+            let interval = TimeWindow::new(
+                Timestamp::from_micros(start),
+                Timestamp::from_micros(start + len),
+            );
+            let representation = if (i % 2 == 0) == timestamps_first {
+                FrameRepresentation::CountsAndTimestamps
+            } else {
+                FrameRepresentation::PolarityCounts
+            };
+            let frames = E2sf::new(E2sfConfig::new(nb).with_representation(representation))
+                .convert_with(&slice, interval, &mut scratch)
+                .expect("interval spans at least nB microseconds");
+            prop_assert_eq!(frames, reference_frames(&slice, interval, nb, representation));
+        }
+    }
 
     /// Equation 1 conservation: every in-window event lands in exactly one
     /// bin, and per-pixel polarity counts survive the conversion.

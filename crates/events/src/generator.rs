@@ -233,33 +233,46 @@ impl StatisticalGenerator {
 
     /// Generates the events for `window`, sorted by timestamp.
     ///
+    /// Events are drawn one tick at a time, each at a random instant of
+    /// its tick `[t, t_next]`. Ticks are disjoint and increasing, so
+    /// sorting each tick on its own and appending it yields exactly the
+    /// stable sort of the whole window by timestamp.
+    ///
     /// # Errors
     ///
     /// Returns an error if event assembly produces an invalid slice (a bug).
     pub fn generate(&mut self, window: TimeWindow) -> Result<EventSlice, EventError> {
         let mut events: Vec<Event> = Vec::new();
+        let mut tick_events: Vec<Event> = Vec::new();
+        let mut slots: Vec<usize> = Vec::new();
         let mut t = window.start();
         while t < window.end() {
-            let t_next = (t + self.tick).min(window.end());
-            let dt = (t_next - t).as_secs_f64();
-            let mid = t + (t_next - t).mul_f64(0.5);
+            // Near `Timestamp::MAX` a whole tick may not fit: the last
+            // tick then ends at the window end, as it does anywhere else.
+            let t_next = t
+                .checked_add(self.tick)
+                .map_or(window.end(), |next| next.min(window.end()));
+            let span = t_next - t;
+            let dt = span.as_secs_f64();
+            let mid = t + span.mul_f64(0.5);
             let lambda = self.profile.rate_at(mid) * dt;
             let n = sample_poisson(&mut self.rng, lambda);
+            tick_events.clear();
             for _ in 0..n {
                 let frac = self.rng.gen::<f64>();
-                let t_ev = t + (t_next - t).mul_f64(frac);
+                let t_ev = t + span.mul_f64(frac);
                 let (x, y) = self.sample_pixel(t_ev);
                 let polarity = if self.rng.gen::<f64>() < self.on_fraction {
                     Polarity::On
                 } else {
                     Polarity::Off
                 };
-                events.push(Event::new(x, y, t_ev, polarity));
+                tick_events.push(Event::new(x, y, t_ev, polarity));
             }
+            append_sorted(&mut events, &tick_events, t, span, &mut slots);
             self.advance_blobs(dt);
             t = t_next;
         }
-        events.sort_by_key(|e| e.t);
         EventSlice::new(self.geometry, events)
     }
 
@@ -298,6 +311,43 @@ impl StatisticalGenerator {
             *x = (*x + *vx * dt).rem_euclid(w);
             *y = (*y + *vy * dt).rem_euclid(h);
         }
+    }
+}
+
+/// Appends one tick's events to `out` in stable timestamp order.
+///
+/// Every event lies in `[start, start + span]`, so a counting sort over
+/// the `span + 1` microsecond offsets orders them in two passes, at a
+/// cost linear in the events and the tick length. `slots` is reused
+/// scratch.
+fn append_sorted(
+    out: &mut Vec<Event>,
+    tick: &[Event],
+    start: Timestamp,
+    span: TimeDelta,
+    slots: &mut Vec<usize>,
+) {
+    let Some(&first) = tick.first() else {
+        return;
+    };
+    let offset = |ev: &Event| (ev.t.as_micros() - start.as_micros()) as usize;
+    slots.clear();
+    slots.resize(span.as_micros() as usize + 1, 0);
+    for ev in tick {
+        slots[offset(ev)] += 1;
+    }
+    // Exclusive prefix sum: each offset's first index in `out`.
+    let mut next = out.len();
+    for slot in slots.iter_mut() {
+        let count = *slot;
+        *slot = next;
+        next += count;
+    }
+    out.resize(next, first);
+    for ev in tick {
+        let slot = &mut slots[offset(ev)];
+        out[*slot] = *ev;
+        *slot += 1;
     }
 }
 
@@ -483,6 +533,22 @@ mod tests {
         let (on, off) = events.polarity_counts();
         let frac = on as f64 / (on + off) as f64;
         assert!((frac - 0.9).abs() < 0.05, "on fraction {frac}");
+    }
+
+    #[test]
+    fn window_ending_at_timestamp_max_generates() {
+        // The last tick of this window cannot step a whole millisecond
+        // without overflowing; it stops at the window end instead.
+        let mut generator = StatisticalGenerator::new(
+            SensorGeometry::new(32, 32),
+            RateProfile::Constant(200_000.0),
+            SpatialModel::Uniform,
+            4,
+        );
+        let window = TimeWindow::new(Timestamp::from_micros(u64::MAX - 2_500), Timestamp::MAX);
+        let events = generator.generate(window).unwrap();
+        assert!(!events.is_empty());
+        assert!(events.iter().all(|ev| ev.t >= window.start()));
     }
 
     #[test]

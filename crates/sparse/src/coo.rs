@@ -249,56 +249,33 @@ impl SparseTensor {
 
     /// Fraction of *spatial* sites `(row, col)` active in at least one
     /// channel — the event-frame fill ratio from the paper's Figure 3.
-    ///
-    /// Computed with a k-way merge over the per-channel runs (each already
-    /// sorted by `(row, col)`), so no intermediate site list is allocated —
-    /// this is DSFA's per-push density probe, a hot path.
+    /// DSFA probes it on every frame it places.
     pub fn spatial_density(&self) -> f64 {
         self.count_active_sites() as f64 / (self.height * self.width) as f64
     }
 
     /// Number of distinct active spatial sites, without materializing them.
+    ///
+    /// Entries within one channel have distinct sites, so a tensor whose
+    /// entries all share a channel counts its entries. Otherwise each
+    /// entry sets its site's bit in an `H·W`-bit bitmap and counts the
+    /// site if the bit was clear: one pass over the entries, plus
+    /// zeroing `H·W / 64` words.
     pub fn count_active_sites(&self) -> usize {
-        // Entries are sorted by (channel, row, col): each channel is a
-        // sorted run of unique (row, col) sites. Count the union by
-        // repeatedly taking the minimum site across the run heads.
-        let mut runs: Vec<(usize, usize)> = Vec::new(); // (cursor, end)
-        let mut start = 0;
-        for i in 1..=self.entries.len() {
-            if i == self.entries.len() || self.entries[i].channel != self.entries[start].channel {
-                runs.push((start, i));
-                start = i;
-            }
-        }
-        match runs.len() {
-            0 => 0,
-            1 => self.entries.len(),
-            _ => {
-                let mut count = 0usize;
-                loop {
-                    let mut min_site: Option<(u32, u32)> = None;
-                    for &(cursor, end) in &runs {
-                        if cursor < end {
-                            let e = &self.entries[cursor];
-                            let site = (e.row, e.col);
-                            if min_site.is_none_or(|m| site < m) {
-                                min_site = Some(site);
-                            }
-                        }
-                    }
-                    let Some(site) = min_site else { break };
-                    count += 1;
-                    for (cursor, end) in &mut runs {
-                        if *cursor < *end {
-                            let e = &self.entries[*cursor];
-                            if (e.row, e.col) == site {
-                                *cursor += 1;
-                            }
-                        }
-                    }
+        match (self.entries.first(), self.entries.last()) {
+            (Some(first), Some(last)) if first.channel != last.channel => {
+                let mut seen = vec![0u64; (self.height * self.width).div_ceil(64)];
+                let mut count = 0;
+                for e in &self.entries {
+                    let site = e.row as usize * self.width + e.col as usize;
+                    let word = &mut seen[site / 64];
+                    let bit = 1u64 << (site % 64);
+                    count += usize::from(*word & bit == 0);
+                    *word |= bit;
                 }
                 count
             }
+            _ => self.entries.len(),
         }
     }
 

@@ -26,6 +26,31 @@ fn arb_sparse(max: usize) -> impl Strategy<Value = SparseTensor> {
     arb_entries(max).prop_map(|e| SparseTensor::from_entries(C, H, W, e).expect("in bounds"))
 }
 
+/// Canonical tensors with 1–6 channels over the same `H × W` sites, so
+/// entries in different channels often share a site. Zero values and
+/// cancelling duplicates drop out, which leaves some tensors empty.
+fn arb_multichannel(max: usize) -> impl Strategy<Value = SparseTensor> {
+    (
+        1usize..=6,
+        prop::collection::vec(
+            (
+                any::<prop::sample::Index>(),
+                0..H as u32,
+                0..W as u32,
+                -2i8..=2,
+            ),
+            0..max,
+        ),
+    )
+        .prop_map(|(channels, raw)| {
+            let entries = raw
+                .into_iter()
+                .map(|(c, r, col, v)| SparseEntry::new(c.index(channels) as u32, r, col, v as f32))
+                .collect();
+            SparseTensor::from_entries(channels, H, W, entries).expect("in bounds")
+        })
+}
+
 proptest! {
     #[test]
     fn dense_round_trip(t in arb_sparse(40)) {
@@ -52,12 +77,16 @@ proptest! {
     }
 
     #[test]
-    fn nnz_never_exceeds_sites(t in arb_sparse(60)) {
-        prop_assert!(t.nnz() <= C * H * W);
+    fn nnz_never_exceeds_sites(t in arb_multichannel(80)) {
+        prop_assert!(t.nnz() <= t.channels() * H * W);
         prop_assert!(t.density() <= 1.0);
         prop_assert!(t.spatial_density() <= 1.0);
         // Spatial density counts sites, never more than nnz.
-        prop_assert!(t.active_sites().len() <= t.nnz().max(1));
+        let sites = t.active_sites().len();
+        prop_assert!(sites <= t.nnz().max(1));
+        // The counted union over channels is the materialized one.
+        prop_assert_eq!(t.count_active_sites(), sites);
+        prop_assert_eq!(t.spatial_density(), sites as f64 / (H * W) as f64);
     }
 
     #[test]
