@@ -26,7 +26,7 @@ use ev_bench::report::{write_json, CommonArgs};
 use std::path::PathBuf;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse()?;
     args.reject_unknown(&["--specs", "--workers", "--filter"], &["--full"])?;
     let specs_dir = PathBuf::from(args.flag_value("--specs").unwrap_or("specs"));
     let workers: usize = match args.flag_value("--workers") {

@@ -28,7 +28,7 @@ use ev_edge::nmp::sweep::SweepSpec;
 use ev_edge::nmp::tune::{AutoTuner, TuneObjective};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse()?;
     let mut workers = 0usize;
     let mut spec_path: Option<String> = None;
     let mut objective = TuneObjective::Latency;

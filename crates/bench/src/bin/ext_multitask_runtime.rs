@@ -6,7 +6,7 @@ use ev_bench::experiments::multitask_runtime;
 use ev_bench::report::{write_json, CommonArgs, TextTable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse()?;
     args.reject_unknown(&[], &[])?;
     let rows = multitask_runtime(args.quick)?;
 

@@ -26,7 +26,7 @@ use ev_bench::report::{write_json, CommonArgs};
 use ev_edge::nmp::sweep::{run_sweep, SweepSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse()?;
     let mut workers = 0usize;
     let mut spec_path: Option<String> = None;
     let mut hetero = false;

@@ -12,7 +12,7 @@ use ev_bench::experiments::{figure10, ga_ablation, sweep_cells_table, sweep_grid
 use ev_bench::report::{write_json, CommonArgs, TextTable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse()?;
     args.reject_unknown(&[], &["--ablate", "--grid"])?;
     if args.rest.iter().any(|a| a == "--ablate") {
         return run_ga_ablation(&args);

@@ -4,7 +4,7 @@ use ev_bench::experiments::figure5;
 use ev_bench::report::{write_json, CommonArgs};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse()?;
     args.reject_unknown(&[], &[])?;
     let result = figure5(args.quick)?;
 

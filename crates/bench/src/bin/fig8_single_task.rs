@@ -11,7 +11,7 @@ use ev_bench::experiments::{default_nmp_config, dsfa_ablation, figure8_with, tun
 use ev_bench::report::{write_json, CommonArgs, TextTable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse()?;
     args.reject_unknown(&["--tuned"], &["--ablate-dsfa"])?;
     if args.has_flag("--ablate-dsfa") {
         // Mutually exclusive with --tuned: the ablation sweeps DSFA

@@ -17,7 +17,7 @@ use ev_bench::experiments::{
 use ev_bench::report::{write_json, CommonArgs, TextTable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse()?;
     args.reject_unknown(&["--tuned", "--mix"], &["--playback"])?;
     let mix = mix_flag(&args)?;
     let config = match tuned_replay_config(&args)? {

@@ -46,7 +46,7 @@ struct ServeSimArtifact {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse()?;
     args.reject_unknown(&["--tenants", "--pressure", "--workers"], &["--corner"])?;
     let mut tenants = if args.quick { 2 } else { 3 };
     let mut pressure = 0.5f64;

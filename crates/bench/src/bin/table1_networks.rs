@@ -4,7 +4,7 @@ use ev_bench::experiments::table1;
 use ev_bench::report::{write_json, CommonArgs, TextTable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse()?;
     args.reject_unknown(&[], &[])?;
     let rows = table1()?;
 

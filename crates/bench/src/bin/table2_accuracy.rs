@@ -4,7 +4,7 @@ use ev_bench::experiments::figure8;
 use ev_bench::report::{write_json, CommonArgs, TextTable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse()?;
     args.reject_unknown(&[], &[])?;
     // Table 2 reports the accuracy of the Figure 8 Ev-Edge configurations.
     let rows = figure8(args.quick)?;

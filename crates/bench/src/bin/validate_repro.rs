@@ -35,7 +35,7 @@ impl Checklist {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Always runs the quick budget and writes no artifact: `--quick` is
     // accepted as a no-op, anything else (including `--json`) is an error.
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse()?;
     args.reject_unknown(&[], &[])?;
     if let Some(path) = &args.json {
         return Err(format!(

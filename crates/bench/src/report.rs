@@ -90,22 +90,36 @@ pub struct CommonArgs {
 
 impl CommonArgs {
     /// Parses `std::env::args` (skipping the binary name).
-    pub fn parse() -> Self {
+    ///
+    /// # Errors
+    ///
+    /// See [`CommonArgs::parse_from`].
+    pub fn parse() -> Result<Self, String> {
         Self::parse_from(std::env::args().skip(1))
     }
 
     /// Parses an explicit argument list.
-    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Fails when `--json` has no path, or its path starts with `--` (a
+    /// flag swallowed as the path would silently drop both the artifact
+    /// and the flag).
+    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut out = CommonArgs::default();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
-                "--json" => out.json = iter.next().map(Into::into),
+                "--json" => match iter.next() {
+                    Some(path) if !path.starts_with("--") => out.json = Some(path.into()),
+                    Some(flag) => return Err(format!("--json needs a path, found `{flag}`")),
+                    None => return Err("--json needs a path".to_string()),
+                },
                 "--quick" => out.quick = true,
                 _ => out.rest.push(arg),
             }
         }
-        out
+        Ok(out)
     }
 
     /// Whether a bare flag appears among the remaining arguments.
@@ -172,15 +186,27 @@ mod tests {
         assert!(t.render().contains("only"));
     }
 
+    fn parse(args: &[&str]) -> Result<CommonArgs, String> {
+        CommonArgs::parse_from(args.iter().map(|a| a.to_string()))
+    }
+
     #[test]
     fn args_parse() {
-        let args = CommonArgs::parse_from(
-            ["--quick", "--json", "/tmp/x.json", "extra"]
-                .into_iter()
-                .map(String::from),
-        );
+        let args = parse(&["--quick", "--json", "/tmp/x.json", "extra"]).unwrap();
         assert!(args.quick);
         assert_eq!(args.json.as_deref(), Some(Path::new("/tmp/x.json")));
         assert_eq!(args.rest, vec!["extra".to_string()]);
+    }
+
+    #[test]
+    fn json_without_a_path_fails() {
+        let err = parse(&["--json"]).unwrap_err();
+        assert!(err.contains("--json"), "{err}");
+    }
+
+    #[test]
+    fn json_does_not_swallow_a_flag() {
+        let err = parse(&["--json", "--quick"]).unwrap_err();
+        assert!(err.contains("--json") && err.contains("--quick"), "{err}");
     }
 }

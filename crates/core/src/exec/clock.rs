@@ -65,21 +65,6 @@ impl<T: Ord> EventClock<T> {
         self.now = self.now.max(at);
         Some((at, item))
     }
-
-    /// The timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Timestamp> {
-        self.heap.peek().map(|Reverse((at, _))| *at)
-    }
-
-    /// Pending event count.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +107,7 @@ mod tests {
         assert_eq!(clock.now(), ms(10));
         assert_eq!(clock.next_event(), Some((ms(25), 1)));
         assert_eq!(clock.now(), ms(25));
-        assert!(clock.is_empty());
+        assert_eq!(clock.next_event(), None);
     }
 
     #[test]

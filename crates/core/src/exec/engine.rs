@@ -55,46 +55,20 @@ pub struct EngineReport {
     pub utilization: Vec<f64>,
 }
 
-impl EngineReport {
-    /// Total completed inferences.
-    pub fn completed(&self) -> u64 {
-        self.per_task.iter().map(|t| t.completed).sum()
-    }
-
-    /// Total dropped inputs across tasks.
-    pub fn total_dropped(&self) -> u64 {
-        self.per_task.iter().map(|t| t.dropped).sum()
-    }
-
-    /// The highest per-task mean latency (the runtime analogue of
-    /// Equation 2's `max_i Latency(T_i)`).
-    pub fn worst_mean_latency(&self) -> TimeDelta {
-        self.per_task
-            .iter()
-            .map(|t| t.mean_latency)
-            .max()
-            .unwrap_or(TimeDelta::ZERO)
-    }
-}
-
 /// Read access to an engine's device-load counters: the signal an
 /// admission controller samples between arrivals (the `ev_serve`
 /// front door trips its watermark on these).
 ///
 /// Deliberately narrower than [`ReservationTimeline`]: a load probe
-/// answers "how much device time is booked and how many jobs have
-/// landed", nothing else, so streaming frontends can stay generic over
-/// engines whose timelines they never see.
+/// answers "how much device time is booked", nothing else, so streaming
+/// frontends can stay generic over engines whose timelines they never
+/// see.
 pub trait LoadProbe {
     /// Number of device (PE) queues behind the engine.
     fn device_queues(&self) -> usize;
 
     /// Busy time summed over every device queue.
     fn device_busy_total(&self) -> TimeDelta;
-
-    /// Jobs completed summed over every device queue (zero where the
-    /// timeline does not track completion counts).
-    fn device_completed_total(&self) -> u64;
 
     /// Mean per-queue utilization over `elapsed` simulated time:
     /// `device_busy_total / (device_queues × elapsed)`, `0.0` before
@@ -117,12 +91,6 @@ impl<T: ReservationTimeline> LoadProbe for ExecEngine<T> {
 
     fn device_busy_total(&self) -> TimeDelta {
         self.timeline.total_busy()
-    }
-
-    fn device_completed_total(&self) -> u64 {
-        (0..self.timeline.queues())
-            .map(|q| self.timeline.completed_jobs(q))
-            .sum()
     }
 }
 
@@ -214,14 +182,11 @@ impl<T: ReservationTimeline> ExecEngine<T> {
         self
     }
 
-    /// Number of tasks.
-    pub fn task_count(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Whether `task` has no inference in flight at `time` — the
     /// hardware-availability signal DSFA's early-flush rule consumes
-    /// (paper §4.2).
+    /// (paper §4.2). Inputs still waiting in the task's queue do not
+    /// count; service the task at `time` first to count them from when
+    /// they start.
     pub fn task_idle_at(&self, task: usize, time: Timestamp) -> bool {
         self.task_free[task] <= time
     }
@@ -329,16 +294,6 @@ impl<T: ReservationTimeline> ExecEngine<T> {
     /// gate).
     pub fn task_free_at(&self, task: usize) -> Timestamp {
         self.task_free[task]
-    }
-
-    /// The underlying timeline (read access for drivers).
-    pub fn timeline(&self) -> &T {
-        &self.timeline
-    }
-
-    /// Completion time of the last dispatched job.
-    pub fn makespan_end(&self) -> Timestamp {
-        self.makespan_end
     }
 
     /// Closes the run: charges `static_power_w` over the makespan and
@@ -488,7 +443,6 @@ mod tests {
         engine.submit(0, JobInput::arrival(ms(0)));
         engine.drain(0, &mut model).unwrap();
         assert_eq!(engine.device_busy_total(), TimeDelta::from_millis(60));
-        assert_eq!(engine.device_completed_total(), 2);
         // 60 ms booked over 2 queues × 30 ms elapsed → saturated.
         let u = engine.device_utilization(TimeDelta::from_millis(30));
         assert!((u - 1.0).abs() < 1e-12);

@@ -52,7 +52,7 @@ pub mod queue;
 
 /// The unified streaming execution core shared by every runtime: the
 /// discrete-event clock, the job model, the dispatch/accounting engine,
-/// composable frontend stages, and the order-preserving worker pool the
+/// the DSFA frontend stage, and the order-preserving worker pool the
 /// NMP search and sweeps fan out on. Every runtime dispatches serially
 /// onto one [`ev_platform::DeviceTimeline`]; [`exec::equivalence`] is
 /// the checkable contract a re-ordered schedule must keep against it.
@@ -71,7 +71,7 @@ pub mod exec {
         BatchCostModel, JobInput, JobModel, JobRecord, MappedJobModel, SchedGraphBuilder,
     };
     pub use parallel::{parallel_map, parallel_try_map};
-    pub use stage::{Compose, DirectStage, DsfaStage, E2sfStage, Stage};
+    pub use stage::{DsfaStage, Stage};
 }
 
 /// The Network Mapper, its baselines, and the configuration-sweep

@@ -16,8 +16,9 @@
 use crate::e2sf::{E2sf, E2sfConfig};
 use crate::exec::clock::EventClock;
 use crate::exec::engine::ExecEngine;
-use crate::exec::job::{JobInput, MappedJobModel};
+use crate::exec::job::{JobInput, JobModel, MappedJobModel};
 use crate::exec::stage::{DsfaStage, Stage};
+use crate::frame::SparseFrame;
 use crate::nmp::candidate::Candidate;
 use crate::nmp::multitask::MultiTaskProblem;
 use crate::EvEdgeError;
@@ -253,7 +254,9 @@ pub struct StreamTask {
 ///
 /// DSFA's hardware-availability rule uses the task's own execution state:
 /// a batch is flushed early whenever a frame arrives while the task has no
-/// inference in flight.
+/// inference in flight, counting an input that waited in the task's queue
+/// as started as soon as the task could run it. At the window end each
+/// task runs its queued inputs, then flushes what DSFA still holds.
 ///
 /// # Errors
 ///
@@ -276,30 +279,56 @@ pub fn run_multi_task_streams(
 
     // Frontend: per-task frame streams (precomputed — generation is
     // deterministic and arrival times are data-independent).
-    let mut frame_streams: Vec<Vec<crate::frame::SparseFrame>> = Vec::with_capacity(streams.len());
+    let mut frame_streams = Vec::with_capacity(streams.len());
     for stream in streams {
         let events = stream.sequence.generate(config.window)?;
         let intervals = stream.sequence.frame_intervals(config.window);
-        let frames = E2sf::new(E2sfConfig::new(stream.bins_per_interval))
-            .convert_intervals(&events, &intervals)?;
-        frame_streams.push(frames);
+        frame_streams.push(
+            E2sf::new(E2sfConfig::new(stream.bins_per_interval))
+                .convert_intervals(&events, &intervals)?,
+        );
     }
-
-    let mut frontends: Vec<DsfaStage> = streams
+    let mut frontends: Vec<Option<DsfaStage>> = streams
         .iter()
-        .map(|s| DsfaStage::new(s.dsfa))
+        .map(|s| DsfaStage::new(s.dsfa).map(Some))
         .collect::<Result<_, _>>()?;
+    drive_frames(
+        &mut engine,
+        &mut model,
+        frame_streams,
+        &mut frontends,
+        config.window,
+    )?;
+    Ok(MultiTaskRuntimeReport::finish(problem, engine))
+}
 
-    // Global arrival order: (ready time, task, frame index).
-    let mut clock: EventClock<(usize, usize)> = EventClock::new(config.window.start());
+/// The streaming driver behind both the multi-task runtime and the
+/// single-task pipeline: plays every task's sparse frames into `engine`
+/// in global `(ready, task, frame)` order, each through its frontend —
+/// a DSFA stage, or `None` for one single-frame job per frame — then
+/// drains.
+///
+/// DSFA's hardware-availability rule (§4.2) is the one gate here: a
+/// frame arriving while [`ExecEngine::task_idle_at`] holds flushes the
+/// task's buffered frames early. At the window end each task first runs
+/// its queued inputs, then flushes what DSFA still holds at the later
+/// of its free time and the window end.
+pub(crate) fn drive_frames(
+    engine: &mut ExecEngine<DeviceTimeline>,
+    model: &mut dyn JobModel,
+    frame_streams: Vec<Vec<SparseFrame>>,
+    frontends: &mut [Option<DsfaStage>],
+    window: TimeWindow,
+) -> Result<(), EvEdgeError> {
+    let mut clock: EventClock<(usize, usize)> = EventClock::new(window.start());
     for (t, frames) in frame_streams.iter().enumerate() {
         for (i, frame) in frames.iter().enumerate() {
             clock.schedule(frame.ready_at(), (t, i));
         }
     }
     // Each (task, index) fires exactly once, so frames are moved out of
-    // the precomputed streams instead of cloned per arrival.
-    let mut frame_streams: Vec<Vec<Option<crate::frame::SparseFrame>>> = frame_streams
+    // the streams instead of cloned per arrival.
+    let mut frame_streams: Vec<Vec<Option<SparseFrame>>> = frame_streams
         .into_iter()
         .map(|frames| frames.into_iter().map(Some).collect())
         .collect();
@@ -307,27 +336,48 @@ pub fn run_multi_task_streams(
     while let Some((ready, (t, i))) = clock.next_event() {
         let frame = frame_streams[t][i].take().expect("each frame arrives once");
         engine.note_arrival(t);
-        // DSFA hardware-availability rule: task idle → flush early.
-        if engine.task_idle_at(t, ready) {
-            for job in frontends[t].flush(ready)? {
-                engine.enqueue(t, job);
-            }
+        // Start what tasks `0..=t` can start by now — the same dispatches
+        // in the same task order as the service below would make — so
+        // the gate reads this task's state after its waiting inputs
+        // have started, as if each had been dispatched on arrival.
+        for task in 0..=t {
+            engine.service(task, ready, model)?;
         }
-        for job in frontends[t].push(frame)? {
-            engine.enqueue(t, job);
+        match &mut frontends[t] {
+            Some(dsfa) => {
+                if engine.task_idle_at(t, ready) {
+                    for job in dsfa.flush(ready)? {
+                        engine.enqueue(t, job);
+                    }
+                }
+                for job in dsfa.push(frame)? {
+                    engine.enqueue(t, job);
+                }
+            }
+            None => engine.enqueue(
+                t,
+                JobInput {
+                    ready,
+                    batch: 1,
+                    density: frame.spatial_density(),
+                    events: frame.event_count(),
+                },
+            ),
         }
         // Serve every task that can make progress at this instant.
-        engine.service_all(ready, &mut model)?;
+        engine.service_all(ready, model)?;
     }
-    // Drain: flush frontends, then run every remaining queued input.
     for (t, frontend) in frontends.iter_mut().enumerate() {
-        let tail = engine.task_free_at(t).max(config.window.end());
-        for job in frontend.flush(tail)? {
-            engine.enqueue(t, job);
+        engine.drain(t, model)?;
+        if let Some(dsfa) = frontend {
+            let tail = engine.task_free_at(t).max(window.end());
+            for job in dsfa.flush(tail)? {
+                engine.enqueue(t, job);
+            }
+            engine.drain(t, model)?;
         }
-        engine.drain(t, &mut model)?;
     }
-    Ok(MultiTaskRuntimeReport::finish(problem, engine))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -540,5 +590,216 @@ mod tests {
         let a = run_multi_task_runtime(&p, &candidate, &periods, window_ms(60)).unwrap();
         let b = run_multi_task_runtime(&p, &candidate, &periods, window_ms(60)).unwrap();
         assert_eq!(a, b);
+    }
+}
+
+/// `drive_frames` with one task against the single-task loop it
+/// replaced, which dispatched every job the moment it was submitted.
+#[cfg(test)]
+mod single_task_equivalence {
+    use super::*;
+    use crate::dsfa::{CMode, DsfaConfig};
+    use crate::exec::engine::EngineReport;
+    use crate::exec::job::BatchCostModel;
+    use ev_core::Timestamp;
+    use ev_sparse::coo::{SparseEntry, SparseTensor};
+    use proptest::prelude::*;
+
+    /// Longest batch the costs table prices separately (the largest DSFA
+    /// overflow batch: `EBufsize` 8 plus the frame that overflowed it).
+    const MAX_BATCH: usize = 9;
+
+    /// Back-to-back frames on an 8×8 two-channel grid, one per
+    /// `(duration µs, active pixels)` pair.
+    fn frames(shape: &[(i64, usize)]) -> Vec<SparseFrame> {
+        let mut start = Timestamp::from_millis(1);
+        shape
+            .iter()
+            .map(|&(duration, active)| {
+                let entries = (0..active)
+                    .map(|k| SparseEntry::new((k % 2) as u32, (k / 8) as u32, (k % 8) as u32, 1.0))
+                    .collect();
+                let tensor = SparseTensor::from_entries(2, 8, 8, entries).unwrap();
+                let window = TimeWindow::with_duration(start, TimeDelta::from_micros(duration));
+                start = window.end();
+                SparseFrame::new(tensor, window, active)
+            })
+            .collect()
+    }
+
+    fn cost_model(
+        costs: &[i64],
+    ) -> BatchCostModel<impl FnMut(f64, usize) -> Result<(TimeDelta, Energy), EvEdgeError> + '_>
+    {
+        BatchCostModel::new(0, move |_density, batch| {
+            let us = costs[batch.clamp(1, MAX_BATCH) - 1];
+            Ok((
+                TimeDelta::from_micros(us),
+                Energy::from_joules(us as f64 * 1e-6),
+            ))
+        })
+    }
+
+    fn engine(window: TimeWindow, frames: usize) -> ExecEngine<DeviceTimeline> {
+        ExecEngine::new(window.start(), DeviceTimeline::new(1), 1, frames.max(1))
+            .unwrap()
+            .with_job_records()
+    }
+
+    /// The replaced loop: submit, then drain at once, so the §4.2 gate
+    /// reads the free time of the task's last submitted job.
+    fn drain_on_submit(
+        frames: Vec<SparseFrame>,
+        dsfa: Option<DsfaConfig>,
+        costs: &[i64],
+        window: TimeWindow,
+    ) -> (EngineReport, f64) {
+        let mut engine = engine(window, frames.len());
+        let mut model = cost_model(costs);
+        let mut run = |engine: &mut ExecEngine<DeviceTimeline>, jobs: Vec<JobInput>| {
+            for job in jobs {
+                engine.submit(0, job);
+                engine.drain(0, &mut model).unwrap();
+            }
+        };
+        let aggregation = match dsfa {
+            Some(config) => {
+                let mut dsfa = DsfaStage::new(config).unwrap();
+                for frame in frames {
+                    let ready = frame.ready_at();
+                    if engine.task_free_at(0) <= ready {
+                        run(&mut engine, dsfa.flush(ready).unwrap());
+                    }
+                    run(&mut engine, dsfa.push(frame).unwrap());
+                }
+                let tail = engine.task_free_at(0).max(window.end());
+                run(&mut engine, dsfa.flush(tail).unwrap());
+                dsfa.aggregation_aggressiveness()
+            }
+            None => {
+                for frame in frames {
+                    let job = JobInput {
+                        ready: frame.ready_at(),
+                        batch: 1,
+                        density: frame.spatial_density(),
+                        events: frame.event_count(),
+                    };
+                    run(&mut engine, vec![job]);
+                }
+                0.0
+            }
+        };
+        (engine.finish(0.0), aggregation)
+    }
+
+    fn streamed(
+        frames: Vec<SparseFrame>,
+        dsfa: Option<DsfaConfig>,
+        costs: &[i64],
+        window: TimeWindow,
+    ) -> (EngineReport, f64) {
+        let mut engine = engine(window, frames.len());
+        let mut frontends = [dsfa.map(|config| DsfaStage::new(config).unwrap())];
+        drive_frames(
+            &mut engine,
+            &mut cost_model(costs),
+            vec![frames],
+            &mut frontends,
+            window,
+        )
+        .unwrap();
+        let aggregation = frontends[0]
+            .as_ref()
+            .map_or(0.0, DsfaStage::aggregation_aggressiveness);
+        (engine.finish(0.0), aggregation)
+    }
+
+    /// An overflow batch waits in the queue behind a running inference;
+    /// whether the next frame sees the task idle depends on when that
+    /// batch would end, not on whether it still sits in the queue.
+    #[test]
+    fn gate_reads_the_task_after_its_waiting_inputs_start() {
+        // EBufsize 1: the 30 ms frame overflows into a two-frame batch
+        // while the batch flushed at 20 ms still runs (until 45 ms).
+        let dsfa = DsfaConfig {
+            ebuf_size: 1,
+            mb_size: 1,
+            ..DsfaConfig::default()
+        };
+        let shape = [
+            (9_000, 4),
+            (10_000, 4),
+            (10_000, 4),
+            (10_000, 4),
+            (10_000, 4),
+        ];
+        let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(60));
+        let ms = Timestamp::from_millis;
+        let jobs = |pair_us: i64| {
+            let mut costs = [25_000; MAX_BATCH];
+            costs[1] = pair_us;
+            let (report, _) = streamed(frames(&shape), Some(dsfa), &costs, window);
+            let (reference, _) = drain_on_submit(frames(&shape), Some(dsfa), &costs, window);
+            assert_eq!(report.jobs, reference.jobs);
+            report
+                .jobs
+                .iter()
+                .map(|j| (j.ready, j.start, j.end, j.batch))
+                .collect::<Vec<_>>()
+        };
+        // The pair runs 45–48 ms: the task is idle when the 50 ms frame
+        // arrives, so DSFA flushes the 40 ms frame early.
+        assert_eq!(
+            jobs(3_000),
+            [
+                (ms(20), ms(20), ms(45), 1),
+                (ms(30), ms(45), ms(48), 2),
+                (ms(50), ms(50), ms(75), 1),
+                (ms(75), ms(75), ms(100), 1),
+            ]
+        );
+        // The pair runs 45–53 ms: busy at 50 ms, so that frame overflows
+        // the buffer instead.
+        assert_eq!(
+            jobs(8_000),
+            [
+                (ms(20), ms(20), ms(45), 1),
+                (ms(30), ms(45), ms(53), 2),
+                (ms(50), ms(53), ms(61), 2),
+            ]
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn one_task_matches_drain_on_submit(
+            shape in prop::collection::vec((1i64..=15_000, 0usize..=64), 0..40),
+            dsfa in (0usize..4, 1usize..=8, 1usize..=8, 1i64..=40, 0usize..4),
+            costs in prop::collection::vec(1i64..=20_000, MAX_BATCH),
+            tail_ms in 0u64..=200,
+        ) {
+            let (mode, ebuf_size, mb_size, mt_th_ms, md_th) = dsfa;
+            let dsfa = [CMode::CAdd, CMode::CAverage, CMode::CBatch].get(mode).map(|&cmode| {
+                DsfaConfig {
+                    cmode,
+                    ebuf_size,
+                    mb_size: mb_size.min(ebuf_size),
+                    mt_th: TimeDelta::from_millis(mt_th_ms),
+                    md_th: [0.05, 0.5, 2.0, 10.0][md_th],
+                }
+            });
+            let frames = frames(&shape);
+            let last = frames.last().map_or(Timestamp::ZERO, SparseFrame::ready_at);
+            let window = TimeWindow::new(Timestamp::ZERO, last + TimeDelta::from_millis(tail_ms as i64));
+            let (want, want_aggregation) = drain_on_submit(frames.clone(), dsfa, &costs, window);
+            let (got, got_aggregation) = streamed(frames, dsfa, &costs, window);
+            prop_assert_eq!(&got.jobs, &want.jobs);
+            prop_assert_eq!(got.makespan, want.makespan);
+            prop_assert_eq!(got.energy.as_joules().to_bits(), want.energy.as_joules().to_bits());
+            prop_assert_eq!(got_aggregation.to_bits(), want_aggregation.to_bits());
+            prop_assert_eq!(got.per_task[0].dropped, 0);
+        }
     }
 }

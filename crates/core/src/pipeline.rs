@@ -6,21 +6,23 @@
 //! driven early dispatch. Variants peel the optimizations apart exactly as
 //! the paper's Figure 8 does: dense all-GPU baseline, +E2SF, +DSFA, +NMP.
 //!
-//! Execution runs on the unified [`crate::exec`] core: frames flow
-//! through an [`E2sfStage`] and a [`DsfaStage`] (or [`DirectStage`])
-//! into the [`ExecEngine`], whose [`BatchCostModel`] treats the whole platform as
-//! one FIFO resource occupied by each job's scheduled critical-path
-//! duration (candidate mappings may spread layers over several
-//! elements); energy counts busy energy plus always-on static power.
-//! The inference-queue drop rule of §4.2 affects which frames contribute
-//! to accuracy, not the latency results, and is reflected through the
-//! DSFA aggregation term of the accuracy model.
+//! Execution runs on the streaming driver of the multi-task runtime
+//! with one task: E2SF frames flow through a [`DsfaStage`] (or straight
+//! through, one job per frame) into the [`ExecEngine`], whose
+//! [`BatchCostModel`] treats the whole platform as one FIFO resource
+//! occupied by each job's scheduled critical-path duration (candidate
+//! mappings may spread layers over several elements); energy counts
+//! busy energy plus always-on static power. The inference-queue drop
+//! rule of §4.2 affects which frames contribute to accuracy, not the
+//! latency results, and is reflected through the DSFA aggregation term
+//! of the accuracy model.
 
 use crate::dsfa::DsfaConfig;
-use crate::e2sf::E2sfConfig;
-use crate::exec::engine::{EngineReport, ExecEngine};
-use crate::exec::job::{BatchCostModel, JobModel, SchedGraphBuilder};
-use crate::exec::stage::{DirectStage, DsfaStage, E2sfStage, Stage};
+use crate::e2sf::{E2sf, E2sfConfig};
+use crate::exec::engine::ExecEngine;
+use crate::exec::job::{BatchCostModel, SchedGraphBuilder};
+use crate::exec::stage::DsfaStage;
+use crate::multipipe::drive_frames;
 use crate::nmp::candidate::{Assignment, Candidate};
 use crate::nmp::evolution::{run_nmp, NmpConfig};
 use crate::nmp::fitness::FitnessConfig;
@@ -115,9 +117,6 @@ pub struct PipelineSetup {
 pub struct PipelineOptions {
     /// The optimization level.
     pub variant: PipelineVariant,
-    /// Event bins per grayscale interval (`None` = the network's
-    /// representation default).
-    pub bins_per_interval: Option<usize>,
     /// DSFA configuration (used by DSFA variants).
     pub dsfa: DsfaConfig,
     /// NMP search configuration (used by the NMP variant).
@@ -160,7 +159,6 @@ impl PipelineOptions {
         };
         PipelineOptions {
             variant,
-            bins_per_interval: None,
             dsfa,
             nmp: NmpConfig {
                 population: 24,
@@ -224,13 +222,12 @@ pub fn run_single_task(
     let workloads = graph.workloads();
     let accuracy = setup.network.accuracy_model();
 
-    // 1. Capture; the converter runs as a stage below.
+    // 1. Capture and E2SF conversion.
     let events = setup.sequence.generate(setup.window)?;
     let intervals = setup.sequence.frame_intervals(setup.window);
-    let bins = options
-        .bins_per_interval
-        .unwrap_or_else(|| representation_for(setup.network).bins_per_interval);
-    let event_count = events.len();
+    let bins = representation_for(setup.network).bins_per_interval;
+    let frames = E2sf::new(E2sfConfig::new(bins)).convert_intervals(&events, &intervals)?;
+    let (event_count, frame_count) = (events.len(), frames.len());
 
     // 2. Choose the mapping.
     let candidate = match options.variant {
@@ -265,14 +262,11 @@ pub fn run_single_task(
         }
     };
 
-    // 3. Execute jobs over simulated time: E2SF stage → DSFA/direct
-    // stage → engine. The whole platform is one FIFO resource to the job
-    // model; DSFA's early-dispatch rule consumes the engine's idleness
-    // signal.
-    // Capacity bounds nothing here — every job is serviced on submission,
-    // the single-task pipeline never drops (§4.2 applies to the
-    // multi-task runtime's bounded queues).
-    let queue_capacity = (intervals.len() * bins).max(1);
+    // 3. Execute jobs over simulated time on the streaming driver with
+    // one task. The whole platform is one FIFO resource to the job model;
+    // DSFA's early-dispatch rule consumes the engine's idleness signal.
+    // The queue holds every frame, so nothing is dropped (§4.2's drops
+    // apply to the multi-task runtime's bounded queues).
     let mut model = BatchCostModel::new(0, |density, batch| {
         inference_cost(
             &setup.platform,
@@ -284,22 +278,29 @@ pub fn run_single_task(
             options.variant,
         )
     });
-    let engine = ExecEngine::new(
+    let mut engine = ExecEngine::new(
         setup.window.start(),
         DeviceTimeline::new(1),
         1,
-        queue_capacity,
+        frame_count.max(1),
     )?
     .with_job_records();
-    let (frame_count, aggregation, report) = drive_single_task(
-        engine,
+    let mut frontends = [if options.variant.uses_dsfa() {
+        Some(DsfaStage::new(options.dsfa)?)
+    } else {
+        None
+    }];
+    drive_frames(
+        &mut engine,
         &mut model,
-        E2sfStage::new(E2sfConfig::new(bins), events),
-        &intervals,
-        options,
+        vec![frames],
+        &mut frontends,
         setup.window,
-        setup.platform.static_power_w,
     )?;
+    let aggregation = frontends[0]
+        .as_ref()
+        .map_or(0.0, DsfaStage::aggregation_aggressiveness);
+    let report = engine.finish(setup.platform.static_power_w);
 
     // 4. Accuracy estimate.
     let shares =
@@ -326,65 +327,6 @@ pub fn run_single_task(
         metric,
         jobs: report.jobs,
     })
-}
-
-/// Drives the single-task frame loop: E2SF conversion interval by
-/// interval, the optional DSFA aggregation with its §4.2
-/// hardware-availability gate, job submission and draining. Returns
-/// `(frames, aggregation aggressiveness, report)`.
-fn drive_single_task(
-    mut engine: ExecEngine<DeviceTimeline>,
-    model: &mut dyn JobModel,
-    mut e2sf: E2sfStage,
-    intervals: &[TimeWindow],
-    options: &PipelineOptions,
-    window: TimeWindow,
-    static_power_w: f64,
-) -> Result<(usize, f64, EngineReport), EvEdgeError> {
-    let mut frame_count = 0usize;
-    let aggregation = if options.variant.uses_dsfa() {
-        // DSFA needs the per-frame hardware-availability gate between
-        // the stages, so the driver interleaves them by hand.
-        let mut dsfa = DsfaStage::new(options.dsfa)?;
-        for interval in intervals {
-            for frame in e2sf.push(*interval)? {
-                frame_count += 1;
-                let ready = frame.ready_at();
-                // Early dispatch when the hardware is already idle
-                // (§4.2).
-                if engine.task_idle_at(0, ready) {
-                    for job in dsfa.flush(ready)? {
-                        engine.submit(0, job);
-                        engine.drain(0, model)?;
-                    }
-                }
-                for job in dsfa.push(frame)? {
-                    engine.submit(0, job);
-                    engine.drain(0, model)?;
-                }
-            }
-        }
-        let tail = engine.task_free_at(0).max(window.end());
-        for job in dsfa.flush(tail)? {
-            engine.submit(0, job);
-            engine.drain(0, model)?;
-        }
-        dsfa.aggregation_aggressiveness()
-    } else {
-        // No aggregation state between frames: one job per frame.
-        let mut direct = DirectStage;
-        for interval in intervals {
-            for frame in e2sf.push(*interval)? {
-                frame_count += 1;
-                for job in direct.push(frame)? {
-                    engine.submit(0, job);
-                    engine.drain(0, model)?;
-                }
-            }
-        }
-        0.0
-    };
-    Ok((frame_count, aggregation, engine.finish(static_power_w)))
 }
 
 /// Models one inference job under a mapping: per-layer roofline costs,

@@ -102,52 +102,6 @@ impl NetworkGraph {
             .collect()
     }
 
-    /// For every layer, its full transitive dependency set: row `i`
-    /// holds `true` at column `j` iff layer `j`'s output feeds layer
-    /// `i`, directly or through intermediate layers.
-    ///
-    /// This closure is a data-independence oracle: two layers may
-    /// execute concurrently exactly when neither appears in the other's
-    /// row.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ev_nn::graph::GraphBuilder;
-    /// use ev_nn::layer::{Conv2dCfg, LayerKind, Shape};
-    /// use ev_nn::Task;
-    ///
-    /// # fn main() -> Result<(), ev_nn::NnError> {
-    /// // A diamond: a → {b, c} → d.
-    /// let mut g = GraphBuilder::new("d", Task::OpticalFlow, Shape::Chw { c: 2, h: 8, w: 8 });
-    /// let a = g.layer("a", LayerKind::Conv2d(Conv2dCfg::same(2, 4, 3)), &[])?;
-    /// let b = g.layer("b", LayerKind::Conv2d(Conv2dCfg::same(4, 4, 3)), &[a])?;
-    /// let c = g.layer("c", LayerKind::Conv2d(Conv2dCfg::same(4, 4, 3)), &[a])?;
-    /// let d = g.layer("d", LayerKind::Concat, &[b, c])?;
-    /// let closure = g.finish()?.dependency_closure();
-    /// assert!(closure[d.0][a.0], "d transitively depends on a");
-    /// assert!(!closure[b.0][c.0] && !closure[c.0][b.0], "b and c are independent");
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn dependency_closure(&self) -> Vec<Vec<bool>> {
-        let n = self.layers.len();
-        let mut closure: Vec<Vec<bool>> = Vec::with_capacity(n);
-        for layer in &self.layers {
-            // Edges only point forward, so every predecessor row is
-            // already complete (layers are stored in topological order).
-            let mut row = vec![false; n];
-            for pred in &self.preds[layer.id.0] {
-                row[pred.0] = true;
-                for (slot, dep) in row.iter_mut().zip(&closure[pred.0]) {
-                    *slot |= *dep;
-                }
-            }
-            closure.push(row);
-        }
-        closure
-    }
-
     /// Counts layers per domain, returning `(snn, ann)`.
     pub fn domain_counts(&self) -> (usize, usize) {
         let snn = self
@@ -652,43 +606,6 @@ mod tests {
             .unwrap();
         let g = b.finish().unwrap();
         assert_eq!(g.domain_counts(), (1, 1));
-    }
-
-    #[test]
-    fn dependency_closure_is_transitive_and_reflexive_free() {
-        // chain → diamond tail: c1 → c2 → {d1, d2} → cat.
-        let mut b = GraphBuilder::new("dc", Task::OpticalFlow, input());
-        let c1 = b
-            .layer("c1", LayerKind::Conv2d(Conv2dCfg::down(2, 8, 3)), &[])
-            .unwrap();
-        let c2 = b
-            .layer("c2", LayerKind::Conv2d(Conv2dCfg::same(8, 8, 3)), &[c1])
-            .unwrap();
-        let d1 = b
-            .layer("d1", LayerKind::Conv2d(Conv2dCfg::same(8, 4, 3)), &[c2])
-            .unwrap();
-        let d2 = b
-            .layer("d2", LayerKind::Conv2d(Conv2dCfg::same(8, 4, 3)), &[c2])
-            .unwrap();
-        let cat = b.layer("cat", LayerKind::Concat, &[d1, d2]).unwrap();
-        let g = b.finish().unwrap();
-        let closure = g.dependency_closure();
-        // Transitivity: the sink depends on everything.
-        for l in [c1, c2, d1, d2] {
-            assert!(closure[cat.0][l.0], "cat depends on {l:?}");
-        }
-        // The diamond arms are mutually independent.
-        assert!(!closure[d1.0][d2.0]);
-        assert!(!closure[d2.0][d1.0]);
-        // No layer depends on itself or on later layers.
-        for (i, row) in closure.iter().enumerate() {
-            assert!(!row[i]);
-            for (j, dep) in row.iter().enumerate() {
-                if j >= i {
-                    assert!(!dep, "layer {i} cannot depend on later layer {j}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -201,6 +201,7 @@ pub trait ReservationTimeline {
 ///
 /// ```
 /// use ev_platform::timeline::DeviceTimeline;
+/// use ev_platform::ReservationTimeline;
 /// use ev_core::{TimeDelta, Timestamp};
 ///
 /// # fn main() -> Result<(), ev_platform::PlatformError> {
@@ -234,22 +235,14 @@ impl DeviceTimeline {
             completed: vec![0; queues],
         }
     }
+}
 
-    /// Number of queues.
-    pub fn queues(&self) -> usize {
+impl ReservationTimeline for DeviceTimeline {
+    fn queues(&self) -> usize {
         self.free_at.len()
     }
 
-    /// Earliest time work ready at `ready` can start on `queue`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::InvalidQueue`] for out-of-range queues.
-    pub fn earliest_start(
-        &self,
-        queue: usize,
-        ready: Timestamp,
-    ) -> Result<Timestamp, PlatformError> {
+    fn earliest_start(&self, queue: usize, ready: Timestamp) -> Result<Timestamp, PlatformError> {
         let free = self.free_at.get(queue).ok_or(PlatformError::InvalidQueue {
             node: 0,
             queue,
@@ -258,14 +251,7 @@ impl DeviceTimeline {
         Ok(ready.max(*free))
     }
 
-    /// Reserves `queue` for `[start, start + duration)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::InvalidQueue`] for out-of-range queues, or
-    /// [`PlatformError::ReservationConflict`] when `start` precedes the
-    /// queue's free time.
-    pub fn reserve(
+    fn reserve(
         &mut self,
         queue: usize,
         start: Timestamp,
@@ -294,80 +280,12 @@ impl DeviceTimeline {
         Ok(end)
     }
 
-    /// When `queue` becomes free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::InvalidQueue`] for out-of-range queues.
-    pub fn free_at(&self, queue: usize) -> Result<Timestamp, PlatformError> {
-        self.free_at
-            .get(queue)
-            .copied()
-            .ok_or(PlatformError::InvalidQueue {
-                node: 0,
-                queue,
-                queues: self.free_at.len(),
-            })
-    }
-
-    /// Whether any queue is idle at `time`.
-    pub fn any_idle_at(&self, time: Timestamp) -> bool {
-        self.free_at.iter().any(|f| *f <= time)
-    }
-
-    /// The queue that frees up first, with its free time.
-    pub fn next_free(&self) -> (usize, Timestamp) {
-        self.free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, t)| **t)
-            .map(|(q, t)| (q, *t))
-            .expect("timeline has at least one queue")
-    }
-
-    /// Busy time accumulated on `queue`.
-    pub fn busy_time(&self, queue: usize) -> TimeDelta {
+    fn busy_time(&self, queue: usize) -> TimeDelta {
         self.busy.get(queue).copied().unwrap_or(TimeDelta::ZERO)
     }
 
-    /// Jobs completed on `queue`.
-    pub fn completed_jobs(&self, queue: usize) -> u64 {
-        self.completed.get(queue).copied().unwrap_or(0)
-    }
-
-    /// Utilization of `queue` over `[0, horizon)`.
-    pub fn utilization(&self, queue: usize, horizon: TimeDelta) -> f64 {
-        if horizon.as_micros() <= 0 {
-            return 0.0;
-        }
-        self.busy_time(queue).as_secs_f64() / horizon.as_secs_f64()
-    }
-}
-
-impl ReservationTimeline for DeviceTimeline {
-    fn queues(&self) -> usize {
-        DeviceTimeline::queues(self)
-    }
-
-    fn earliest_start(&self, queue: usize, ready: Timestamp) -> Result<Timestamp, PlatformError> {
-        DeviceTimeline::earliest_start(self, queue, ready)
-    }
-
-    fn reserve(
-        &mut self,
-        queue: usize,
-        start: Timestamp,
-        duration: TimeDelta,
-    ) -> Result<Timestamp, PlatformError> {
-        DeviceTimeline::reserve(self, queue, start, duration)
-    }
-
-    fn busy_time(&self, queue: usize) -> TimeDelta {
-        DeviceTimeline::busy_time(self, queue)
-    }
-
     fn completed_jobs(&self, queue: usize) -> u64 {
-        DeviceTimeline::completed_jobs(self, queue)
+        self.completed.get(queue).copied().unwrap_or(0)
     }
 }
 
@@ -400,26 +318,15 @@ mod tests {
     }
 
     #[test]
-    fn idle_and_next_free() {
-        let mut tl = DeviceTimeline::new(2);
-        tl.reserve(0, ms(0), TimeDelta::from_millis(20)).unwrap();
-        assert!(tl.any_idle_at(ms(5))); // queue 1 idle
-        tl.reserve(1, ms(0), TimeDelta::from_millis(30)).unwrap();
-        assert!(!tl.any_idle_at(ms(5)));
-        let (q, t) = tl.next_free();
-        assert_eq!((q, t), (0, ms(20)));
-    }
-
-    #[test]
     fn utilization_accounting() {
         let mut tl = DeviceTimeline::new(1);
         tl.reserve(0, ms(0), TimeDelta::from_millis(25)).unwrap();
         let u = tl.utilization(0, TimeDelta::from_millis(100));
         assert!((u - 0.25).abs() < 1e-9);
         assert_eq!(tl.utilization(0, TimeDelta::ZERO), 0.0);
-        // The trait-level completion count mirrors the inherent one, and
-        // defaults to zero for trackers that do not count completions.
-        assert_eq!(ReservationTimeline::completed_jobs(&tl, 0), 1);
+        // The timeline counts completions; the trait's count defaults to
+        // zero for trackers that do not.
+        assert_eq!(tl.completed_jobs(0), 1);
         struct NoCounts;
         impl ReservationTimeline for NoCounts {
             fn queues(&self) -> usize {
@@ -451,7 +358,6 @@ mod tests {
     fn invalid_queue_errors() {
         let tl = DeviceTimeline::new(1);
         assert!(tl.earliest_start(3, ms(0)).is_err());
-        assert!(tl.free_at(3).is_err());
     }
 
     #[test]

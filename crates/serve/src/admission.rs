@@ -2,7 +2,7 @@
 //!
 //! The controller samples PE-timeline utilization — booked busy time
 //! over elapsed capacity, via [`LoadProbe`] (backed by the service
-//! driver's `DeviceTimeline` busy and completion counters) — and
+//! driver's `DeviceTimeline` busy counters) — and
 //! refuses new arrivals once it crosses the watermark. Shedding is
 //! *reject-newest*: an arrival the watermark refuses never displaces
 //! work that was already admitted, so admitted tenants keep their
@@ -77,9 +77,6 @@ mod tests {
         }
         fn device_busy_total(&self) -> TimeDelta {
             self.busy
-        }
-        fn device_completed_total(&self) -> u64 {
-            0
         }
     }
 
