@@ -285,6 +285,7 @@ pub fn run_spec(spec: &ScenarioSpec, options: &RunnerOptions) -> Result<SpecOutc
         if output.status.success() {
             failures.push("expected a nonzero exit, but the scenario succeeded".to_string());
         }
+        failures.extend(panic_failure(&stderr));
     } else if !output.status.success() {
         failures.push(format!(
             "scenario exited with {}; stderr: {}",
@@ -349,6 +350,17 @@ pub fn run_spec(spec: &ScenarioSpec, options: &RunnerOptions) -> Result<SpecOutc
         bin: spec.bin.clone(),
         passed: failures.is_empty(),
         failures,
+    })
+}
+
+/// A `must_fail` scenario has to fail with an error message, never a
+/// panic backtrace.
+fn panic_failure(stderr: &str) -> Option<String> {
+    stderr.contains("panicked").then(|| {
+        format!(
+            "expected an error message, but the scenario panicked; stderr: {}",
+            stderr.trim()
+        )
     })
 }
 
@@ -542,6 +554,16 @@ mod tests {
         let dir = BinPaths::Dir(PathBuf::from("/nonexistent-dir"));
         assert!(dir.resolve("fig8").unwrap_err().contains("not found"));
         Ok(())
+    }
+
+    #[test]
+    fn must_fail_scenarios_may_not_panic() {
+        let backtrace = "thread 'main' panicked at src/main.rs:12:5:\n\
+                         attempt to multiply with overflow\n";
+        let failure = panic_failure(backtrace).expect("a panic is a failure");
+        assert!(failure.contains("scenario panicked"), "{failure}");
+        assert!(failure.contains("attempt to multiply with overflow"));
+        assert_eq!(panic_failure("Error: unknown argument `--mode`\n"), None);
     }
 
     #[test]

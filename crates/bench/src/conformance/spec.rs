@@ -85,7 +85,8 @@ pub struct ScenarioSpec {
     /// artifact assertions).
     pub artifact: bool,
     /// Expect a *nonzero* exit (negative scenarios: a bad flag must
-    /// fail loudly rather than run the default).
+    /// fail loudly rather than run the default), with an error message:
+    /// a stderr containing `panicked` fails the spec.
     pub must_fail: bool,
     /// Expectations checked in every mode.
     pub assertions: Vec<Assertion>,

@@ -1250,7 +1250,7 @@ pub fn tuned_vs_default_table(rows: &[TunedVsDefaultRow]) -> crate::report::Text
 }
 
 // ---------------------------------------------------------------------
-// Ablations (design choices called out in DESIGN.md)
+// Ablations of the framework's design choices
 // ---------------------------------------------------------------------
 
 /// One DSFA configuration's outcome in the threshold ablation.

@@ -16,8 +16,6 @@
 //!   (§4.3), plus the RR-Network / RR-Layer / random-search baselines.
 //! * [`pipeline`] — the integrated single-task runtime reproducing the
 //!   Figure 8 experiments.
-//! * [`corner`] — the always-on event-driven corner frontend (the cheap,
-//!   high-rate workload class of heterogeneous deployments).
 //!
 //! ## Example
 //!
@@ -42,7 +40,6 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod corner;
 pub mod dsfa;
 pub mod e2sf;
 pub mod frame;
@@ -95,7 +92,6 @@ pub mod nmp {
     };
 }
 
-pub use corner::{Corner, CornerConfig, CornerDetector};
 pub use dsfa::{CMode, Dsfa, DsfaConfig, MergedBatch};
 pub use e2sf::{E2sf, E2sfConfig};
 pub use frame::SparseFrame;

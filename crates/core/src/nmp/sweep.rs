@@ -370,7 +370,8 @@ impl SweepSpec {
     /// Returns [`EvEdgeError::InvalidSweepSpec`] naming the offending
     /// axis: empty axes, populations below 2, zero generations, elite
     /// fractions outside `(0, 1]`, zero queue capacities, an empty
-    /// custom task mix, or a zero runtime window.
+    /// custom task mix, or a runtime window that is zero or whose
+    /// microsecond count overflows `u64`.
     pub fn validate(&self) -> Result<(), EvEdgeError> {
         let bad = |axis| Err(EvEdgeError::InvalidSweepSpec { axis });
         if self.populations.is_empty() || self.populations.iter().any(|&p| p < 2) {
@@ -408,7 +409,7 @@ impl SweepSpec {
         if self.algorithms.is_empty() {
             return bad("algorithms");
         }
-        if self.runtime_window_ms == 0 {
+        if self.runtime_window_ms == 0 || self.runtime_window_ms.checked_mul(1_000).is_none() {
             return bad("runtime_window_ms");
         }
         Ok(())
@@ -1097,6 +1098,10 @@ mod tests {
                 }),
             ),
             ("runtime_window_ms", Box::new(|s| s.runtime_window_ms = 0)),
+            (
+                "runtime_window_ms",
+                Box::new(|s| s.runtime_window_ms = u64::MAX / 1_000 + 1),
+            ),
         ] {
             let mut spec = tiny_spec();
             mutate(&mut spec);

@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cache;
 pub mod groundtruth;
 pub mod metrics;
 pub mod mvsec;
@@ -54,11 +53,6 @@ pub enum DatasetError {
         /// Right `(width, height)`.
         right: (usize, usize),
     },
-    /// A sequence-cache operation failed.
-    Cache {
-        /// What went wrong.
-        reason: String,
-    },
 }
 
 impl fmt::Display for DatasetError {
@@ -72,7 +66,6 @@ impl fmt::Display for DatasetError {
                 "map dimensions differ: {}x{} vs {}x{}",
                 left.0, left.1, right.0, right.1
             ),
-            DatasetError::Cache { reason } => write!(f, "sequence cache: {reason}"),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! MVSEC-like and DENSE-like synthetic sequences.
 //!
-//! **Substitution note** (see `DESIGN.md`): the paper evaluates on the
-//! Multi Vehicle Stereo Event Camera dataset (indoor flying / outdoor
+//! **Substitution note**: the paper evaluates on the Multi Vehicle
+//! Stereo Event Camera dataset (indoor flying / outdoor
 //! driving sequences, DAVIS 346) and the DENSE Town 10 sequence. This
 //! module defines statistical sequence profiles calibrated to the
 //! statistics the paper reports: event-frame fill ratios spanning

@@ -204,17 +204,6 @@ impl SensorGeometry {
     pub const fn contains(&self, x: u16, y: u16) -> bool {
         (x as u32) < self.width && (y as u32) < self.height
     }
-
-    /// A geometry scaled down by an integer factor (at least 1×1).
-    ///
-    /// Used to run the model zoo at reduced spatial resolution.
-    pub fn downscaled(&self, factor: u32) -> SensorGeometry {
-        assert!(factor > 0, "downscale factor must be nonzero");
-        SensorGeometry {
-            width: (self.width / factor).max(1),
-            height: (self.height / factor).max(1),
-        }
-    }
 }
 
 impl Default for SensorGeometry {
@@ -263,15 +252,6 @@ mod tests {
     fn geometry_presets() {
         assert_eq!(SensorGeometry::DAVIS346.pixel_count(), 89_960);
         assert_eq!(SensorGeometry::default(), SensorGeometry::DAVIS346);
-    }
-
-    #[test]
-    fn geometry_downscale_clamps_to_one() {
-        let g = SensorGeometry::new(10, 4);
-        let d = g.downscaled(8);
-        assert_eq!((d.width, d.height), (1, 1));
-        let d2 = g.downscaled(2);
-        assert_eq!((d2.width, d2.height), (5, 2));
     }
 
     #[test]

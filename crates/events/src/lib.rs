@@ -2,15 +2,14 @@
 //!
 //! This crate provides everything upstream of the Ev-Edge runtime: the
 //! Address Event Representation ([`event::Event`]), validated time-ordered
-//! event batches ([`stream::EventSlice`]), a binary AER codec ([`aer`]), a
-//! faithful DVS/DAVIS camera model driven by procedural scenes ([`camera`],
-//! [`scene`]), a fast statistical stream synthesizer ([`generator`]), and
-//! the stream statistics the paper plots ([`stats`]).
+//! event batches ([`stream::EventSlice`]), a faithful DVS/DAVIS camera
+//! model driven by procedural scenes ([`camera`], [`scene`]), a fast
+//! statistical stream synthesizer ([`generator`]), and the stream
+//! statistics the paper plots ([`stats`]).
 //!
 //! The paper (Ev-Edge, DAC 2024) evaluates on DAVIS recordings from the
 //! MVSEC dataset; this crate is the substitution substrate that produces
-//! streams with matching spatio-temporal statistics (see `DESIGN.md` at the
-//! repository root).
+//! streams with matching spatio-temporal statistics.
 //!
 //! ## Example
 //!
@@ -38,7 +37,6 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod aer;
 pub mod camera;
 pub mod event;
 pub mod generator;
@@ -46,7 +44,6 @@ pub mod scene;
 pub mod stats;
 pub mod stream;
 pub mod time;
-pub mod transforms;
 
 pub use event::{Event, Polarity, SensorGeometry};
 pub use stream::EventSlice;
@@ -81,11 +78,6 @@ pub enum EventError {
         /// Geometry of the right operand.
         right: SensorGeometry,
     },
-    /// A binary AER stream could not be decoded.
-    MalformedAer {
-        /// Human-readable description of the framing problem.
-        reason: String,
-    },
 }
 
 impl fmt::Display for EventError {
@@ -100,7 +92,6 @@ impl fmt::Display for EventError {
             EventError::GeometryMismatch { left, right } => {
                 write!(f, "sensor geometry mismatch: {left} vs {right}")
             }
-            EventError::MalformedAer { reason } => write!(f, "malformed AER stream: {reason}"),
         }
     }
 }

@@ -118,11 +118,6 @@ impl EventSlice {
         self.events.iter()
     }
 
-    /// Consumes the slice, returning the event vector.
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
-
     /// Timestamp of the first event, if any.
     pub fn first_timestamp(&self) -> Option<Timestamp> {
         self.events.first().map(|e| e.t)

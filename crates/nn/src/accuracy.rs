@@ -1,7 +1,7 @@
 //! Task-accuracy degradation model.
 //!
-//! **Substitution note** (see `DESIGN.md`): the paper evaluates quantized
-//! candidates on a validation subset of MVSEC/DENSE with pretrained
+//! **Substitution note**: the paper evaluates quantized candidates on a
+//! validation subset of MVSEC/DENSE with pretrained
 //! weights. Without those assets, this module provides the interface the
 //! Network Mapper needs — a monotone, layer-sensitive map from (per-layer
 //! precision, DSFA aggregation aggressiveness) to metric degradation —

@@ -3,9 +3,9 @@
 //! The executor runs genuine arithmetic (via `ev-sparse` kernels) over a
 //! network graph: sparse convolutions over event/spike tensors, dense
 //! kernels for ANN layers, and stateful LIF dynamics for spiking layers.
-//! Weights are synthesized deterministically (see `DESIGN.md`: the paper
-//! uses pretrained checkpoints we do not have; Ev-Edge itself only needs
-//! shapes, work, and activation sparsity, which real execution provides).
+//! Weights are synthesized deterministically (the paper uses pretrained
+//! checkpoints we do not have; Ev-Edge itself only needs shapes, work, and
+//! activation sparsity, which real execution provides).
 
 use crate::graph::NetworkGraph;
 use crate::layer::{LayerId, LayerKind, Shape};

@@ -4,8 +4,8 @@
 //! Each builder reconstructs the network's *architecture* — layer counts
 //! and types exactly matching Table 1, encoder-decoder shapes following the
 //! cited papers — with deterministic synthetic weights (substitution for
-//! pretrained checkpoints, see `DESIGN.md`). "Layers" counts parametered
-//! layers (convolutions, transposed convolutions, heads); pooling and
+//! pretrained checkpoints). "Layers" counts parametered layers
+//! (convolutions, transposed convolutions, heads); pooling and
 //! concatenation nodes are plumbing and not counted, matching how the
 //! papers count layers.
 
@@ -541,10 +541,9 @@ pub fn ev_flownet(cfg: &ZooConfig) -> Result<NetworkGraph, NnError> {
 
 /// CornerNet — the corner-detection/tracking frontend class (after the
 /// memory-efficient event-camera corner detectors, arXiv 2401.09797): a
-/// cheap, high-rate, always-on two-layer ANN that consumes the corner
-/// detector's event surface and emits a per-pixel cornerness map. Its
-/// channel widths are fixed (not scaled by `base_width`) so the network
-/// stays cheap at every zoo scale.
+/// cheap, high-rate, always-on two-layer ANN that maps its event frame to
+/// a per-pixel cornerness map. Its channel widths are fixed (not scaled by
+/// `base_width`) so the network stays cheap at every zoo scale.
 pub fn corner_net(cfg: &ZooConfig) -> Result<NetworkGraph, NnError> {
     cfg.validate()?;
     let mut b = GraphBuilder::new("CornerNet", Task::ObjectTracking, cfg.input_shape());

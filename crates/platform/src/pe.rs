@@ -1,7 +1,7 @@
 //! Processing elements and the heterogeneous platform.
 //!
-//! **Substitution note** (see `DESIGN.md`): the paper runs on an NVIDIA
-//! Jetson Xavier AGX (8-core Carmel CPU, 512-core Volta GPU, 2× DLA) and
+//! **Substitution note**: the paper runs on an NVIDIA Jetson Xavier AGX
+//! (8-core Carmel CPU, 512-core Volta GPU, 2× DLA) and
 //! profiles layers with TensorRT. This module models those processing
 //! elements analytically from public platform specifications; the profile
 //! tables downstream play the role TensorRT measurements play in the paper.

@@ -439,103 +439,6 @@ pub fn conv2d_submanifold(
     ))
 }
 
-/// Dense convolution via im2col + GEMM — the lowering dense DNN libraries
-/// use. Numerically identical to [`conv2d_dense`]; exposed so benches can
-/// compare the two dense strategies and so the patch matrix is reusable.
-///
-/// # Errors
-///
-/// Returns a [`SparseError`] on rank/shape mismatches or when the kernel
-/// does not fit the padded input.
-pub fn conv2d_im2col(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    spec: Conv2dSpec,
-) -> Result<(Tensor, OpCount), SparseError> {
-    if input.rank() != 3 {
-        return Err(SparseError::RankMismatch {
-            expected: 3,
-            actual: input.rank(),
-        });
-    }
-    let in_shape = [input.shape()[0], input.shape()[1], input.shape()[2]];
-    let (c_in, h, w, c_out, kh, kw, ho, wo) = validate(in_shape, weight, bias, spec)?;
-
-    // Patch matrix: rows = C_in*kh*kw, cols = Ho*Wo.
-    let k = c_in * kh * kw;
-    let n = ho * wo;
-    let mut patches = Tensor::zeros(&[k, n]);
-    {
-        // Same hoisted-range trick as `conv2d_dense`: the padding tests
-        // collapse into per-tap `[lo, hi)` spans, and each patch row is a
-        // straight memcpy (stride 1) or strided gather of the input row.
-        let x = input.as_slice();
-        let p = patches.as_mut_slice();
-        let stride = spec.stride;
-        let pad = spec.padding;
-        let valid_range = |k: usize, in_dim: usize, out_dim: usize| -> (usize, usize) {
-            let lo = pad.saturating_sub(k).div_ceil(stride);
-            let hi = if in_dim + pad > k {
-                ((in_dim + pad - k - 1) / stride + 1).min(out_dim)
-            } else {
-                0
-            };
-            (lo, hi)
-        };
-        for ci in 0..c_in {
-            let xchan = &x[ci * h * w..(ci + 1) * h * w];
-            for ky in 0..kh {
-                let (oy_lo, oy_hi) = valid_range(ky, h, ho);
-                for kx in 0..kw {
-                    let (ox_lo, ox_hi) = valid_range(kx, w, wo);
-                    if oy_lo >= oy_hi || ox_lo >= ox_hi {
-                        continue;
-                    }
-                    let row = (ci * kh + ky) * kw + kx;
-                    for oy in oy_lo..oy_hi {
-                        let iy = oy * stride + ky - pad;
-                        let ix0 = ox_lo * stride + kx - pad;
-                        let prow = &mut p[row * n + oy * wo + ox_lo..row * n + oy * wo + ox_hi];
-                        let xrow = &xchan[iy * w + ix0..];
-                        if stride == 1 {
-                            prow.copy_from_slice(&xrow[..prow.len()]);
-                        } else {
-                            for (pv, xv) in prow.iter_mut().zip(xrow.iter().step_by(stride)) {
-                                *pv = *xv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Weight as [C_out, k] × patches [k, n] → [C_out, n].
-    let mut wmat = Tensor::from_vec(&[c_out, k], weight.as_slice().to_vec())?;
-    let _ = &mut wmat; // shape-only reinterpretation of the same data
-    let (mut out_mat, mm_ops) = crate::ops::linear::matmul(&wmat, &patches)?;
-    if let Some(b) = bias {
-        let data = out_mat.as_mut_slice();
-        for co in 0..c_out {
-            for v in &mut data[co * n..(co + 1) * n] {
-                *v += b[co];
-            }
-        }
-    }
-    out_mat.reshape(&[c_out, ho, wo])?;
-    let ops = OpCount {
-        macs: mm_ops.macs,
-        adds: if bias.is_some() {
-            (c_out * n) as u64
-        } else {
-            0
-        },
-        bytes_read: mm_ops.bytes_read + (input.len() * 4) as u64,
-        bytes_written: mm_ops.bytes_written,
-    };
-    Ok((out_mat, ops))
-}
-
 /// Transposed ("deconvolution") 2-D convolution over a `[C, H, W]` input.
 ///
 /// The decoder upsampling layer of the encoder-decoder networks in the model
@@ -812,31 +715,6 @@ mod tests {
             conv2d_submanifold(&input, &weight, None),
             Err(SparseError::EvenSubmanifoldKernel { .. })
         ));
-    }
-
-    #[test]
-    fn im2col_matches_direct_dense() {
-        let mut input = Tensor::zeros(&[3, 7, 9]);
-        input.fill_pseudorandom(21, 1.0);
-        let mut weight = Tensor::zeros(&[4, 3, 3, 3]);
-        weight.fill_pseudorandom(22, 0.5);
-        let bias = [0.1f32, -0.2, 0.3, 0.0];
-        for spec in [
-            Conv2dSpec::default(),
-            Conv2dSpec::same(3),
-            Conv2dSpec {
-                stride: 2,
-                padding: 1,
-            },
-        ] {
-            let (direct, d_ops) = conv2d_dense(&input, &weight, Some(&bias), spec).unwrap();
-            let (gemm, g_ops) = conv2d_im2col(&input, &weight, Some(&bias), spec).unwrap();
-            assert_eq!(direct.shape(), gemm.shape());
-            for (a, b) in direct.as_slice().iter().zip(gemm.as_slice()) {
-                assert!((a - b).abs() < 1e-4, "{a} vs {b} for {spec:?}");
-            }
-            assert_eq!(d_ops.macs, g_ops.macs, "same arithmetic for {spec:?}");
-        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Re-exports every workspace crate under one roof so the `examples/` and
 //! `tests/` directories (and downstream experiments) can depend on a
-//! single package. See the repository `README.md` for the architecture and
-//! `DESIGN.md`/`EXPERIMENTS.md` for the reproduction methodology.
+//! single package. See the repository `README.md` for an overview,
+//! `ARCHITECTURE.md` for the design and `docs/PAPER_MAP.md` for where each
+//! part of the paper lives in the code.
 //!
 //! ```
 //! use ev_edge_repro::prelude::*;

@@ -1,8 +1,9 @@
 //! Qualitative reproduction checks: every table/figure experiment must
 //! show the paper's shape — who wins, orderings, rough factor bands.
 //!
-//! Absolute numbers are platform-model outputs and are recorded in
-//! EXPERIMENTS.md; these tests pin down the claims that must not regress.
+//! Absolute numbers are platform-model outputs, pinned by the conformance
+//! goldens in `specs/golden/`; these tests pin down the claims that must
+//! not regress.
 
 use ev_bench::experiments::{figure1, figure10, figure3, figure5, figure8, figure9, table1};
 
