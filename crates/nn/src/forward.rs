@@ -19,6 +19,7 @@ use ev_sparse::opcount::{OpCount, WorkComparison};
 use ev_sparse::ops::conv::{conv2d_dense, conv2d_sparse, conv_transpose2d_dense, Conv2dSpec};
 use ev_sparse::ops::linear::{linear, relu_in_place};
 use ev_sparse::ops::pool::{max_pool2d, Pool2dSpec};
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 
 /// A value flowing along a graph edge.
@@ -48,15 +49,16 @@ impl Activation {
         }
     }
 
-    /// Converts to a dense `[C, H, W]` tensor.
+    /// A dense `[C, H, W]` view: dense tensors are borrowed, sparse ones
+    /// converted.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ActivationKind`] for flat activations.
-    pub fn to_dense_chw(&self) -> Result<Tensor, NnError> {
+    pub fn to_dense_chw(&self) -> Result<Cow<'_, Tensor>, NnError> {
         match self {
-            Activation::Sparse(s) => Ok(s.to_dense()),
-            Activation::Dense(d) => Ok(d.clone()),
+            Activation::Sparse(s) => Ok(Cow::Owned(s.to_dense())),
+            Activation::Dense(d) => Ok(Cow::Borrowed(d)),
             Activation::Flat(_) => Err(NnError::ActivationKind {
                 expected: "[C,H,W]",
                 actual: "flat vector",
@@ -275,12 +277,12 @@ impl Executor {
         let layers: Vec<_> = self.graph.layers().to_vec();
         for layer in &layers {
             let preds = self.graph.predecessors(layer.id).to_vec();
-            let inputs: Vec<Activation> = if preds.is_empty() {
-                vec![input.clone()]
+            let inputs: Vec<&Activation> = if preds.is_empty() {
+                vec![input]
             } else {
                 preds
                     .iter()
-                    .map(|p| values[p.0].clone().ok_or(NnError::UnknownLayer { id: *p }))
+                    .map(|p| values[p.0].as_ref().ok_or(NnError::UnknownLayer { id: *p }))
                     .collect::<Result<_, _>>()?
             };
             let (out, work) = self.execute_layer(layer.id, &layer.kind, &inputs)?;
@@ -296,7 +298,7 @@ impl Executor {
             .graph
             .outputs()
             .into_iter()
-            .map(|id| (id, values[id.0].clone().expect("computed above")))
+            .map(|id| (id, values[id.0].take().expect("computed above")))
             .collect();
         Ok(ForwardResult { outputs, traces })
     }
@@ -316,7 +318,7 @@ impl Executor {
         &mut self,
         id: LayerId,
         kind: &LayerKind,
-        inputs: &[Activation],
+        inputs: &[&Activation],
     ) -> Result<(Activation, WorkComparison), NnError> {
         let wrap = |e: ev_sparse::SparseError| NnError::Kernel {
             layer: id,
@@ -329,7 +331,7 @@ impl Executor {
                     padding: c.padding,
                 };
                 let lw = &self.weights[&id];
-                let (mut out, work) = match &inputs[0] {
+                let (mut out, work) = match inputs[0] {
                     Activation::Sparse(s) => {
                         conv2d_sparse(s, &lw.weight, Some(&lw.bias), spec).map_err(wrap)?
                     }
@@ -359,11 +361,11 @@ impl Executor {
                     padding: c.padding,
                 };
                 let lw = &self.weights[&id];
-                let sparse_in = match &inputs[0] {
-                    Activation::Sparse(s) => s.clone(),
+                let sparse_in = match inputs[0] {
+                    Activation::Sparse(s) => Cow::Borrowed(s),
                     other => {
                         let dense = other.to_dense_chw()?;
-                        SparseTensor::from_dense(&dense, 0.0).map_err(wrap)?
+                        Cow::Owned(SparseTensor::from_dense(&dense, 0.0).map_err(wrap)?)
                     }
                 };
                 let (current, conv_work) =
@@ -443,7 +445,7 @@ impl Executor {
                         },
                     ))
                 } else {
-                    let denses: Vec<Tensor> = inputs
+                    let denses: Vec<Cow<'_, Tensor>> = inputs
                         .iter()
                         .map(|a| a.to_dense_chw())
                         .collect::<Result<_, _>>()?;
@@ -515,7 +517,7 @@ impl Executor {
                     padding: 0,
                 };
                 let lw = &self.weights[&id];
-                let (out, work) = match &inputs[0] {
+                let (out, work) = match inputs[0] {
                     Activation::Sparse(s) => {
                         conv2d_sparse(s, &lw.weight, Some(&lw.bias), spec).map_err(wrap)?
                     }
@@ -581,12 +583,18 @@ pub fn measured_input_densities(
 }
 
 /// Concatenates dense `[C, H, W]` tensors along channels.
-fn concat_dense_channels(tensors: &[Tensor]) -> Result<Tensor, ev_sparse::SparseError> {
-    let first = tensors.first().ok_or(ev_sparse::SparseError::EmptyInput)?;
+fn concat_dense_channels<T: Borrow<Tensor>>(
+    tensors: &[T],
+) -> Result<Tensor, ev_sparse::SparseError> {
+    let first = tensors
+        .first()
+        .ok_or(ev_sparse::SparseError::EmptyInput)?
+        .borrow();
     let (h, w) = (first.shape()[1], first.shape()[2]);
-    let c_total: usize = tensors.iter().map(|t| t.shape()[0]).sum();
+    let c_total: usize = tensors.iter().map(|t| t.borrow().shape()[0]).sum();
     let mut data = Vec::with_capacity(c_total * h * w);
     for t in tensors {
+        let t = t.borrow();
         if t.shape()[1] != h || t.shape()[2] != w {
             return Err(ev_sparse::SparseError::TensorShapeMismatch {
                 left: [first.shape()[0], h, w],

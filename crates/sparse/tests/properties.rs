@@ -7,7 +7,11 @@ use ev_sparse::dense::Tensor;
 use ev_sparse::graph::{
     active_fraction, dilate_active, gather_mean, grid_adjacency, grid_edge_count, scatter_add,
 };
-use ev_sparse::ops::conv::{conv2d_dense, conv2d_sparse, Conv2dSpec};
+use ev_sparse::opcount::OpCount;
+use ev_sparse::ops::conv::{
+    conv2d_dense, conv2d_sparse, conv_transpose2d_dense, dense_conv_macs, Conv2dSpec,
+};
+use ev_sparse::SparseError;
 use proptest::prelude::*;
 
 const H: usize = 12;
@@ -102,14 +106,21 @@ proptest! {
         seed in 0u64..1000,
         stride in 1usize..=2,
     ) {
+        // Both kernels add each output's terms in (ci, iy, ix) order. The
+        // dense one also adds the zero products the sparse one skips, and
+        // those can only change a sum that is -0.0, which no sum can be
+        // when no bias element is -0.0. So the outputs agree bit for bit.
         let mut weight = Tensor::zeros(&[3, C, 3, 3]);
         weight.fill_pseudorandom(seed, 1.0);
+        let bias: Vec<f32> = (0..3).map(|k| (seed + k) as f32 * 0.01 - 5.0).collect();
+        prop_assert!(bias.iter().all(|b| b.to_bits() != (-0.0f32).to_bits()));
         let spec = Conv2dSpec { stride, padding: 1 };
-        let (dense_out, _) = conv2d_dense(&t.to_dense(), &weight, None, spec).expect("valid");
-        let (sparse_out, work) = conv2d_sparse(&t, &weight, None, spec).expect("valid");
+        let (dense_out, _) =
+            conv2d_dense(&t.to_dense(), &weight, Some(&bias), spec).expect("valid");
+        let (sparse_out, work) = conv2d_sparse(&t, &weight, Some(&bias), spec).expect("valid");
         prop_assert_eq!(dense_out.shape(), sparse_out.shape());
         for (a, b) in dense_out.as_slice().iter().zip(sparse_out.as_slice()) {
-            prop_assert!((a - b).abs() < 1e-3, "dense {} vs sparse {}", a, b);
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "dense {} vs sparse {}", a, b);
         }
         prop_assert!(work.actual.macs <= work.dense_equivalent.macs);
     }
@@ -268,4 +279,395 @@ proptest! {
         let m = CsrMatrix::from_triplets(6, 5, &trip).expect("in bounds");
         prop_assert_eq!(m.transpose().transpose(), m);
     }
+}
+
+/// SplitMix64 over one drawn seed: fills a case's tensors.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `+0.0` or `-0.0` one time in eight each, otherwise uniform in
+    /// `[-2, 2)`.
+    fn value(&mut self) -> f32 {
+        let r = self.next();
+        match r % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => (r >> 40) as f32 / (1u64 << 24) as f32 * 4.0 - 2.0,
+        }
+    }
+
+    fn tensor(&mut self, shape: &[usize]) -> Tensor {
+        let data = (0..shape.iter().product()).map(|_| self.value()).collect();
+        Tensor::from_vec(shape, data).expect("shape matches")
+    }
+
+    /// No bias (`kind` 0), a drawn one (1), or a drawn one with a `-0.0`
+    /// element (2).
+    fn bias(&mut self, kind: u8, len: usize) -> Option<Vec<f32>> {
+        let mut bias: Vec<f32> = (0..len).map(|_| self.value()).collect();
+        match kind {
+            0 => None,
+            1 => Some(bias),
+            _ => {
+                let at = self.next() as usize % len;
+                bias[at] = -0.0;
+                Some(bias)
+            }
+        }
+    }
+}
+
+/// Whether two kernel results have the same shape, `OpCount` and output
+/// bits, or are both the same error.
+fn bit_identical(
+    got: &Result<(Tensor, OpCount), SparseError>,
+    want: &Result<(Tensor, OpCount), SparseError>,
+) -> Result<(), String> {
+    match (got, want) {
+        (Ok((g, g_ops)), Ok((w, w_ops))) => {
+            if g.shape() != w.shape() {
+                return Err(format!("shape {:?} vs {:?}", g.shape(), w.shape()));
+            }
+            if g_ops != w_ops {
+                return Err(format!("ops {g_ops:?} vs {w_ops:?}"));
+            }
+            match g
+                .as_slice()
+                .iter()
+                .zip(w.as_slice())
+                .position(|(a, b)| a.to_bits() != b.to_bits())
+            {
+                Some(i) => Err(format!(
+                    "element {i}: {} vs {}",
+                    g.as_slice()[i],
+                    w.as_slice()[i]
+                )),
+                None => Ok(()),
+            }
+        }
+        (Err(a), Err(b)) if a == b => Ok(()),
+        (g, w) => Err(format!(
+            "{:?} vs {:?}",
+            g.as_ref().map(|r| r.0.shape()),
+            w.as_ref().map(|r| r.0.shape())
+        )),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(768))]
+
+    #[test]
+    fn dense_conv_matches_its_oracle_bit_for_bit(
+        c_in in 1usize..=12,
+        c_out in 1usize..=20,
+        kernel in 1usize..=5,
+        stride in 1usize..=3,
+        padding in 0usize..=2,
+        h in 1usize..=12,
+        w in 1usize..=12,
+        bias_kind in 0u8..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut mix = Mix(seed);
+        let input = mix.tensor(&[c_in, h, w]);
+        let weight = mix.tensor(&[c_out, c_in, kernel, kernel]);
+        let bias = mix.bias(bias_kind, c_out);
+        let spec = Conv2dSpec { stride, padding };
+        let got = conv2d_dense(&input, &weight, bias.as_deref(), spec);
+        let want = oracle_conv2d_dense(&input, &weight, bias.as_deref(), spec);
+        let verdict = bit_identical(&got, &want);
+        prop_assert!(
+            verdict.is_ok(),
+            "{}→{} k{} s{} p{} {}×{} bias {}: {:?}",
+            c_in, c_out, kernel, stride, padding, h, w, bias_kind, verdict
+        );
+    }
+
+    #[test]
+    fn dense_conv_transpose_matches_its_oracle_bit_for_bit(
+        c_in in 1usize..=12,
+        c_out in 1usize..=20,
+        kernel in 1usize..=5,
+        stride in 1usize..=3,
+        padding in 0usize..=2,
+        h in 1usize..=12,
+        w in 1usize..=12,
+        bias_kind in 0u8..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut mix = Mix(seed);
+        let input = mix.tensor(&[c_in, h, w]);
+        let weight = mix.tensor(&[c_in, c_out, kernel, kernel]);
+        let bias = mix.bias(bias_kind, c_out);
+        let got = conv_transpose2d_dense(&input, &weight, bias.as_deref(), stride, padding);
+        let want = oracle_conv_transpose2d_dense(&input, &weight, bias.as_deref(), stride, padding);
+        let verdict = bit_identical(&got, &want);
+        prop_assert!(
+            verdict.is_ok(),
+            "{}→{} k{} s{} p{} {}×{} bias {}: {:?}",
+            c_in, c_out, kernel, stride, padding, h, w, bias_kind, verdict
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Dense-kernel oracles
+// ---------------------------------------------------------------------
+
+// The dense convolution and transposed convolution as they were before
+// their register-blocked rewrite, copied verbatim (only renamed). Each
+// output adds the same products in the same order in both versions, so
+// the rewrite must match these bit for bit.
+
+/// Validates conv operands, returning `(c_in, h, w, c_out, kh, kw, ho, wo)`.
+#[allow(clippy::type_complexity)]
+fn oracle_validate(
+    in_shape: [usize; 3],
+    weight: &Tensor,
+    bias: Option<&[f32]>,
+    spec: Conv2dSpec,
+) -> Result<(usize, usize, usize, usize, usize, usize, usize, usize), SparseError> {
+    if weight.rank() != 4 {
+        return Err(SparseError::RankMismatch {
+            expected: 4,
+            actual: weight.rank(),
+        });
+    }
+    let [c_in, h, w] = in_shape;
+    let (c_out, wc_in, kh, kw) = (
+        weight.shape()[0],
+        weight.shape()[1],
+        weight.shape()[2],
+        weight.shape()[3],
+    );
+    if wc_in != c_in {
+        return Err(SparseError::ShapeMismatch {
+            expected: c_in,
+            actual: wc_in,
+        });
+    }
+    if let Some(b) = bias {
+        if b.len() != c_out {
+            return Err(SparseError::ShapeMismatch {
+                expected: c_out,
+                actual: b.len(),
+            });
+        }
+    }
+    let ho = spec.out_dim(h, kh).ok_or(SparseError::KernelTooLarge {
+        kernel: kh,
+        input: h,
+        padding: spec.padding,
+    })?;
+    let wo = spec.out_dim(w, kw).ok_or(SparseError::KernelTooLarge {
+        kernel: kw,
+        input: w,
+        padding: spec.padding,
+    })?;
+    Ok((c_in, h, w, c_out, kh, kw, ho, wo))
+}
+
+/// The straightforward dense convolution: an axpy per (co, ci, ky, kx) tap.
+fn oracle_conv2d_dense(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&[f32]>,
+    spec: Conv2dSpec,
+) -> Result<(Tensor, OpCount), SparseError> {
+    if input.rank() != 3 {
+        return Err(SparseError::RankMismatch {
+            expected: 3,
+            actual: input.rank(),
+        });
+    }
+    let in_shape = [input.shape()[0], input.shape()[1], input.shape()[2]];
+    let (c_in, h, w, c_out, kh, kw, ho, wo) = oracle_validate(in_shape, weight, bias, spec)?;
+    let mut out = Tensor::zeros(&[c_out, ho, wo]);
+    let x = input.as_slice();
+    let wt = weight.as_slice();
+    {
+        // Axpy formulation: initialize every output channel with its bias,
+        // then for each (ci, ky, kx) tap sweep a whole output row with one
+        // scalar weight. The padding/stride legality tests are hoisted into
+        // per-tap `[lo, hi)` ranges, so the innermost loop is a flat slice
+        // zip with no bounds checks or index math — which autovectorizes.
+        // Each output element still receives its contributions in the
+        // original bias → ci → ky → kx order, so results are bitwise
+        // identical to the naive triple loop.
+        let o = out.as_mut_slice();
+        let stride = spec.stride;
+        let pad = spec.padding;
+        // Valid output range for a kernel offset: `k + out*stride - pad`
+        // must land in `[0, in_dim)`.
+        let valid_range = |k: usize, in_dim: usize, out_dim: usize| -> (usize, usize) {
+            let lo = pad.saturating_sub(k).div_ceil(stride);
+            let hi = if in_dim + pad > k {
+                ((in_dim + pad - k - 1) / stride + 1).min(out_dim)
+            } else {
+                0
+            };
+            (lo, hi)
+        };
+        for co in 0..c_out {
+            let ochan = &mut o[co * ho * wo..(co + 1) * ho * wo];
+            let b = bias.map(|b| b[co]).unwrap_or(0.0);
+            ochan.fill(b);
+            for ci in 0..c_in {
+                let xchan = &x[ci * h * w..(ci + 1) * h * w];
+                for ky in 0..kh {
+                    let (oy_lo, oy_hi) = valid_range(ky, h, ho);
+                    for kx in 0..kw {
+                        let (ox_lo, ox_hi) = valid_range(kx, w, wo);
+                        if oy_lo >= oy_hi || ox_lo >= ox_hi {
+                            continue;
+                        }
+                        let wv = wt[((co * c_in + ci) * kh + ky) * kw + kx];
+                        for oy in oy_lo..oy_hi {
+                            let iy = oy * stride + ky - pad;
+                            let ix0 = ox_lo * stride + kx - pad;
+                            let orow = &mut ochan[oy * wo + ox_lo..oy * wo + ox_hi];
+                            let xrow = &xchan[iy * w + ix0..];
+                            if stride == 1 {
+                                let xrow = &xrow[..orow.len()];
+                                for (ov, xv) in orow.iter_mut().zip(xrow) {
+                                    *ov += xv * wv;
+                                }
+                            } else {
+                                for (ov, xv) in orow.iter_mut().zip(xrow.iter().step_by(stride)) {
+                                    *ov += xv * wv;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let macs = dense_conv_macs(c_in, c_out, kh, kw, ho, wo);
+    let ops = OpCount {
+        macs,
+        adds: if bias.is_some() {
+            (c_out * ho * wo) as u64
+        } else {
+            0
+        },
+        bytes_read: (input.len() * 4 + weight.len() * 4) as u64,
+        bytes_written: (out.len() * 4) as u64,
+    };
+    Ok((out, ops))
+}
+
+/// The straightforward transposed convolution: a scalar scatter per input.
+fn oracle_conv_transpose2d_dense(
+    input: &Tensor,
+    weight: &Tensor, // [C_in, C_out, kH, kW]
+    bias: Option<&[f32]>,
+    stride: usize,
+    padding: usize,
+) -> Result<(Tensor, OpCount), SparseError> {
+    if input.rank() != 3 {
+        return Err(SparseError::RankMismatch {
+            expected: 3,
+            actual: input.rank(),
+        });
+    }
+    if weight.rank() != 4 {
+        return Err(SparseError::RankMismatch {
+            expected: 4,
+            actual: weight.rank(),
+        });
+    }
+    let (c_in, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
+    let (wc_in, c_out, kh, kw) = (
+        weight.shape()[0],
+        weight.shape()[1],
+        weight.shape()[2],
+        weight.shape()[3],
+    );
+    if wc_in != c_in {
+        return Err(SparseError::ShapeMismatch {
+            expected: c_in,
+            actual: wc_in,
+        });
+    }
+    if let Some(b) = bias {
+        if b.len() != c_out {
+            return Err(SparseError::ShapeMismatch {
+                expected: c_out,
+                actual: b.len(),
+            });
+        }
+    }
+    let ho_full = (h - 1) * stride + kh;
+    let wo_full = (w - 1) * stride + kw;
+    if ho_full < 2 * padding + 1 || wo_full < 2 * padding + 1 {
+        return Err(SparseError::KernelTooLarge {
+            kernel: kh,
+            input: h,
+            padding,
+        });
+    }
+    let ho = ho_full - 2 * padding;
+    let wo = wo_full - 2 * padding;
+    let mut out = Tensor::zeros(&[c_out, ho, wo]);
+    let x = input.as_slice();
+    let wt = weight.as_slice();
+    {
+        let o = out.as_mut_slice();
+        if let Some(b) = bias {
+            for co in 0..c_out {
+                for v in &mut o[co * ho * wo..(co + 1) * ho * wo] {
+                    *v = b[co];
+                }
+            }
+        }
+        for ci in 0..c_in {
+            for iy in 0..h {
+                for ix in 0..w {
+                    let xv = x[(ci * h + iy) * w + ix];
+                    if xv == 0.0 {
+                        continue;
+                    }
+                    for co in 0..c_out {
+                        for ky in 0..kh {
+                            let oy = iy * stride + ky;
+                            if oy < padding || oy - padding >= ho {
+                                continue;
+                            }
+                            let oy = oy - padding;
+                            for kx in 0..kw {
+                                let ox = ix * stride + kx;
+                                if ox < padding || ox - padding >= wo {
+                                    continue;
+                                }
+                                let ox = ox - padding;
+                                let wv = wt[((ci * c_out + co) * kh + ky) * kw + kx];
+                                o[(co * ho + oy) * wo + ox] += xv * wv;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let ops = OpCount {
+        macs: (c_in * h * w * c_out * kh * kw) as u64,
+        adds: if bias.is_some() {
+            (c_out * ho * wo) as u64
+        } else {
+            0
+        },
+        bytes_read: ((input.len() + weight.len()) * 4) as u64,
+        bytes_written: (out.len() * 4) as u64,
+    };
+    Ok((out, ops))
 }
