@@ -1,11 +1,51 @@
 //! Real forward execution of network graphs.
 //!
 //! The executor runs genuine arithmetic (via `ev-sparse` kernels) over a
-//! network graph: sparse convolutions over event/spike tensors, dense
-//! kernels for ANN layers, and stateful LIF dynamics for spiking layers.
-//! Weights are synthesized deterministically (the paper uses pretrained
-//! checkpoints we do not have; Ev-Edge itself only needs shapes, work, and
-//! activation sparsity, which real execution provides).
+//! network graph: convolutions over event/spike tensors, dense kernels for
+//! ANN layers, and stateful LIF dynamics for spiking layers. Weights are
+//! synthesized deterministically (the paper uses pretrained checkpoints we
+//! do not have; Ev-Edge itself only needs shapes, work, and activation
+//! sparsity, which real execution provides).
+//!
+//! # Which convolution runs
+//!
+//! The executor picks the kernel of every convolution over a
+//! [`SparseTensor`]: each `SpikingConv2d` (whose dense inputs are made
+//! sparse first), and each `Conv2d` or `Head` fed an
+//! [`Activation::Sparse`]. Below `DENSE_KERNEL_DENSITY` (0.1) nonzeros per
+//! `[C, H, W]` element it runs `conv2d_sparse`; at or above it,
+//! `conv2d_dense` on [`SparseTensor::to_dense`]. The test reads
+//! `nnz / (C·H·W)` in O(1). A dense input always runs `conv2d_dense`.
+//!
+//! The threshold sits between the densities at which the scatter stops
+//! beating the dense kernel on the layers the zoo networks run over sparse
+//! inputs at 64×64 (`cargo bench -p ev-bench --bench sparse_conv`, three
+//! runs on a 2-vCPU x86-64 host):
+//!
+//! | layer                                        | crossover |
+//! |----------------------------------------------|-----------|
+//! | 2→8, 3×3, stride 2 on 64×64 (encoder inputs) | ≈0.05     |
+//! | 2→20, 5×5 on 64×64 (DOTIE)                   | ≈0.08     |
+//! | 64→64, 3×3 on 4×4 (encoder residuals)        | ≈0.15     |
+//!
+//! On 64×64 frames of density 0.3, thresholds from 0.05 to 0.15 ran the
+//! four networks of evbench's `kernels_dense` within 1% of each other, and
+//! 0.2 about 2% slower.
+//!
+//! Either way the layer reports the scatter's work: the dense branch
+//! counts it with `sparse_conv_work`. So the op counts stay analytic and
+//! do not depend on which kernel ran, and neither do Fig. 1's effectual
+//! fractions.
+//!
+//! The choice never changes an output bit. Both kernels add each output's
+//! terms in (ci, iy, ix) order, and the dense one also adds the zero
+//! products the scatter skips. With a finite weight such a product is
+//! `±0.0`, which changes only a running sum of `-0.0`, and a sum that
+//! starts at `+0.0` or at a bias other than `-0.0` never is `-0.0`. That
+//! is the precondition: finite weights and no `-0.0` bias element.
+//! `make_weights` meets it, since it scales `2u - 1` (never `-0.0`) by a
+//! positive finite factor, and a test checks every zoo network at seeds
+//! 0–31.
 
 use crate::graph::NetworkGraph;
 use crate::layer::{LayerId, LayerKind, Shape};
@@ -16,11 +56,20 @@ use ev_sparse::csr::CsrMatrix;
 use ev_sparse::dense::Tensor;
 use ev_sparse::graph::{gather_mean, grid_adjacency};
 use ev_sparse::opcount::{OpCount, WorkComparison};
-use ev_sparse::ops::conv::{conv2d_dense, conv2d_sparse, conv_transpose2d_dense, Conv2dSpec};
+use ev_sparse::ops::conv::{
+    conv2d_dense, conv2d_sparse, conv_transpose2d_dense, sparse_conv_work, Conv2dSpec,
+};
 use ev_sparse::ops::linear::{linear, relu_in_place};
 use ev_sparse::ops::pool::{max_pool2d, Pool2dSpec};
+use ev_sparse::SparseError;
 use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
+
+/// Input density (nonzeros per `[C, H, W]` element) from which a
+/// convolution over a sparse input runs `conv2d_dense` instead of
+/// `conv2d_sparse`. The module docs give the measured crossovers it is
+/// taken from.
+const DENSE_KERNEL_DENSITY: f64 = 0.1;
 
 /// A value flowing along a graph edge.
 #[derive(Debug, Clone, PartialEq)]
@@ -330,24 +379,7 @@ impl Executor {
                     stride: c.stride,
                     padding: c.padding,
                 };
-                let lw = &self.weights[&id];
-                let (mut out, work) = match inputs[0] {
-                    Activation::Sparse(s) => {
-                        conv2d_sparse(s, &lw.weight, Some(&lw.bias), spec).map_err(wrap)?
-                    }
-                    other => {
-                        let dense = other.to_dense_chw()?;
-                        let (o, ops) =
-                            conv2d_dense(&dense, &lw.weight, Some(&lw.bias), spec).map_err(wrap)?;
-                        (
-                            o,
-                            WorkComparison {
-                                actual: ops,
-                                dense_equivalent: ops,
-                            },
-                        )
-                    }
-                };
+                let (mut out, work) = conv2d_biased(id, inputs[0], &self.weights[&id], spec)?;
                 let (relu_ops, _) = relu_in_place(&mut out);
                 let work = WorkComparison {
                     actual: work.actual + relu_ops,
@@ -369,7 +401,7 @@ impl Executor {
                     }
                 };
                 let (current, conv_work) =
-                    conv2d_sparse(&sparse_in, &lw.weight, None, spec).map_err(wrap)?;
+                    conv2d_events(&sparse_in, &lw.weight, None, spec).map_err(wrap)?;
                 let lif = self
                     .lif_states
                     .get_mut(&id)
@@ -516,28 +548,59 @@ impl Executor {
                     stride: 1,
                     padding: 0,
                 };
-                let lw = &self.weights[&id];
-                let (out, work) = match inputs[0] {
-                    Activation::Sparse(s) => {
-                        conv2d_sparse(s, &lw.weight, Some(&lw.bias), spec).map_err(wrap)?
-                    }
-                    other => {
-                        let dense = other.to_dense_chw()?;
-                        let (o, ops) =
-                            conv2d_dense(&dense, &lw.weight, Some(&lw.bias), spec).map_err(wrap)?;
-                        (
-                            o,
-                            WorkComparison {
-                                actual: ops,
-                                dense_equivalent: ops,
-                            },
-                        )
-                    }
-                };
+                let (out, work) = conv2d_biased(id, inputs[0], &self.weights[&id], spec)?;
                 Ok((Activation::Dense(out), work))
             }
         }
     }
+}
+
+/// A convolution with bias over a `[C, H, W]` activation: a sparse input on
+/// the kernel [`conv2d_events`] picks, a dense one on `conv2d_dense`.
+fn conv2d_biased(
+    id: LayerId,
+    input: &Activation,
+    lw: &LayerWeights,
+    spec: Conv2dSpec,
+) -> Result<(Tensor, WorkComparison), NnError> {
+    let wrap = |source| NnError::Kernel { layer: id, source };
+    match input {
+        Activation::Sparse(s) => conv2d_events(s, &lw.weight, Some(&lw.bias), spec).map_err(wrap),
+        other => {
+            let dense = other.to_dense_chw()?;
+            let (out, ops) =
+                conv2d_dense(&dense, &lw.weight, Some(&lw.bias), spec).map_err(wrap)?;
+            Ok((
+                out,
+                WorkComparison {
+                    actual: ops,
+                    dense_equivalent: ops,
+                },
+            ))
+        }
+    }
+}
+
+/// Whether a convolution over `input` runs `conv2d_dense`: whether its
+/// density is at least [`DENSE_KERNEL_DENSITY`].
+fn runs_dense(input: &SparseTensor) -> bool {
+    input.density() >= DENSE_KERNEL_DENSITY
+}
+
+/// A convolution over a sparse input, on the kernel [`runs_dense`] picks.
+/// Either way it returns the scatter's work, so the op counts do not
+/// depend on the choice.
+fn conv2d_events(
+    input: &SparseTensor,
+    weight: &Tensor,
+    bias: Option<&[f32]>,
+    spec: Conv2dSpec,
+) -> Result<(Tensor, WorkComparison), SparseError> {
+    if !runs_dense(input) {
+        return conv2d_sparse(input, weight, bias, spec);
+    }
+    let (out, _) = conv2d_dense(&input.to_dense(), weight, bias, spec)?;
+    Ok((out, sparse_conv_work(input, weight, spec)?))
 }
 
 /// Measures per-layer *input* activation densities by running real
@@ -606,6 +669,9 @@ fn concat_dense_channels<T: Borrow<Tensor>>(
     Tensor::from_vec(&[c_total, h, w], data)
 }
 
+/// Weights uniform in `±gain/√fan_in` and biases in a tenth of that range:
+/// finite, and no bias element is `-0.0`, as the kernel choice requires
+/// (see the module docs).
 fn make_weights(
     shape: &[usize],
     fan_in: usize,
@@ -629,6 +695,7 @@ mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
     use crate::layer::{Conv2dCfg, ConvT2dCfg, LifCfg};
+    use crate::zoo::{NetworkId, ZooConfig};
     use crate::Task;
     use ev_sparse::coo::SparseEntry;
 
@@ -775,6 +842,172 @@ mod tests {
         // No inputs → dense defaults.
         let empty = measured_input_densities(&mut exec, &[]).unwrap();
         assert_eq!(empty, vec![1.0; 4]);
+    }
+
+    /// A `[2, 32, 32]` frame with `density · 2048` entries at distinct
+    /// sites, valued 1 or 2 like E2SF event counts.
+    fn frame_at(density: f64) -> SparseTensor {
+        let total = 2 * 32 * 32;
+        let entries = (0..(density * total as f64).round() as usize)
+            .map(|k| {
+                // 1021 is odd, so k · 1021 mod 2048 visits distinct sites.
+                let site = k * 1021 % total;
+                let (c, rest) = (site / 1024, site % 1024);
+                SparseEntry::new(
+                    c as u32,
+                    (rest / 32) as u32,
+                    (rest % 32) as u32,
+                    1.0 + (k % 2) as f32,
+                )
+            })
+            .collect();
+        SparseTensor::from_entries(2, 32, 32, entries).unwrap()
+    }
+
+    fn one_layer(kind: LayerKind) -> NetworkGraph {
+        let mut b = GraphBuilder::new(
+            "one-layer",
+            Task::OpticalFlow,
+            Shape::Chw { c: 2, h: 32, w: 32 },
+        );
+        b.layer("l", kind, &[]).unwrap();
+        b.finish().unwrap()
+    }
+
+    /// Every output bit of a pass, in order.
+    fn output_bits(result: &ForwardResult) -> Vec<u32> {
+        result
+            .outputs
+            .iter()
+            .flat_map(|(_, a)| a.to_flat())
+            .map(f32::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn the_dense_kernel_starts_at_the_threshold() {
+        // Over 1000 elements, `at` entries make a density equal to the
+        // threshold itself (checked), and one entry fewer falls below it.
+        let at = (DENSE_KERNEL_DENSITY * 1000.0).round() as usize;
+        assert_eq!(at as f64 / 1000.0, DENSE_KERNEL_DENSITY);
+        let with = |n: usize| {
+            let entries = (0..n)
+                .map(|k| {
+                    SparseEntry::new((k / 100) as u32, (k / 10 % 10) as u32, (k % 10) as u32, 1.0)
+                })
+                .collect();
+            SparseTensor::from_entries(10, 10, 10, entries).unwrap()
+        };
+        assert!(!runs_dense(&with(at - 1)));
+        assert!(runs_dense(&with(at)));
+    }
+
+    #[test]
+    fn a_sparse_input_conv_matches_the_scatter_on_either_side_of_the_threshold() {
+        let cfg = Conv2dCfg::down(2, 8, 3);
+        let spec = Conv2dSpec {
+            stride: cfg.stride,
+            padding: cfg.padding,
+        };
+        for density in [0.01, 0.3] {
+            let frame = frame_at(density);
+            assert_eq!(runs_dense(&frame), density >= DENSE_KERNEL_DENSITY);
+            let mut exec = Executor::new(one_layer(LayerKind::Conv2d(cfg)), 3);
+            let got = exec.run(&Activation::Sparse(frame.clone())).unwrap();
+            let lw = &exec.weights[&LayerId(0)];
+            let (mut out, work) = conv2d_sparse(&frame, &lw.weight, Some(&lw.bias), spec).unwrap();
+            let (relu_ops, _) = relu_in_place(&mut out);
+            let want = ForwardResult {
+                traces: vec![LayerTrace {
+                    layer: LayerId(0),
+                    work: WorkComparison {
+                        actual: work.actual + relu_ops,
+                        dense_equivalent: work.dense_equivalent + relu_ops,
+                    },
+                    output_density: out.density(),
+                }],
+                outputs: vec![(LayerId(0), Activation::Dense(out))],
+            };
+            assert_eq!(got, want, "density {density}");
+            assert_eq!(output_bits(&got), output_bits(&want), "density {density}");
+        }
+    }
+
+    #[test]
+    fn a_spiking_conv_matches_the_scatter_on_either_side_of_the_threshold() {
+        // DOTIE's layer at the small zoo width.
+        let conv = Conv2dCfg::same(2, 20, 5);
+        let lif = LifCfg {
+            leak: 0.9,
+            threshold: 0.5,
+            reset_to_zero: false,
+        };
+        let spec = Conv2dSpec {
+            stride: conv.stride,
+            padding: conv.padding,
+        };
+        for density in [0.01, 0.3] {
+            let frame = frame_at(density);
+            assert_eq!(runs_dense(&frame), density >= DENSE_KERNEL_DENSITY);
+            let mut exec = Executor::new(one_layer(LayerKind::SpikingConv2d { conv, lif }), 3);
+            let mut membrane = LifState::new(20, 32, 32, lif);
+            // Two steps, so the second starts from a charged membrane.
+            for step in 0..2 {
+                let got = exec.run(&Activation::Sparse(frame.clone())).unwrap();
+                let lw = &exec.weights[&LayerId(0)];
+                let (current, work) = conv2d_sparse(&frame, &lw.weight, None, spec).unwrap();
+                let (spikes, lif_ops) = membrane.step(&current).unwrap();
+                let want = ForwardResult {
+                    traces: vec![LayerTrace {
+                        layer: LayerId(0),
+                        work: WorkComparison {
+                            actual: work.actual + lif_ops,
+                            dense_equivalent: work.dense_equivalent + lif_ops,
+                        },
+                        output_density: spikes.density(),
+                    }],
+                    outputs: vec![(LayerId(0), Activation::Sparse(spikes))],
+                };
+                assert_eq!(exec.lif_states[&LayerId(0)], membrane);
+                assert_eq!(got, want, "density {density}, step {step}");
+                assert_eq!(
+                    output_bits(&got),
+                    output_bits(&want),
+                    "density {density}, step {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn synthesized_weights_are_finite_and_no_bias_is_negative_zero() {
+        // The precondition under which the two convolutions agree bit for
+        // bit, so the density choice cannot change an output.
+        let networks = NetworkId::TABLE1.into_iter().chain([
+            NetworkId::EvFlowNet,
+            NetworkId::GraphNet,
+            NetworkId::CornerNet,
+        ]);
+        for network in networks {
+            for cfg in [ZooConfig::tiny(), ZooConfig::small()] {
+                let graph = network.build(&cfg).unwrap();
+                for seed in 0..32 {
+                    let exec = Executor::new(graph.clone(), seed);
+                    for (id, lw) in &exec.weights {
+                        assert!(
+                            lw.weight.as_slice().iter().all(|w| w.is_finite()),
+                            "{network:?} layer {id} seed {seed}"
+                        );
+                        assert!(
+                            lw.bias
+                                .iter()
+                                .all(|b| b.is_finite() && b.to_bits() != (-0.0f32).to_bits()),
+                            "{network:?} layer {id} seed {seed}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -302,7 +302,7 @@ impl SparseTensor {
     }
 
     /// The sorted, deduplicated list of active spatial sites `(row, col)`
-    /// (union over channels) — the "submanifold" site set.
+    /// (union over channels).
     pub fn active_sites(&self) -> Vec<(u32, u32)> {
         let mut sites: Vec<(u32, u32)> = self.entries.iter().map(|e| (e.row, e.col)).collect();
         sites.sort_unstable();

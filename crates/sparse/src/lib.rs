@@ -1,10 +1,15 @@
 //! # ev-sparse — sparse/dense tensor substrate for the Ev-Edge reproduction
 //!
-//! The "sparse library" substrate the paper relies on (its reference `[6]`,
-//! submanifold sparse convolutions): COO sparse tensors ([`coo`]), CSR
-//! matrices ([`csr`]), dense tensors ([`dense`]), real compute kernels with
-//! exact operation accounting ([`ops`], [`opcount`]), and measured
-//! dense↔sparse conversion costs ([`encode`]).
+//! The "sparse library" substrate the paper relies on (its reference `[6]`):
+//! COO sparse tensors ([`coo`]), CSR matrices ([`csr`]), dense tensors
+//! ([`dense`]), real compute kernels with exact operation accounting
+//! ([`ops`], [`opcount`]), and measured dense↔sparse conversion costs
+//! ([`encode`]).
+//!
+//! There are two convolutions: the register-tiled dense one and the
+//! sparse scatter over COO nonzeros ([`ops::conv`]). They agree bit for
+//! bit on the same input when the weights are finite and no bias element
+//! is `-0.0`, so the caller chooses between them by density.
 //!
 //! Every kernel returns the work it actually performed; sparse kernels also
 //! return the dense-equivalent work, which is the quantity behind the
@@ -100,13 +105,6 @@ pub enum SparseError {
         /// Padding.
         padding: usize,
     },
-    /// Submanifold convolution requires odd kernel sizes.
-    EvenSubmanifoldKernel {
-        /// Kernel height.
-        kh: usize,
-        /// Kernel width.
-        kw: usize,
-    },
     /// An operation over a collection received no elements.
     EmptyInput,
     /// Entries handed to a canonical-order constructor were not strictly
@@ -140,12 +138,6 @@ impl fmt::Display for SparseError {
                 f,
                 "kernel {kernel} does not fit input {input} with padding {padding}"
             ),
-            SparseError::EvenSubmanifoldKernel { kh, kw } => {
-                write!(
-                    f,
-                    "submanifold convolution requires odd kernels, got {kh}x{kw}"
-                )
-            }
             SparseError::EmptyInput => f.write_str("operation requires at least one input"),
             SparseError::EntriesNotCanonical { index } => {
                 write!(

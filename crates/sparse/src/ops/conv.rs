@@ -1,25 +1,24 @@
-//! 2-D convolution kernels: dense, sparse-scatter, and submanifold.
+//! 2-D convolution kernels: dense and sparse-scatter.
 //!
-//! Three implementations of the same layer:
+//! Two implementations of the same layer:
 //!
 //! * [`conv2d_dense`] — the baseline: work is independent of input content.
-//! * [`conv2d_sparse`] — gather/scatter over COO nonzeros: work proportional
-//!   to the number of events (the benefit E2SF unlocks, paper §4.1).
-//! * [`conv2d_submanifold`] — outputs only at active input sites (Graham et
-//!   al., the sparse library `[6]` the paper cites), preserving sparsity
-//!   through stacked layers.
+//! * [`conv2d_sparse`] — scatters each COO nonzero into the output: work
+//!   proportional to the number of events (the benefit E2SF unlocks, paper
+//!   §4.1). [`sparse_conv_work`] counts that work without running it.
 //!
 //! Plus [`conv_transpose2d_dense`], the decoders' upsampling layer.
 //!
 //! # Summation order
 //!
-//! Each output of the dense kernels is its bias (or `+0.0`) plus its
+//! Each output of every kernel here is its bias (or `+0.0`) plus its
 //! products, added one at a time in a fixed order. For [`conv2d_dense`]
-//! the order is (ci, ky, kx) over the taps that padding does not clip. For
-//! [`conv_transpose2d_dense`] it is (ci, iy, ix) over the nonzero inputs.
-//! Rust never fuses `a * b + c` into one rounding, so that order alone
-//! fixes every output bit. The loop nests around the sums are free to
-//! change, and the ones here are tuned:
+//! the order is (ci, ky, kx) over the taps that padding does not clip,
+//! which is (ci, iy, ix) order over the inputs. [`conv2d_sparse`] and
+//! [`conv_transpose2d_dense`] add in (ci, iy, ix) order over the nonzero
+//! inputs. Rust never fuses `a * b + c` into one rounding, so that order
+//! alone fixes every output bit. The loop nests around the sums are free
+//! to change, and the dense ones here are tuned:
 //!
 //! * [`conv2d_dense`] splits the output plane into cells of pixels that
 //!   share one set of in-bounds taps: the interior, and each band of
@@ -39,12 +38,19 @@
 //! `crates/sparse/tests/properties.rs` keeps the plain loop nests these
 //! kernels replaced as oracles, and checks every output bit against them
 //! on random shapes, strides, paddings and signed zeros.
+//!
+//! The two convolutions differ only in the zero products the scatter
+//! skips. With finite weights such a product is `±0.0`, and adding it
+//! changes only a running sum of `-0.0`. A sum that starts at `+0.0` or
+//! at a bias other than `-0.0` is never `-0.0`, so under those two
+//! conditions [`conv2d_sparse`] and [`conv2d_dense`] on
+//! [`SparseTensor::to_dense`] agree bit for bit, and a caller may pick
+//! either by input density alone.
 
-use crate::coo::{SparseEntry, SparseTensor};
+use crate::coo::SparseTensor;
 use crate::dense::Tensor;
 use crate::opcount::{OpCount, WorkComparison};
 use crate::SparseError;
-use std::collections::HashMap;
 
 /// Stride and zero-padding of a convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -449,7 +455,9 @@ impl<const CB: usize> Tiles<'_, CB> {
 
 /// Event-sparse convolution: scatters each COO nonzero into the dense
 /// output. Work is proportional to `nnz × C_out × kH × kW` instead of the
-/// dense `C_in × H × W × C_out × kH × kW`.
+/// dense `C_in × H × W × C_out × kH × kW`. Each output is its bias plus one
+/// product per nonzero input that reaches it, added in (ci, iy, ix) order
+/// (see the module docs).
 ///
 /// # Errors
 ///
@@ -548,114 +556,74 @@ pub fn conv2d_sparse(
             }
         }
     }
-    let actual = OpCount {
-        macs,
-        adds: 0,
-        bytes_read: input.storage_bytes() + (weight.len() * 4) as u64,
-        bytes_written: (out.len() * 4) as u64,
-    };
-    let dense_equivalent = OpCount {
-        macs: dense_conv_macs(c_in, c_out, kh, kw, ho, wo),
-        adds: 0,
-        bytes_read: ((c_in * input.height() * input.width() + weight.len()) * 4) as u64,
-        bytes_written: (out.len() * 4) as u64,
-    };
-    Ok((
-        out,
-        WorkComparison {
-            actual,
-            dense_equivalent,
-        },
-    ))
+    Ok((out, scatter_work(input, weight, macs, ho, wo)))
 }
 
-/// Submanifold sparse convolution: a stride-1 "same" convolution whose
-/// outputs exist only at the input's active spatial sites, so sparsity is
-/// preserved through stacked layers.
+/// The [`WorkComparison`] that [`conv2d_sparse`] returns for these
+/// operands, counted without running the scatter: each nonzero makes one
+/// product per output channel for each of its in-range taps. Takes
+/// `O(nnz + H + W)` time, so a caller that runs [`conv2d_dense`] instead
+/// can still report the scatter's work.
 ///
 /// # Errors
 ///
-/// Returns a [`SparseError`] on rank/shape mismatches; the kernel must be
-/// odd-sized (required for a centred "same" convolution), otherwise
-/// [`SparseError::EvenSubmanifoldKernel`] is returned.
-pub fn conv2d_submanifold(
+/// Returns a [`SparseError`] on rank/shape mismatches or when the kernel
+/// does not fit the padded input.
+pub fn sparse_conv_work(
     input: &SparseTensor,
     weight: &Tensor,
-    bias: Option<&[f32]>,
-) -> Result<(SparseTensor, WorkComparison), SparseError> {
-    if weight.rank() != 4 {
-        return Err(SparseError::RankMismatch {
-            expected: 4,
-            actual: weight.rank(),
-        });
-    }
-    let kh = weight.shape()[2];
-    let kw = weight.shape()[3];
-    if kh.is_multiple_of(2) || kw.is_multiple_of(2) {
-        return Err(SparseError::EvenSubmanifoldKernel { kh, kw });
-    }
-    let spec = Conv2dSpec {
-        stride: 1,
-        padding: kh / 2,
-    };
-    let (c_in, h, w, c_out, kh, kw, _ho, _wo) = validate(input.shape(), weight, bias, spec)?;
+    spec: Conv2dSpec,
+) -> Result<WorkComparison, SparseError> {
+    let (_, h, w, c_out, kh, kw, ho, wo) = validate(input.shape(), weight, None, spec)?;
+    let rows = reach(h, kh, ho, spec);
+    let cols = reach(w, kw, wo, spec);
+    let taps: usize = input
+        .iter()
+        .map(|e| rows[e.row as usize] * cols[e.col as usize])
+        .sum();
+    Ok(scatter_work(input, weight, (taps * c_out) as u64, ho, wo))
+}
 
-    // Index nonzeros per (ci, y, x) for O(1) gathers.
-    let mut lookup: HashMap<(u32, u32, u32), f32> = HashMap::with_capacity(input.nnz());
-    for e in input.iter() {
-        lookup.insert((e.channel, e.row, e.col), e.value);
-    }
-    let sites = input.active_sites();
-    let wt = weight.as_slice();
-    let mut entries = Vec::with_capacity(sites.len() * c_out);
-    let mut macs = 0u64;
-    for &(sy, sx) in &sites {
-        for co in 0..c_out {
-            let mut acc = bias.map(|b| b[co]).unwrap_or(0.0);
-            for ci in 0..c_in {
-                for ky in 0..kh {
-                    let iy = sy as i64 + ky as i64 - (kh / 2) as i64;
-                    if iy < 0 || iy >= h as i64 {
-                        continue;
-                    }
-                    for kx in 0..kw {
-                        let ix = sx as i64 + kx as i64 - (kw / 2) as i64;
-                        if ix < 0 || ix >= w as i64 {
-                            continue;
-                        }
-                        if let Some(v) = lookup.get(&(ci as u32, iy as u32, ix as u32)) {
-                            let wv = wt[((co * c_in + ci) * kh + ky) * kw + kx];
-                            acc += v * wv;
-                            macs += 1;
-                        }
-                    }
-                }
-            }
-            if acc != 0.0 {
-                entries.push(SparseEntry::new(co as u32, sy, sx, acc));
-            }
-        }
-    }
-    let out = SparseTensor::from_entries(c_out, h, w, entries)?;
-    let actual = OpCount {
-        macs,
-        adds: 0,
-        bytes_read: input.storage_bytes() + (weight.len() * 4) as u64,
-        bytes_written: out.storage_bytes(),
-    };
-    let dense_equivalent = OpCount {
-        macs: dense_conv_macs(c_in, c_out, kh, kw, h, w),
-        adds: 0,
-        bytes_read: ((c_in * h * w + weight.len()) * 4) as u64,
-        bytes_written: (c_out * h * w * 4) as u64,
-    };
-    Ok((
-        out,
-        WorkComparison {
-            actual,
-            dense_equivalent,
+/// For each input coordinate along one axis, the number of kernel offsets
+/// that carry it to an output coordinate in `0..out_dim`: the outputs `o`
+/// with `0 <= i + padding - o·stride < k`.
+fn reach(in_dim: usize, k: usize, out_dim: usize, spec: Conv2dSpec) -> Vec<usize> {
+    (0..in_dim)
+        .map(|i| {
+            let p = i + spec.padding;
+            let first = (p + 1).saturating_sub(k).div_ceil(spec.stride);
+            let last = (p / spec.stride).min(out_dim - 1);
+            (last + 1).saturating_sub(first)
+        })
+        .collect()
+}
+
+/// The work of scattering `input` in `macs` products into a `ho × wo`
+/// output, beside that of the dense kernel on the same operands.
+fn scatter_work(
+    input: &SparseTensor,
+    weight: &Tensor,
+    macs: u64,
+    ho: usize,
+    wo: usize,
+) -> WorkComparison {
+    let [c_in, h, w] = input.shape();
+    let (c_out, kh, kw) = (weight.shape()[0], weight.shape()[2], weight.shape()[3]);
+    let bytes_written = (c_out * ho * wo * 4) as u64;
+    WorkComparison {
+        actual: OpCount {
+            macs,
+            adds: 0,
+            bytes_read: input.storage_bytes() + (weight.len() * 4) as u64,
+            bytes_written,
         },
-    ))
+        dense_equivalent: OpCount {
+            macs: dense_conv_macs(c_in, c_out, kh, kw, ho, wo),
+            adds: 0,
+            bytes_read: ((c_in * h * w + weight.len()) * 4) as u64,
+            bytes_written,
+        },
+    }
 }
 
 /// Transposed ("deconvolution") 2-D convolution over a `[C, H, W]` input.
@@ -785,15 +753,7 @@ pub fn conv_transpose2d_dense(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn weight_identity3(c: usize) -> Tensor {
-        // 3x3 kernels that pass each channel through unchanged (centre = 1).
-        let mut w = Tensor::zeros(&[c, c, 3, 3]);
-        for ch in 0..c {
-            w.set(&[ch, ch, 1, 1], 1.0);
-        }
-        w
-    }
+    use crate::coo::SparseEntry;
 
     #[test]
     fn out_dim_math() {
@@ -892,58 +852,6 @@ mod tests {
         let (_, w2) = conv2d_sparse(&many, &weight, None, Conv2dSpec::same(3)).unwrap();
         assert!(w2.actual.macs > 10 * w1.actual.macs);
         assert_eq!(w1.dense_equivalent.macs, w2.dense_equivalent.macs);
-    }
-
-    #[test]
-    fn submanifold_preserves_active_sites() {
-        let input = SparseTensor::from_entries(
-            1,
-            8,
-            8,
-            vec![
-                SparseEntry::new(0, 2, 2, 1.0),
-                SparseEntry::new(0, 2, 3, -1.0),
-                SparseEntry::new(0, 6, 6, 2.0),
-            ],
-        )
-        .unwrap();
-        let weight = weight_identity3(1);
-        let (out, work) = conv2d_submanifold(&input, &weight, None).unwrap();
-        // Identity kernel: output equals input at the same sites.
-        assert_eq!(out.active_sites(), input.active_sites());
-        assert_eq!(out.get(0, 2, 2), 1.0);
-        assert_eq!(out.get(0, 6, 6), 2.0);
-        assert!(work.actual.macs < work.dense_equivalent.macs);
-    }
-
-    #[test]
-    fn submanifold_matches_dense_at_active_sites() {
-        let mut dense_in = Tensor::zeros(&[2, 6, 6]);
-        dense_in.set(&[0, 1, 1], 1.0);
-        dense_in.set(&[1, 1, 2], 2.0);
-        dense_in.set(&[0, 4, 4], -1.0);
-        let sparse_in = SparseTensor::from_dense(&dense_in, 0.0).unwrap();
-        let mut weight = Tensor::zeros(&[3, 2, 3, 3]);
-        weight.fill_pseudorandom(11, 1.0);
-        let (dense_out, _) = conv2d_dense(&dense_in, &weight, None, Conv2dSpec::same(3)).unwrap();
-        let (sub_out, _) = conv2d_submanifold(&sparse_in, &weight, None).unwrap();
-        for &(y, x) in &sparse_in.active_sites() {
-            for co in 0..3u32 {
-                let d = dense_out.get(&[co as usize, y as usize, x as usize]);
-                let s = sub_out.get(co, y, x);
-                assert!((d - s).abs() < 1e-4, "site ({y},{x}) ch {co}: {d} vs {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn submanifold_rejects_even_kernel() {
-        let input = SparseTensor::empty(1, 4, 4);
-        let weight = Tensor::zeros(&[1, 1, 2, 2]);
-        assert!(matches!(
-            conv2d_submanifold(&input, &weight, None),
-            Err(SparseError::EvenSubmanifoldKernel { .. })
-        ));
     }
 
     #[test]

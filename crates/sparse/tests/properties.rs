@@ -9,7 +9,8 @@ use ev_sparse::graph::{
 };
 use ev_sparse::opcount::OpCount;
 use ev_sparse::ops::conv::{
-    conv2d_dense, conv2d_sparse, conv_transpose2d_dense, dense_conv_macs, Conv2dSpec,
+    conv2d_dense, conv2d_sparse, conv_transpose2d_dense, dense_conv_macs, sparse_conv_work,
+    Conv2dSpec,
 };
 use ev_sparse::SparseError;
 use proptest::prelude::*;
@@ -98,31 +99,6 @@ proptest! {
         let cat = SparseTensor::concat_channels(&[a.clone(), b.clone()]).expect("same shape");
         prop_assert_eq!(cat.nnz(), a.nnz() + b.nnz());
         prop_assert_eq!(cat.channels(), 2 * C);
-    }
-
-    #[test]
-    fn sparse_conv_equals_dense_conv(
-        t in arb_sparse(25),
-        seed in 0u64..1000,
-        stride in 1usize..=2,
-    ) {
-        // Both kernels add each output's terms in (ci, iy, ix) order. The
-        // dense one also adds the zero products the sparse one skips, and
-        // those can only change a sum that is -0.0, which no sum can be
-        // when no bias element is -0.0. So the outputs agree bit for bit.
-        let mut weight = Tensor::zeros(&[3, C, 3, 3]);
-        weight.fill_pseudorandom(seed, 1.0);
-        let bias: Vec<f32> = (0..3).map(|k| (seed + k) as f32 * 0.01 - 5.0).collect();
-        prop_assert!(bias.iter().all(|b| b.to_bits() != (-0.0f32).to_bits()));
-        let spec = Conv2dSpec { stride, padding: 1 };
-        let (dense_out, _) =
-            conv2d_dense(&t.to_dense(), &weight, Some(&bias), spec).expect("valid");
-        let (sparse_out, work) = conv2d_sparse(&t, &weight, Some(&bias), spec).expect("valid");
-        prop_assert_eq!(dense_out.shape(), sparse_out.shape());
-        for (a, b) in dense_out.as_slice().iter().zip(sparse_out.as_slice()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "dense {} vs sparse {}", a, b);
-        }
-        prop_assert!(work.actual.macs <= work.dense_equivalent.macs);
     }
 
     #[test]
@@ -309,6 +285,25 @@ impl Mix {
         Tensor::from_vec(shape, data).expect("shape matches")
     }
 
+    /// A sparse `[C, H, W]` tensor whose sites each hold a nonzero with
+    /// probability `eighths / 8`: empty at 0, full at 8.
+    fn sparse(&mut self, shape: &[usize], eighths: u64) -> SparseTensor {
+        let data = (0..shape.iter().product())
+            .map(|_| {
+                let (keep, v) = (self.next() % 8 < eighths, self.value());
+                if !keep {
+                    0.0
+                } else if v == 0.0 {
+                    1.0
+                } else {
+                    v
+                }
+            })
+            .collect();
+        let dense = Tensor::from_vec(shape, data).expect("shape matches");
+        SparseTensor::from_dense(&dense, 0.0).expect("rank 3")
+    }
+
     /// No bias (`kind` 0), a drawn one (1), or a drawn one with a `-0.0`
     /// element (2).
     fn bias(&mut self, kind: u8, len: usize) -> Option<Vec<f32>> {
@@ -390,6 +385,66 @@ proptest! {
             "{}→{} k{} s{} p{} {}×{} bias {}: {:?}",
             c_in, c_out, kernel, stride, padding, h, w, bias_kind, verdict
         );
+    }
+
+    #[test]
+    fn sparse_conv_equals_dense_conv(
+        c_in in 1usize..=8,
+        c_out in 1usize..=20,
+        kernel in 1usize..=5,
+        stride in 1usize..=3,
+        padding in 0usize..=2,
+        h in 1usize..=12,
+        w in 1usize..=12,
+        eighths in 0u64..=8,
+        with_bias in any::<bool>(),
+        seed in 0u64..u64::MAX,
+    ) {
+        // Both kernels add each output's terms in (ci, iy, ix) order. The
+        // dense one also adds the zero products the sparse one skips, and
+        // with finite weights those can only change a sum that is -0.0,
+        // which no sum can be when no bias element is -0.0. So the outputs
+        // agree bit for bit, and `sparse_conv_work` counts the scatter's
+        // work without running it.
+        let mut mix = Mix(seed);
+        let input = mix.sparse(&[c_in, h, w], eighths);
+        let weight = mix.tensor(&[c_out, c_in, kernel, kernel]);
+        // Drawn signed zeros become +0.0.
+        let bias: Option<Vec<f32>> = with_bias
+            .then(|| (0..c_out).map(|_| mix.value() + 0.0).collect());
+        let spec = Conv2dSpec { stride, padding };
+        let dense = conv2d_dense(&input.to_dense(), &weight, bias.as_deref(), spec);
+        let sparse = conv2d_sparse(&input, &weight, bias.as_deref(), spec);
+        let work = sparse_conv_work(&input, &weight, spec);
+        let case = format!(
+            "{c_in}→{c_out} k{kernel} s{stride} p{padding} {h}×{w} nnz {} bias {with_bias}",
+            input.nnz()
+        );
+        match (dense, sparse, work) {
+            (Ok((d, _)), Ok((s, s_work)), Ok(work)) => {
+                prop_assert_eq!(d.shape(), s.shape(), "{}", case);
+                let differs = d
+                    .as_slice()
+                    .iter()
+                    .zip(s.as_slice())
+                    .position(|(a, b)| a.to_bits() != b.to_bits());
+                prop_assert!(differs.is_none(), "{}: element {:?}", case, differs);
+                prop_assert_eq!(work, s_work, "{}", case);
+                prop_assert!(work.actual.macs <= work.dense_equivalent.macs, "{}", case);
+            }
+            (Err(a), Err(b), Err(c)) => {
+                prop_assert_eq!(a, b, "{}", case);
+                prop_assert_eq!(b, c, "{}", case);
+            }
+            (d, s, work) => prop_assert!(
+                false,
+                "{}: dense {:?}, sparse {:?}, work {:?}",
+                case,
+                d.map(|r| r.1),
+                s.map(|r| r.1),
+                work
+            ),
+        }
     }
 
     #[test]
