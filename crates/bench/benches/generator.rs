@@ -1,24 +1,14 @@
-//! DVS camera model and statistical generator throughput.
+//! Statistical event-stream generator throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ev_core::camera::{DvsCamera, DvsConfig};
 use ev_core::event::SensorGeometry;
 use ev_core::generator::{RateProfile, SpatialModel, StatisticalGenerator};
-use ev_core::scene::TranslatingTexture;
 use ev_core::{TimeWindow, Timestamp};
 
-fn bench_camera(c: &mut Criterion) {
+fn bench_generator(c: &mut Criterion) {
     let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(20));
     let mut group = c.benchmark_group("event_sources");
     group.sample_size(10);
-
-    group.bench_function("dvs_camera_96x72_20ms", |b| {
-        let scene = TranslatingTexture::new(200.0, 40.0);
-        b.iter(|| {
-            let mut cam = DvsCamera::new(SensorGeometry::new(96, 72), DvsConfig::default());
-            cam.simulate(&scene, window).expect("simulation succeeds")
-        });
-    });
 
     for &rate in &[100_000.0f64, 1_000_000.0] {
         group.bench_with_input(
@@ -43,5 +33,5 @@ fn bench_camera(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_camera);
+criterion_group!(benches, bench_generator);
 criterion_main!(benches);

@@ -285,6 +285,7 @@ pub fn run_spec(spec: &ScenarioSpec, options: &RunnerOptions) -> Result<SpecOutc
         if output.status.success() {
             failures.push("expected a nonzero exit, but the scenario succeeded".to_string());
         }
+        failures.extend(signal_failure(output.status.code(), &stderr));
         failures.extend(panic_failure(&stderr));
     } else if !output.status.success() {
         failures.push(format!(
@@ -359,6 +360,18 @@ fn panic_failure(stderr: &str) -> Option<String> {
     stderr.contains("panicked").then(|| {
         format!(
             "expected an error message, but the scenario panicked; stderr: {}",
+            stderr.trim()
+        )
+    })
+}
+
+/// A `must_fail` scenario has to exit with an error of its own. A process
+/// that a signal killed has no exit code: an allocation failure aborts
+/// that way, with no `panicked` line for [`panic_failure`] to catch.
+fn signal_failure(code: Option<i32>, stderr: &str) -> Option<String> {
+    code.is_none().then(|| {
+        format!(
+            "expected an error message, but a signal killed the scenario; stderr: {}",
             stderr.trim()
         )
     })
@@ -564,6 +577,22 @@ mod tests {
         assert!(failure.contains("scenario panicked"), "{failure}");
         assert!(failure.contains("attempt to multiply with overflow"));
         assert_eq!(panic_failure("Error: unknown argument `--mode`\n"), None);
+    }
+
+    #[test]
+    fn must_fail_scenarios_may_not_be_killed() {
+        let abort = "memory allocation of 32000000000000 bytes failed\n";
+        let failure = signal_failure(None, abort).expect("a signal kill is a failure");
+        assert!(failure.contains("signal killed"), "{failure}");
+        assert!(failure.contains("memory allocation"));
+        assert_eq!(panic_failure(abort), None, "an abort prints no `panicked`");
+        assert_eq!(signal_failure(Some(1), "Error: bad spec\n"), None);
+        #[cfg(unix)]
+        {
+            use std::os::unix::process::ExitStatusExt;
+            // What a child killed by SIGABRT reports: no exit code.
+            assert_eq!(std::process::ExitStatus::from_raw(6).code(), None);
+        }
     }
 
     #[test]

@@ -86,7 +86,8 @@ pub struct ScenarioSpec {
     pub artifact: bool,
     /// Expect a *nonzero* exit (negative scenarios: a bad flag must
     /// fail loudly rather than run the default), with an error message:
-    /// a stderr containing `panicked` fails the spec.
+    /// a stderr containing `panicked`, or a kill by a signal (an abort),
+    /// fails the spec.
     pub must_fail: bool,
     /// Expectations checked in every mode.
     pub assertions: Vec<Assertion>,

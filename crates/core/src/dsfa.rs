@@ -206,17 +206,6 @@ impl MergedBatch {
             .sum::<f64>()
             / self.frames.len() as f64
     }
-
-    /// Concatenates the merged frames along channels into one batched
-    /// sparse tensor (the representation handed to the network).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape mismatches (frames from mixed sensors).
-    pub fn concat_tensor(&self) -> Result<SparseTensor, EvEdgeError> {
-        let tensors: Vec<&SparseTensor> = self.frames.iter().map(|f| f.frame.tensor()).collect();
-        Ok(SparseTensor::concat_channels_ref(&tensors)?)
-    }
 }
 
 /// Running DSFA statistics.
@@ -591,17 +580,6 @@ mod tests {
         assert_eq!(dsfa.stats().md_th_closures, 1);
         let batch = dsfa.flush(Timestamp::from_millis(10)).unwrap();
         assert_eq!(batch.batch_size(), 2);
-    }
-
-    #[test]
-    fn concat_tensor_stacks_channels() {
-        let mut dsfa = Dsfa::new(config(CMode::CBatch)).unwrap();
-        dsfa.push(uniform_frame(0, 4)).unwrap();
-        dsfa.push(uniform_frame(5, 4)).unwrap();
-        let batch = dsfa.flush(Timestamp::from_millis(10)).unwrap();
-        let t = batch.concat_tensor().unwrap();
-        assert_eq!(t.channels(), 4); // 2 frames × 2 polarity channels
-        assert_eq!(t.nnz(), 8);
     }
 
     #[test]

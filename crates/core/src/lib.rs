@@ -51,19 +51,16 @@ pub mod queue;
 /// discrete-event clock, the job model, the dispatch/accounting engine,
 /// the DSFA frontend stage, and the order-preserving worker pool the
 /// NMP search and sweeps fan out on. Every runtime dispatches serially
-/// onto one [`ev_platform::DeviceTimeline`]; [`exec::equivalence`] is
-/// the checkable contract a re-ordered schedule must keep against it.
+/// onto one [`ev_platform::DeviceTimeline`].
 pub mod exec {
     pub mod clock;
     pub mod engine;
-    pub mod equivalence;
     pub mod job;
     pub mod parallel;
     pub mod stage;
 
     pub use clock::EventClock;
     pub use engine::{EngineReport, ExecEngine, LoadProbe, TaskStats};
-    pub use equivalence::{check_job_records, check_reports, EquivalenceError};
     pub use job::{
         BatchCostModel, JobInput, JobModel, JobRecord, MappedJobModel, SchedGraphBuilder,
     };

@@ -102,15 +102,6 @@ impl<T> InferenceQueue<T> {
     pub fn accepted(&self) -> u64 {
         self.accepted
     }
-
-    /// Fraction of accepted inputs that were discarded.
-    pub fn drop_rate(&self) -> f64 {
-        if self.accepted == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / self.accepted as f64
-        }
-    }
 }
 
 impl<T> fmt::Display for InferenceQueue<T> {
@@ -150,7 +141,6 @@ mod tests {
         assert_eq!(q.front(), Some(&20));
         assert_eq!(q.dropped(), 1);
         assert_eq!(q.accepted(), 3);
-        assert!((q.drop_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

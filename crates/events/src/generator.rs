@@ -1,10 +1,9 @@
 //! Statistical event-stream generators.
 //!
-//! The DVS camera model in [`crate::camera`] is faithful but expensive at
-//! full sensor resolution. For experiments that only depend on the *spatio-
-//! temporal statistics* of an event stream (which is all E2SF and DSFA
-//! observe), this module synthesizes streams directly from a target event
-//! [`RateProfile`] and a [`SpatialModel`], at millions of events per second.
+//! The experiments depend only on the *spatio-temporal statistics* of an
+//! event stream (which is all E2SF and DSFA observe), so this module
+//! synthesizes streams directly from a target event [`RateProfile`] and a
+//! [`SpatialModel`], at millions of events per second.
 //!
 //! This is the substitution for MVSEC recordings: `ev-datasets` calibrates
 //! profiles to the statistics the paper reports (Figures 3 and 5).
@@ -16,6 +15,9 @@ use crate::EventError;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// Probability that a generated event has positive polarity.
+const ON_FRACTION: f64 = 0.5;
 
 /// A target event rate (events/second over the whole sensor) as a function
 /// of time.
@@ -171,8 +173,6 @@ pub struct StatisticalGenerator {
     profile: RateProfile,
     spatial: SpatialModel,
     rng: ChaCha8Rng,
-    /// Probability that a generated event has positive polarity.
-    on_fraction: f64,
     /// Internal tick for piecewise-constant rate approximation.
     tick: TimeDelta,
     /// Blob centre state (for `SpatialModel::Blobs`).
@@ -204,21 +204,9 @@ impl StatisticalGenerator {
             profile,
             spatial,
             rng,
-            on_fraction: 0.5,
             tick: TimeDelta::from_millis(1),
             blob_centres,
         }
-    }
-
-    /// Sets the fraction of ON-polarity events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `[0, 1]`.
-    pub fn with_on_fraction(mut self, fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
-        self.on_fraction = fraction;
-        self
     }
 
     /// The sensor geometry.
@@ -262,7 +250,7 @@ impl StatisticalGenerator {
                 let frac = self.rng.gen::<f64>();
                 let t_ev = t + span.mul_f64(frac);
                 let (x, y) = self.sample_pixel(t_ev);
-                let polarity = if self.rng.gen::<f64>() < self.on_fraction {
+                let polarity = if self.rng.gen::<f64>() < ON_FRACTION {
                     Polarity::On
                 } else {
                     Polarity::Off
@@ -521,18 +509,17 @@ mod tests {
     }
 
     #[test]
-    fn on_fraction_is_respected() {
+    fn on_fraction_matches_constant() {
         let mut generator = StatisticalGenerator::new(
             SensorGeometry::new(32, 32),
             RateProfile::Constant(100_000.0),
             SpatialModel::Uniform,
             11,
-        )
-        .with_on_fraction(0.9);
+        );
         let events = generator.generate(window_ms(0, 20)).unwrap();
         let (on, off) = events.polarity_counts();
         let frac = on as f64 / (on + off) as f64;
-        assert!((frac - 0.9).abs() < 0.05, "on fraction {frac}");
+        assert!((frac - ON_FRACTION).abs() < 0.05, "on fraction {frac}");
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! # ev-core — event-camera substrate for the Ev-Edge reproduction
+//! # ev-core — event-stream substrate for the Ev-Edge reproduction
 //!
 //! This crate provides everything upstream of the Ev-Edge runtime: the
 //! Address Event Representation ([`event::Event`]), validated time-ordered
-//! event batches ([`stream::EventSlice`]), a faithful DVS/DAVIS camera
-//! model driven by procedural scenes ([`camera`], [`scene`]), a fast
-//! statistical stream synthesizer ([`generator`]), and the stream
-//! statistics the paper plots ([`stats`]).
+//! event batches ([`stream::EventSlice`]), a fast statistical stream
+//! synthesizer ([`generator`]), and the stream statistics the paper plots
+//! ([`stats`]).
 //!
 //! The paper (Ev-Edge, DAC 2024) evaluates on DAVIS recordings from the
 //! MVSEC dataset; this crate is the substitution substrate that produces
@@ -14,22 +13,26 @@
 //! ## Example
 //!
 //! ```
-//! use ev_core::camera::{DavisCamera, DvsConfig};
 //! use ev_core::event::SensorGeometry;
-//! use ev_core::scene::TranslatingTexture;
-//! use ev_core::time::{TimeDelta, TimeWindow, Timestamp};
+//! use ev_core::generator::{RateProfile, SpatialModel, StatisticalGenerator};
+//! use ev_core::time::{TimeWindow, Timestamp};
 //!
 //! # fn main() -> Result<(), ev_core::EventError> {
-//! let mut camera = DavisCamera::new(
-//!     SensorGeometry::new(64, 48),
-//!     DvsConfig::default(),
-//!     TimeDelta::from_millis(20),
+//! // 20k events/s on a 32×32 crop, clustered like MVSEC indoor_flying1.
+//! let mut generator = StatisticalGenerator::new(
+//!     SensorGeometry::new(32, 32),
+//!     RateProfile::Constant(20_000.0),
+//!     SpatialModel::Blobs {
+//!         count: 16,
+//!         sigma: 13.0,
+//!         drift: 80.0,
+//!     },
+//!     0x1F1,
 //! );
-//! let scene = TranslatingTexture::new(120.0, 0.0);
-//! let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(60));
-//! let recording = camera.record(&scene, window)?;
-//! assert!(!recording.events.is_empty());
-//! assert!(recording.frames.len() >= 2);
+//! let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(100));
+//! let events = generator.generate(window)?;
+//! // ≈ 2000 events in 100 ms at 20k ev/s.
+//! assert!((1_800..2_200).contains(&events.len()));
 //! # Ok(())
 //! # }
 //! ```
@@ -37,10 +40,8 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod camera;
 pub mod event;
 pub mod generator;
-pub mod scene;
 pub mod stats;
 pub mod stream;
 pub mod time;

@@ -3,7 +3,7 @@
 //! An [`EventSlice`] is an owned, time-ordered batch of events with a known
 //! sensor geometry — the unit the Ev-Edge runtime ingests. Utilities cover
 //! validation, time-slicing (used by E2SF binning), merging of concurrent
-//! streams, and polarity filtering.
+//! streams, and polarity counting.
 
 use crate::event::{Event, Polarity, SensorGeometry};
 use crate::time::{TimeWindow, Timestamp};
@@ -107,12 +107,6 @@ impl EventSlice {
         self.events.is_empty()
     }
 
-    /// The events as a slice.
-    #[inline]
-    pub fn as_events(&self) -> &[Event] {
-        &self.events
-    }
-
     /// Iterates over the events.
     pub fn iter(&self) -> core::slice::Iter<'_, Event> {
         self.events.iter()
@@ -149,19 +143,6 @@ impl EventSlice {
         &self.events[lo..hi]
     }
 
-    /// Splits the slice into per-window slices tiling `window` with `n` equal
-    /// bins (events outside `window` are discarded).
-    pub fn split_into_bins(&self, window: TimeWindow, n: usize) -> Vec<EventSlice> {
-        window
-            .split(n)
-            .into_iter()
-            .map(|w| EventSlice {
-                geometry: self.geometry,
-                events: self.window(w).to_vec(),
-            })
-            .collect()
-    }
-
     /// Counts events of each polarity, returning `(on, off)`.
     pub fn polarity_counts(&self) -> (usize, usize) {
         let on = self
@@ -170,19 +151,6 @@ impl EventSlice {
             .filter(|e| e.polarity == Polarity::On)
             .count();
         (on, self.events.len() - on)
-    }
-
-    /// A new slice keeping only events of `polarity`.
-    pub fn filter_polarity(&self, polarity: Polarity) -> EventSlice {
-        EventSlice {
-            geometry: self.geometry,
-            events: self
-                .events
-                .iter()
-                .copied()
-                .filter(|e| e.polarity == polarity)
-                .collect(),
-        }
     }
 
     /// Merges two time-ordered slices into one time-ordered slice.
@@ -313,19 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn split_into_bins_partitions_all_events() {
-        let events: Vec<Event> = (0..100)
-            .map(|k| ev((k % 16) as u16, 0, k as u64, Polarity::On))
-            .collect();
-        let s = slice(events);
-        let w = TimeWindow::new(Timestamp::ZERO, Timestamp::from_micros(100));
-        let bins = s.split_into_bins(w, 7);
-        assert_eq!(bins.len(), 7);
-        let total: usize = bins.iter().map(|b| b.len()).sum();
-        assert_eq!(total, 100);
-    }
-
-    #[test]
     fn merge_preserves_order_and_count() {
         let a = slice(vec![ev(0, 0, 1, Polarity::On), ev(0, 0, 7, Polarity::On)]);
         let b = slice(vec![ev(1, 1, 3, Polarity::Off), ev(1, 1, 9, Polarity::Off)]);
@@ -368,7 +323,6 @@ mod tests {
             ev(2, 0, 3, Polarity::On),
         ]);
         assert_eq!(s.polarity_counts(), (2, 1));
-        assert_eq!(s.filter_polarity(Polarity::Off).len(), 1);
     }
 
     #[test]

@@ -39,10 +39,6 @@ pub struct LifState {
     width: usize,
     cfg: LifCfg,
     membrane: Vec<f32>,
-    /// Total spikes emitted since the last reset.
-    spike_count: u64,
-    /// Timesteps advanced since the last reset.
-    steps: u64,
 }
 
 impl LifState {
@@ -73,8 +69,6 @@ impl LifState {
             width,
             cfg,
             membrane: vec![0.0; channels * height * width],
-            spike_count: 0,
-            steps: 0,
         }
     }
 
@@ -122,8 +116,6 @@ impl LifState {
                 }
             }
         }
-        self.spike_count += entries.len() as u64;
-        self.steps += 1;
         let spikes = SparseTensor::from_entries(self.channels, self.height, self.width, entries)?;
         let ops = OpCount {
             macs: self.membrane.len() as u64, // leak multiply + add
@@ -134,21 +126,9 @@ impl LifState {
         Ok((spikes, ops))
     }
 
-    /// Returns all membranes to rest and clears the spike statistics.
+    /// Returns all membranes to rest.
     pub fn reset(&mut self) {
         self.membrane.fill(0.0);
-        self.spike_count = 0;
-        self.steps = 0;
-    }
-
-    /// Mean spikes per neuron per timestep since the last reset (the SNN
-    /// activation sparsity the paper exploits).
-    pub fn spike_rate(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.spike_count as f64 / (self.membrane.len() as u64 * self.steps) as f64
-        }
     }
 
     /// Immutable view of the membrane potentials.
@@ -200,17 +180,7 @@ mod tests {
         let (s, _) = lif.step(&current).unwrap();
         assert_eq!(s.nnz(), 1);
         assert!((lif.membrane()[0] - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn spike_rate_tracks_activity() {
-        let mut lif = LifState::new(1, 2, 2, cfg(1.0, 1.0, true));
-        let hot = Tensor::full(&[1, 2, 2], 2.0); // all spike each step
-        lif.step(&hot).unwrap();
-        lif.step(&hot).unwrap();
-        assert!((lif.spike_rate() - 1.0).abs() < 1e-9);
         lif.reset();
-        assert_eq!(lif.spike_rate(), 0.0);
         assert_eq!(lif.membrane()[0], 0.0);
     }
 

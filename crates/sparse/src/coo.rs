@@ -312,41 +312,13 @@ impl SparseTensor {
 
     /// Materializes the dense `[C, H, W]` tensor.
     pub fn to_dense(&self) -> Tensor {
-        let mut dense = Tensor::zeros(&[self.channels, self.height, self.width]);
-        self.scatter_into(&mut dense);
-        dense
-    }
-
-    /// Materializes into a caller-owned dense tensor, avoiding the
-    /// allocation of [`SparseTensor::to_dense`] on repeated decodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::TensorShapeMismatch`] unless `dense` has
-    /// exactly this tensor's `[C, H, W]` shape.
-    pub fn to_dense_into(&self, dense: &mut Tensor) -> Result<(), SparseError> {
-        if dense.shape() != self.shape().as_slice() {
-            let mut right = [0usize; 3];
-            for (slot, dim) in right.iter_mut().zip(dense.shape()) {
-                *slot = *dim;
-            }
-            return Err(SparseError::TensorShapeMismatch {
-                left: self.shape(),
-                right,
-            });
-        }
-        dense.as_mut_slice().fill(0.0);
-        self.scatter_into(dense);
-        Ok(())
-    }
-
-    fn scatter_into(&self, dense: &mut Tensor) {
-        let w = self.width;
-        let h = self.height;
+        let (w, h) = (self.width, self.height);
+        let mut dense = Tensor::zeros(&[self.channels, h, w]);
         let data = dense.as_mut_slice();
         for e in &self.entries {
             data[(e.channel as usize * h + e.row as usize) * w + e.col as usize] = e.value;
         }
+        dense
     }
 
     /// Pointwise sum of two sparse tensors (the DSFA `cAdd` merge kernel).
@@ -431,29 +403,9 @@ impl SparseTensor {
     /// Returns [`SparseError::EmptyInput`] when `tensors` is empty and
     /// [`SparseError::TensorShapeMismatch`] on shape disagreement.
     pub fn concat_channels(tensors: &[SparseTensor]) -> Result<SparseTensor, SparseError> {
-        Self::concat_channel_iter(tensors.iter())
-    }
-
-    /// [`SparseTensor::concat_channels`] over borrowed tensors — the DSFA
-    /// `cBatch` emit path concatenates tensors it does not own, and this
-    /// variant spares it cloning each one first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::EmptyInput`] when `tensors` is empty and
-    /// [`SparseError::TensorShapeMismatch`] on shape disagreement.
-    pub fn concat_channels_ref(tensors: &[&SparseTensor]) -> Result<SparseTensor, SparseError> {
-        Self::concat_channel_iter(tensors.iter().copied())
-    }
-
-    fn concat_channel_iter<'a, I>(tensors: I) -> Result<SparseTensor, SparseError>
-    where
-        I: Iterator<Item = &'a SparseTensor> + Clone,
-    {
-        let first = tensors.clone().next().ok_or(SparseError::EmptyInput)?;
-        let mut entries = Vec::with_capacity(tensors.clone().map(SparseTensor::nnz).sum());
-        let mut count = 0;
-        for (k, t) in tensors.enumerate() {
+        let first = tensors.first().ok_or(SparseError::EmptyInput)?;
+        let mut entries = Vec::with_capacity(tensors.iter().map(SparseTensor::nnz).sum());
+        for (k, t) in tensors.iter().enumerate() {
             if t.shape() != first.shape() {
                 return Err(SparseError::TensorShapeMismatch {
                     left: first.shape(),
@@ -465,12 +417,11 @@ impl SparseTensor {
                 channel: e.channel + offset,
                 ..*e
             }));
-            count = k + 1;
         }
         // Per-tensor entries are canonical and channel offsets are
         // monotonically increasing, so the concatenation stays canonical.
         Ok(SparseTensor {
-            channels: first.channels * count,
+            channels: first.channels * tensors.len(),
             height: first.height,
             width: first.width,
             entries,

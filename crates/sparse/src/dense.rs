@@ -158,24 +158,6 @@ impl Tensor {
         self.nnz() as f64 / self.len() as f64
     }
 
-    /// Reshapes in place (same element count).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::ShapeMismatch`] if the element count differs.
-    pub fn reshape(&mut self, shape: &[usize]) -> Result<(), SparseError> {
-        let len: usize = shape.iter().product();
-        if len != self.data.len() {
-            return Err(SparseError::ShapeMismatch {
-                expected: self.data.len(),
-                actual: len,
-            });
-        }
-        self.shape = shape.to_vec();
-        self.strides = row_major_strides(shape);
-        Ok(())
-    }
-
     /// Elementwise in-place addition.
     ///
     /// # Errors
@@ -257,14 +239,6 @@ mod tests {
             Tensor::from_vec(&[2, 2], vec![1.0; 5]),
             Err(SparseError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let mut t = Tensor::from_vec(&[2, 3], (0..6).map(|x| x as f32).collect()).unwrap();
-        t.reshape(&[3, 2]).unwrap();
-        assert_eq!(t.get(&[2, 1]), 5.0);
-        assert!(t.reshape(&[4, 2]).is_err());
     }
 
     #[test]

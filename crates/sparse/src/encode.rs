@@ -1,9 +1,9 @@
-//! Dense↔sparse conversion with measured cost.
+//! Dense→sparse conversion with measured cost.
 //!
 //! The paper's motivation for E2SF (§4.1): converting *dense* event frames
-//! into sparse tensors before every layer pays an encode/decode overhead
-//! that can outweigh the sparse-kernel savings. These functions perform the
-//! conversions and report the measured cost so the benchmark harness can
+//! into sparse tensors before every layer pays an encode overhead that can
+//! outweigh the sparse-kernel savings. [`dense_to_sparse`] performs the
+//! conversion and reports the measured cost so the benchmark harness can
 //! reproduce that trade-off, while E2SF avoids it by never materializing
 //! the dense frame.
 
@@ -12,10 +12,10 @@ use crate::dense::Tensor;
 use crate::SparseError;
 use std::time::Instant;
 
-/// Cost of one dense↔sparse conversion.
+/// Cost of one dense→sparse conversion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EncodeStats {
-    /// Elements scanned (dense size for encode, nnz for decode writes).
+    /// Dense elements scanned.
     pub elements_scanned: usize,
     /// Entries produced.
     pub entries_out: usize,
@@ -70,19 +70,6 @@ pub fn dense_to_sparse(
     Ok((sparse, stats))
 }
 
-/// Decodes a COO tensor into its dense form, measuring the cost.
-pub fn sparse_to_dense(sparse: &SparseTensor) -> (Tensor, EncodeStats) {
-    let start = Instant::now();
-    let dense = sparse.to_dense();
-    let nanos = start.elapsed().as_nanos() as u64;
-    let stats = EncodeStats {
-        elements_scanned: sparse.nnz(),
-        entries_out: dense.len(),
-        nanos,
-    };
-    (dense, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,10 +82,7 @@ mod tests {
         let (sparse, enc) = dense_to_sparse(&t, 0.0).unwrap();
         assert_eq!(enc.entries_out, 2);
         assert_eq!(enc.elements_scanned, 32);
-        let (dense, dec) = sparse_to_dense(&sparse);
-        assert_eq!(dense, t);
-        assert_eq!(dec.elements_scanned, 2);
-        assert_eq!(dec.entries_out, 32);
+        assert_eq!(sparse.to_dense(), t);
     }
 
     #[test]

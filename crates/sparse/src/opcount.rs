@@ -50,16 +50,6 @@ impl OpCount {
     pub fn total_bytes(&self) -> u64 {
         self.bytes_read + self.bytes_written
     }
-
-    /// Arithmetic intensity: ops per byte moved (0 when no traffic).
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let bytes = self.total_bytes();
-        if bytes == 0 {
-            0.0
-        } else {
-            self.total_ops() as f64 / bytes as f64
-        }
-    }
 }
 
 impl Add for OpCount {
@@ -116,11 +106,6 @@ impl WorkComparison {
             self.actual.macs as f64 / self.dense_equivalent.macs as f64
         }
     }
-
-    /// MACs a dense implementation wastes relative to the sparse one.
-    pub fn wasted_macs(&self) -> u64 {
-        self.dense_equivalent.macs.saturating_sub(self.actual.macs)
-    }
 }
 
 impl Add for WorkComparison {
@@ -164,18 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic_intensity_handles_zero_traffic() {
-        assert_eq!(OpCount::ZERO.arithmetic_intensity(), 0.0);
-        let c = OpCount {
-            macs: 8,
-            adds: 0,
-            bytes_read: 4,
-            bytes_written: 4,
-        };
-        assert_eq!(c.arithmetic_intensity(), 1.0);
-    }
-
-    #[test]
     fn work_comparison_fractions() {
         let w = WorkComparison {
             actual: OpCount {
@@ -188,7 +161,6 @@ mod tests {
             },
         };
         assert!((w.effectual_fraction() - 0.1).abs() < 1e-12);
-        assert_eq!(w.wasted_macs(), 90);
         let empty = WorkComparison::default();
         assert_eq!(empty.effectual_fraction(), 1.0);
     }

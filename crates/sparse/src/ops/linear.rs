@@ -1,8 +1,7 @@
 //! Dense matrix multiplication, fully-connected layers, and activations.
 
-use crate::csr::CsrMatrix;
 use crate::dense::Tensor;
-use crate::opcount::{OpCount, WorkComparison};
+use crate::opcount::OpCount;
 use crate::SparseError;
 
 /// Dense matrix product `[M, K] × [K, N] → [M, N]`.
@@ -119,33 +118,6 @@ pub fn linear(
     Ok((y, ops))
 }
 
-/// Sparse fully-connected layer: the sparse activation vector (as a 1-row
-/// CSR matrix) multiplies the dense `[K, N]` weight. Work is proportional
-/// to the activation nonzeros.
-///
-/// # Errors
-///
-/// Returns a [`SparseError`] on dimension mismatch.
-pub fn linear_sparse_input(
-    activations: &CsrMatrix,
-    weight: &Tensor,
-) -> Result<(Tensor, WorkComparison), SparseError> {
-    let (out, actual) = activations.spmm(weight)?;
-    let dense_equivalent = OpCount {
-        macs: (activations.n_rows() * activations.n_cols() * weight.shape()[1]) as u64,
-        adds: 0,
-        bytes_read: ((activations.n_rows() * activations.n_cols() + weight.len()) * 4) as u64,
-        bytes_written: actual.bytes_written,
-    };
-    Ok((
-        out,
-        WorkComparison {
-            actual,
-            dense_equivalent,
-        },
-    ))
-}
-
 /// In-place ReLU; returns the op count and the surviving-nonzero count
 /// (post-activation sparsity feeds the platform model's SNN layers).
 pub fn relu_in_place(t: &mut Tensor) -> (OpCount, usize) {
@@ -199,21 +171,6 @@ mod tests {
         assert_eq!(ops.adds, 2);
         assert!(linear(&w, &[1.0], None).is_err());
         assert!(linear(&w, &[1.0, 1.0], Some(&[0.0])).is_err());
-    }
-
-    #[test]
-    fn sparse_linear_matches_dense() {
-        // 1x4 sparse activation times 4x3 weight.
-        let act = CsrMatrix::from_triplets(1, 4, &[(0, 1, 2.0), (0, 3, -1.0)]).unwrap();
-        let mut weight = Tensor::zeros(&[4, 3]);
-        weight.fill_pseudorandom(5, 1.0);
-        let (sparse_out, work) = linear_sparse_input(&act, &weight).unwrap();
-        let (dense_out, _) = matmul(&act.to_dense(), &weight).unwrap();
-        for (a, b) in sparse_out.as_slice().iter().zip(dense_out.as_slice()) {
-            assert!((a - b).abs() < 1e-5);
-        }
-        assert_eq!(work.actual.macs, 6); // 2 nnz * 3 cols
-        assert_eq!(work.dense_equivalent.macs, 12);
     }
 
     #[test]

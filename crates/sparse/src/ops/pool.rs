@@ -36,72 +36,6 @@ impl Pool2dSpec {
     }
 }
 
-fn pool2d<F, G>(
-    input: &Tensor,
-    spec: Pool2dSpec,
-    init: f32,
-    fold: F,
-    finish: G,
-) -> Result<(Tensor, OpCount), SparseError>
-where
-    F: Fn(f32, f32) -> f32,
-    G: Fn(f32, usize) -> f32,
-{
-    if input.rank() != 3 {
-        return Err(SparseError::RankMismatch {
-            expected: 3,
-            actual: input.rank(),
-        });
-    }
-    let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-    let ho = spec.out_dim(h).ok_or(SparseError::KernelTooLarge {
-        kernel: spec.kernel,
-        input: h,
-        padding: 0,
-    })?;
-    let wo = spec.out_dim(w).ok_or(SparseError::KernelTooLarge {
-        kernel: spec.kernel,
-        input: w,
-        padding: 0,
-    })?;
-    let mut out = Tensor::zeros(&[c, ho, wo]);
-    let x = input.as_slice();
-    {
-        // Fold each window's contiguous row slices directly — the same
-        // row-major reduce order the old copy-into-scratch version had,
-        // without the per-output-element window copy.
-        let o = out.as_mut_slice();
-        let k = spec.kernel;
-        let area = k * k;
-        for ch in 0..c {
-            let xchan = &x[ch * h * w..(ch + 1) * h * w];
-            let ochan = &mut o[ch * ho * wo..(ch + 1) * ho * wo];
-            for oy in 0..ho {
-                let iy0 = oy * spec.stride;
-                let orow = &mut ochan[oy * wo..(oy + 1) * wo];
-                for (ox, ov) in orow.iter_mut().enumerate() {
-                    let ix0 = ox * spec.stride;
-                    let mut acc = init;
-                    for ky in 0..k {
-                        let xrow = &xchan[(iy0 + ky) * w + ix0..(iy0 + ky) * w + ix0 + k];
-                        for &v in xrow {
-                            acc = fold(acc, v);
-                        }
-                    }
-                    *ov = finish(acc, area);
-                }
-            }
-        }
-    }
-    let ops = OpCount {
-        macs: 0,
-        adds: (c * ho * wo * spec.kernel * spec.kernel) as u64,
-        bytes_read: (input.len() * 4) as u64,
-        bytes_written: (out.len() * 4) as u64,
-    };
-    Ok((out, ops))
-}
-
 /// Max pooling over a `[C, H, W]` tensor.
 ///
 /// # Errors
@@ -123,25 +57,6 @@ where
 /// # }
 /// ```
 pub fn max_pool2d(input: &Tensor, spec: Pool2dSpec) -> Result<(Tensor, OpCount), SparseError> {
-    pool2d(input, spec, f32::NEG_INFINITY, f32::max, |acc, _| acc)
-}
-
-/// Average pooling over a `[C, H, W]` tensor.
-///
-/// # Errors
-///
-/// Returns a [`SparseError`] on rank mismatch or when the window does not
-/// fit the input.
-pub fn avg_pool2d(input: &Tensor, spec: Pool2dSpec) -> Result<(Tensor, OpCount), SparseError> {
-    pool2d(input, spec, 0.0, |acc, v| acc + v, |acc, n| acc / n as f32)
-}
-
-/// Global average pooling: `[C, H, W]` → `[C]`.
-///
-/// # Errors
-///
-/// Returns [`SparseError::RankMismatch`] unless the input has rank 3.
-pub fn global_avg_pool(input: &Tensor) -> Result<(Vec<f32>, OpCount), SparseError> {
     if input.rank() != 3 {
         return Err(SparseError::RankMismatch {
             expected: 3,
@@ -149,17 +64,46 @@ pub fn global_avg_pool(input: &Tensor) -> Result<(Vec<f32>, OpCount), SparseErro
         });
     }
     let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
+    let ho = spec.out_dim(h).ok_or(SparseError::KernelTooLarge {
+        kernel: spec.kernel,
+        input: h,
+        padding: 0,
+    })?;
+    let wo = spec.out_dim(w).ok_or(SparseError::KernelTooLarge {
+        kernel: spec.kernel,
+        input: w,
+        padding: 0,
+    })?;
+    let mut out = Tensor::zeros(&[c, ho, wo]);
     let x = input.as_slice();
-    let mut out = Vec::with_capacity(c);
-    for ch in 0..c {
-        let sum: f32 = x[ch * h * w..(ch + 1) * h * w].iter().sum();
-        out.push(sum / (h * w) as f32);
+    {
+        let o = out.as_mut_slice();
+        let k = spec.kernel;
+        for ch in 0..c {
+            let xchan = &x[ch * h * w..(ch + 1) * h * w];
+            let ochan = &mut o[ch * ho * wo..(ch + 1) * ho * wo];
+            for oy in 0..ho {
+                let iy0 = oy * spec.stride;
+                let orow = &mut ochan[oy * wo..(oy + 1) * wo];
+                for (ox, ov) in orow.iter_mut().enumerate() {
+                    let ix0 = ox * spec.stride;
+                    let mut acc = f32::NEG_INFINITY;
+                    for ky in 0..k {
+                        let xrow = &xchan[(iy0 + ky) * w + ix0..(iy0 + ky) * w + ix0 + k];
+                        for &v in xrow {
+                            acc = acc.max(v);
+                        }
+                    }
+                    *ov = acc;
+                }
+            }
+        }
     }
     let ops = OpCount {
         macs: 0,
-        adds: (c * h * w) as u64,
+        adds: (c * ho * wo * spec.kernel * spec.kernel) as u64,
         bytes_read: (input.len() * 4) as u64,
-        bytes_written: (c * 4) as u64,
+        bytes_written: (out.len() * 4) as u64,
     };
     Ok((out, ops))
 }
@@ -186,14 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn avg_pool_values() {
-        let t = Tensor::from_vec(&[1, 2, 2], vec![1.0, 3.0, 5.0, 7.0]).unwrap();
-        let (out, ops) = avg_pool2d(&t, Pool2dSpec::new(2)).unwrap();
-        assert_eq!(out.as_slice(), &[4.0]);
-        assert_eq!(ops.adds, 4);
-    }
-
-    #[test]
     fn overlapping_stride() {
         let t = Tensor::from_vec(&[1, 1, 4], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let spec = Pool2dSpec {
@@ -202,13 +138,6 @@ mod tests {
         };
         let (out, _) = max_pool2d(&t, spec).unwrap();
         assert_eq!(out.shape(), &[1, 1, 4]);
-    }
-
-    #[test]
-    fn global_pool() {
-        let t = Tensor::from_vec(&[2, 1, 2], vec![1.0, 3.0, 10.0, 20.0]).unwrap();
-        let (out, _) = global_avg_pool(&t).unwrap();
-        assert_eq!(out, vec![2.0, 15.0]);
     }
 
     #[test]

@@ -1,40 +1,39 @@
-//! Quickstart: simulate an event camera, convert the stream with E2SF,
-//! aggregate with DSFA, and run a real spiking-network forward pass.
+//! Quickstart: synthesize a modeled MVSEC event stream, convert it with
+//! E2SF, aggregate with DSFA, and run a real spiking-network forward pass.
 //!
 //! ```bash
 //! cargo run --release --example quickstart
 //! ```
 
-use ev_core::camera::{DavisCamera, DvsConfig};
 use ev_core::event::SensorGeometry;
-use ev_core::scene::TranslatingTexture;
-use ev_core::time::{TimeDelta, TimeWindow, Timestamp};
+use ev_core::generator::RateProfile;
+use ev_core::time::{TimeWindow, Timestamp};
+use ev_datasets::mvsec::{Sequence, SequenceId};
 use ev_edge::dsfa::{Dsfa, DsfaConfig};
 use ev_edge::e2sf::{E2sf, E2sfConfig};
 use ev_nn::forward::{Activation, Executor};
 use ev_nn::zoo::{NetworkId, ZooConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. A DAVIS-style camera watching a translating texture for 100 ms.
-    let geometry = SensorGeometry::new(32, 32);
-    let mut camera = DavisCamera::new(
-        geometry,
-        DvsConfig::default().with_seed(7),
-        TimeDelta::from_millis(20),
-    );
-    let scene = TranslatingTexture::new(150.0, 30.0);
+    // 1. 100 ms of a 32×32 crop of modeled MVSEC indoor_flying1, at a
+    //    steady 20k events/s.
+    let sequence = Sequence {
+        geometry: SensorGeometry::new(32, 32),
+        profile: RateProfile::Constant(20_000.0),
+        ..SequenceId::IndoorFlying1.sequence()
+    };
     let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(100));
-    let recording = camera.record(&scene, window)?;
+    let events = sequence.generate(window)?;
+    let intervals = sequence.frame_intervals(window);
     println!(
-        "camera: {} events over {} grayscale frames",
-        recording.events.len(),
-        recording.frames.len()
+        "stream: {} events over {} grayscale-frame intervals",
+        events.len(),
+        intervals.len()
     );
 
     // 2. E2SF: raw events → two-channel sparse frames, 4 bins per interval.
     let e2sf = E2sf::new(E2sfConfig::new(4));
-    let intervals = recording.frame_intervals();
-    let frames = e2sf.convert_intervals(&recording.events, &intervals)?;
+    let frames = e2sf.convert_intervals(&events, &intervals)?;
     let mean_fill: f64 =
         frames.iter().map(|f| f.spatial_density()).sum::<f64>() / frames.len() as f64;
     println!(

@@ -1,15 +1,25 @@
-//! Cross-crate integration: camera → E2SF → DSFA → real network execution
-//! with ground-truth scoring, exercising every substrate together.
+//! Cross-crate integration: modeled MVSEC stream → E2SF → DSFA → real
+//! network execution, exercising every substrate together.
 
-use ev_core::camera::{DavisCamera, DvsConfig};
 use ev_core::event::SensorGeometry;
-use ev_core::scene::{MovingObject, MultiObjectScene, TranslatingTexture};
+use ev_core::generator::RateProfile;
 use ev_core::time::{TimeDelta, TimeWindow, Timestamp};
-use ev_datasets::groundtruth::{flow_from_scene, labels_from_scene};
+use ev_datasets::mvsec::{Sequence, SequenceId};
 use ev_edge::dsfa::{CMode, Dsfa, DsfaConfig};
 use ev_edge::e2sf::{E2sf, E2sfConfig};
 use ev_nn::forward::{Activation, Executor};
 use ev_nn::zoo::{NetworkId, ZooConfig};
+
+/// A 32×32 crop of modeled MVSEC indoor_flying1 at a steady 20k events/s.
+fn crop_32(seed: u64, frame_interval: TimeDelta) -> Sequence {
+    Sequence {
+        geometry: SensorGeometry::new(32, 32),
+        profile: RateProfile::Constant(20_000.0),
+        gray_frame_interval: frame_interval,
+        seed,
+        ..SequenceId::IndoorFlying1.sequence()
+    }
+}
 
 fn zoo_32() -> ZooConfig {
     ZooConfig {
@@ -20,24 +30,18 @@ fn zoo_32() -> ZooConfig {
 }
 
 #[test]
-fn camera_to_network_round_trip() {
-    // Simulate, convert, aggregate, execute — all real computation.
-    let geometry = SensorGeometry::new(32, 32);
-    let mut camera = DavisCamera::new(
-        geometry,
-        DvsConfig::default().with_seed(1),
-        TimeDelta::from_millis(20),
-    );
-    let scene = TranslatingTexture::new(180.0, -40.0);
+fn stream_to_network_round_trip() {
+    // Generate, convert, aggregate, execute — all real computation.
+    let sequence = crop_32(1, TimeDelta::from_millis(20));
     let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(80));
-    let recording = camera.record(&scene, window).expect("camera simulates");
-    assert!(recording.events.len() > 100, "texture generates events");
+    let events = sequence.generate(window).expect("stream generates");
+    assert!(events.len() > 100, "the stream generates events");
 
     let frames = E2sf::new(E2sfConfig::new(4))
-        .convert_intervals(&recording.events, &recording.frame_intervals())
+        .convert_intervals(&events, &sequence.frame_intervals(window))
         .expect("conversion succeeds");
     let total_events: usize = frames.iter().map(|f| f.event_count()).sum();
-    assert_eq!(total_events, recording.events.len(), "E2SF loses no events");
+    assert_eq!(total_events, events.len(), "E2SF loses no events");
 
     let mut dsfa = Dsfa::new(DsfaConfig {
         cmode: CMode::CAdd,
@@ -74,54 +78,13 @@ fn camera_to_network_round_trip() {
 }
 
 #[test]
-fn ground_truth_pipeline_consistency() {
-    // The analytic ground truth matches what the metrics compute.
-    let mut scene = MultiObjectScene::default();
-    scene.push(MovingObject {
-        x0: 10.0,
-        y0: 10.0,
-        vx: 50.0,
-        vy: 0.0,
-        radius: 3.0,
-        intensity: 0.9,
-        depth: 5.0,
-    });
-    let g = SensorGeometry::new(32, 32);
-    let t = Timestamp::from_millis(50);
-    let flow = flow_from_scene(&scene, g, t);
-    let labels = labels_from_scene(&scene, g, t);
-    // Pixels labelled as object carry the object's velocity.
-    let mut checked = 0;
-    for y in 0..24usize {
-        for x in 0..24usize {
-            if labels.at(x, y) == 1 {
-                assert_eq!(flow.at(x, y), (50.0, 0.0));
-                checked += 1;
-            } else {
-                assert_eq!(flow.at(x, y), (0.0, 0.0));
-            }
-        }
-    }
-    assert!(checked > 10, "object covers pixels at t=50ms");
-    // Self-comparison is perfect.
-    assert_eq!(flow.aee(&flow).expect("same dims"), 0.0);
-    assert_eq!(labels.mean_iou(&labels).expect("same dims"), 1.0);
-}
-
-#[test]
 fn deterministic_end_to_end() {
     let run = || {
-        let geometry = SensorGeometry::new(32, 32);
-        let mut camera = DavisCamera::new(
-            geometry,
-            DvsConfig::default().with_seed(5),
-            TimeDelta::from_millis(10),
-        );
-        let scene = TranslatingTexture::new(100.0, 20.0);
+        let sequence = crop_32(5, TimeDelta::from_millis(10));
         let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(40));
-        let recording = camera.record(&scene, window).expect("camera simulates");
+        let events = sequence.generate(window).expect("stream generates");
         let frames = E2sf::new(E2sfConfig::new(2))
-            .convert_intervals(&recording.events, &recording.frame_intervals())
+            .convert_intervals(&events, &sequence.frame_intervals(window))
             .expect("conversion succeeds");
         let zoo = ZooConfig {
             height: 32,
@@ -149,17 +112,11 @@ fn snn_timesteps_preserve_sparsity() {
         NetworkId::AdaptiveSpikeNet.build(&zoo).expect("buildable"),
         13,
     );
-    let geometry = SensorGeometry::new(32, 32);
-    let mut camera = DavisCamera::new(
-        geometry,
-        DvsConfig::default().with_seed(8),
-        TimeDelta::from_millis(10),
-    );
-    let scene = TranslatingTexture::new(240.0, 0.0);
+    let sequence = crop_32(8, TimeDelta::from_millis(10));
     let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(40));
-    let recording = camera.record(&scene, window).expect("camera simulates");
+    let events = sequence.generate(window).expect("stream generates");
     let frames = E2sf::new(E2sfConfig::new(1))
-        .convert_intervals(&recording.events, &recording.frame_intervals())
+        .convert_intervals(&events, &sequence.frame_intervals(window))
         .expect("conversion succeeds");
     let inputs: Vec<Activation> = frames
         .iter()
