@@ -22,6 +22,7 @@
 //! a data-driven spec; `./kick-tires.sh` at the repo root reproduces
 //! everything in one command.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod conformance;

@@ -278,8 +278,8 @@ impl StatisticalGenerator {
                 let idx = self.rng.gen_range(0..self.blob_centres.len().max(1));
                 let (cx, cy, _, _) = self.blob_centres[idx];
                 let (gx, gy) = gaussian_pair(&mut self.rng);
-                let x = (cx + gx * sigma).rem_euclid(w);
-                let y = (cy + gy * sigma).rem_euclid(h);
+                let x = wrap(cx + gx * sigma, w);
+                let y = wrap(cy + gy * sigma, h);
                 (x as u16, y as u16)
             }
             SpatialModel::Band { top, bottom } => {
@@ -296,8 +296,8 @@ impl StatisticalGenerator {
         let w = self.geometry.width as f64;
         let h = self.geometry.height as f64;
         for (x, y, vx, vy) in &mut self.blob_centres {
-            *x = (*x + *vx * dt).rem_euclid(w);
-            *y = (*y + *vy * dt).rem_euclid(h);
+            *x = wrap(*x + *vx * dt, w);
+            *y = wrap(*y + *vy * dt, h);
         }
     }
 }
@@ -339,12 +339,34 @@ fn append_sorted(
     }
 }
 
+/// `v.rem_euclid(m)`, bit for bit for every `v` and `m`, without the
+/// division on `-m < v < 2m`, where blob coordinates land.
+///
+/// `rem_euclid` returns `v % m`, plus `m` when that is negative. On
+/// `[0, m)` that is `v`. On `(-m, 0)` it is `v + m`, the same rounded
+/// sum. On `[m, 2m)` it is `v - m`, which `%` computes exactly and so
+/// does the subtraction, by Sterbenz's lemma (`m / 2 <= v <= 2m`).
+/// Everything else falls back to `rem_euclid`: `-m` itself (which it
+/// maps to `-0.0`), far values, NaN, infinities and `m <= 0`.
+#[inline]
+fn wrap(v: f64, m: f64) -> f64 {
+    if (0.0..m).contains(&v) {
+        v
+    } else if (m..2.0 * m).contains(&v) {
+        v - m
+    } else if v < 0.0 && v > -m {
+        v + m
+    } else {
+        v.rem_euclid(m)
+    }
+}
+
 /// Samples a Poisson-distributed count with mean `lambda`.
 ///
 /// Uses Knuth's product method for small `lambda` and a rounded normal
 /// approximation for large `lambda` (where the relative error is negligible
 /// for stream synthesis).
-pub fn sample_poisson<R: Rng>(rng: &mut R, lambda: f64) -> u64 {
+fn sample_poisson<R: Rng>(rng: &mut R, lambda: f64) -> u64 {
     if lambda <= 0.0 {
         return 0;
     }
@@ -536,6 +558,56 @@ mod tests {
         let events = generator.generate(window).unwrap();
         assert!(!events.is_empty());
         assert!(events.iter().all(|ev| ev.t >= window.start()));
+    }
+
+    #[test]
+    fn wrap_equals_rem_euclid_bit_for_bit() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x3A9);
+        let generator_moduli = [32.0, 64.0, 260.0, 346.0, 0.75];
+        let edge_moduli = [
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::INFINITY,
+            0.0,
+            -0.0,
+            -3.0,
+            f64::NAN,
+        ];
+        for m in generator_moduli.into_iter().chain(edge_moduli) {
+            let mut values = vec![
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MAX,
+                f64::MIN,
+                f64::MIN_POSITIVE / 3.0,
+                -f64::MIN_POSITIVE / 3.0,
+                5e-324,
+                -5e-324,
+            ];
+            // ±0, ±m, ±2m and 20 ulps either side of each.
+            for anchor in [0.0, -0.0, m, -m, 2.0 * m, -2.0 * m] {
+                let (mut up, mut down) = (anchor, anchor);
+                values.push(anchor);
+                for _ in 0..20 {
+                    up = up.next_up();
+                    down = down.next_down();
+                    values.extend([up, down]);
+                }
+            }
+            for _ in 0..20_000 {
+                values.push(f64::from_bits(rng.gen::<u64>()));
+                values.push((rng.gen::<f64>() * 6.0 - 3.0) * m);
+            }
+            for v in values {
+                assert_eq!(
+                    wrap(v, m).to_bits(),
+                    v.rem_euclid(m).to_bits(),
+                    "wrap({v:e}, {m:e})"
+                );
+            }
+        }
     }
 
     #[test]

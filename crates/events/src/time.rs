@@ -149,9 +149,12 @@ impl Sub<TimeDelta> for Timestamp {
 
 impl Sub<Timestamp> for Timestamp {
     type Output = TimeDelta;
+    /// The signed difference `self - rhs`: exact whenever it fits in
+    /// `i64`, otherwise saturated to `i64::MIN` or `i64::MAX` µs.
     #[inline]
     fn sub(self, rhs: Timestamp) -> TimeDelta {
-        TimeDelta(self.0 as i64 - rhs.0 as i64)
+        let diff = i128::from(self.0) - i128::from(rhs.0);
+        TimeDelta(diff.clamp(i64::MIN.into(), i64::MAX.into()) as i64)
     }
 }
 
@@ -407,6 +410,35 @@ mod tests {
         assert_eq!(t - TimeDelta::from_micros(40), Timestamp::from_micros(60));
         assert_eq!(Timestamp::from_micros(150) - t, TimeDelta::from_micros(50));
         assert_eq!(t - Timestamp::from_micros(150), TimeDelta::from_micros(-50));
+    }
+
+    #[test]
+    fn timestamp_difference_straddling_2_pow_63_is_exact() {
+        let above = Timestamp::from_micros(1 << 63);
+        let below = Timestamp::from_micros((1 << 63) - 5);
+        assert_eq!(above - below, TimeDelta::from_micros(5));
+        assert_eq!(below - above, TimeDelta::from_micros(-5));
+        // -2^63 fits exactly.
+        assert_eq!(Timestamp::ZERO - above, TimeDelta::from_micros(i64::MIN));
+    }
+
+    #[test]
+    fn timestamp_difference_saturates_both_ways() {
+        let at = Timestamp::from_micros;
+        let max = TimeDelta::from_micros(i64::MAX);
+        let min = TimeDelta::from_micros(i64::MIN);
+        // `i64::MAX` itself fits; one more saturates.
+        assert_eq!(at(i64::MAX as u64) - Timestamp::ZERO, max);
+        assert_eq!(at(1 << 63) - Timestamp::ZERO, max);
+        assert_eq!(Timestamp::MAX - Timestamp::ZERO, max);
+        assert_eq!(Timestamp::ZERO - at((1 << 63) + 1), min);
+        assert_eq!(Timestamp::ZERO - Timestamp::MAX, min);
+    }
+
+    #[test]
+    fn full_range_window_duration_saturates() {
+        let w = TimeWindow::new(Timestamp::ZERO, Timestamp::MAX);
+        assert_eq!(w.duration(), TimeDelta::from_micros(i64::MAX));
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ev_core;
 pub use ev_datasets;
 pub use ev_edge;
