@@ -14,7 +14,8 @@ use ev_edge::nmp::evolution::{run_nmp, NmpConfig};
 use ev_edge::nmp::fitness::{FitnessConfig, FitnessEvaluator};
 use ev_edge::nmp::multitask::{MultiTaskProblem, TaskSpec};
 use ev_edge::nmp::sweep::{
-    run_sweep, PlatformPreset, SearchAlgorithm, SweepReport, SweepSpec, TaskMix, ZooPreset,
+    run_sweep, PlatformPreset, SearchAlgorithm, SweepReport, SweepSpec, TaskMix, TrajectoryPoint,
+    ZooPreset,
 };
 use ev_edge::nmp::tune::{AutoTuner, TuneObjective, TuneReport};
 use ev_edge::pipeline::{run_single_task, PipelineOptions, PipelineSetup, PipelineVariant};
@@ -687,24 +688,13 @@ pub fn fig9_playback_table(rows: &[Fig9PlaybackRow]) -> crate::report::TextTable
 // Figure 10
 // ---------------------------------------------------------------------
 
-/// One generation point of a search-convergence curve.
-#[derive(Debug, Clone, Serialize)]
-pub struct GenPoint {
-    /// Generation index.
-    pub generation: usize,
-    /// Best fitness score in the generation.
-    pub best_score: f64,
-    /// Mean fitness score across the population.
-    pub mean_score: f64,
-}
-
 /// Figure 10 result: NMP convergence (a) and NMP vs random search (b).
 #[derive(Debug, Clone, Serialize)]
 pub struct Fig10Result {
     /// Evolutionary-search history.
-    pub nmp_history: Vec<GenPoint>,
+    pub nmp_history: Vec<TrajectoryPoint>,
     /// Random-search best-so-far history.
-    pub random_history: Vec<GenPoint>,
+    pub random_history: Vec<TrajectoryPoint>,
     /// NMP best mapping latency, ms.
     pub nmp_best_ms: f64,
     /// Random-search best mapping latency, ms.
@@ -751,19 +741,9 @@ pub fn figure10(quick: bool) -> Result<Fig10Result, Box<dyn Error>> {
     };
     let nmp = by_algorithm(SearchAlgorithm::Evolutionary);
     let random = by_algorithm(SearchAlgorithm::Random);
-    let to_points = |history: &[ev_edge::nmp::sweep::TrajectoryPoint]| {
-        history
-            .iter()
-            .map(|g| GenPoint {
-                generation: g.generation,
-                best_score: g.best_score,
-                mean_score: g.mean_score,
-            })
-            .collect::<Vec<_>>()
-    };
     Ok(Fig10Result {
-        nmp_history: to_points(&nmp.trajectory.history),
-        random_history: to_points(&random.trajectory.history),
+        nmp_history: nmp.trajectory.history.clone(),
+        random_history: random.trajectory.history.clone(),
         nmp_best_ms: nmp.best_latency_ms,
         random_best_ms: random.best_latency_ms,
         improvement_over_random: random.best_latency_ms / nmp.best_latency_ms,

@@ -6,13 +6,20 @@
 //! * `fig8_single_task --tuned` / `fig9_multi_task --tuned` replay the
 //!   selected configuration: their JSON artifacts match a direct
 //!   library run of that exact configuration bit for bit.
+//! * A `--spec` or `--tuned` file whose search configuration is over a
+//!   cap ends promptly in an error that names the field.
 
-use ev_bench::experiments::{autotune, figure8_with, figure9_with, load_tune_report, tuned_config};
+use ev_bench::experiments::{
+    autotune, autotune_spec, figure8_with, figure9_with, load_tune_report, sweep_grid_spec,
+    tuned_config,
+};
 use ev_bench::report::write_json;
-use ev_edge::nmp::sweep::PlatformPreset;
+use ev_edge::nmp::sweep::{PlatformPreset, SweepSpec};
 use ev_edge::nmp::tune::TuneObjective;
+use std::io::Read;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ev-edge-autotune-{}", std::process::id()));
@@ -181,4 +188,118 @@ fn tuned_flag_without_platform_selection_fails_loudly() {
     let err = tuned_config(&report, PlatformPreset::OrinLike).unwrap_err();
     assert!(err.to_string().contains("orin_like"), "got: {err}");
     assert!(err.to_string().contains("xavier_agx"), "got: {err}");
+}
+
+/// How long a binary may take to reject a hostile input file.
+const REJECT_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Runs `exe` on a hostile input and asserts a clean, prompt rejection:
+/// exit code 1 (an error returned from `main`, neither a panic's 101 nor
+/// a signal) within [`REJECT_DEADLINE`], with `field` named on stderr.
+fn assert_rejected_naming(exe: &str, args: &[&str], field: &str) {
+    let mut child = Command::new(exe)
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap_or_else(|e| panic!("spawn {exe}: {e}"));
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll child") {
+            break status;
+        }
+        if start.elapsed() > REJECT_DEADLINE {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("{exe} {args:?} still running after {REJECT_DEADLINE:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    assert_eq!(
+        status.code(),
+        Some(1),
+        "{exe} {args:?} must exit 1, got {status:?}; stderr:\n{stderr}"
+    );
+    assert!(
+        stderr.contains(field) && !stderr.contains("panicked"),
+        "{exe} {args:?} must name `{field}` without panicking; stderr:\n{stderr}"
+    );
+}
+
+#[test]
+fn sweep_specs_over_a_cap_are_rejected_naming_the_field() {
+    let spec_with = |mutate: fn(&mut SweepSpec)| {
+        let mut spec = sweep_grid_spec(true);
+        mutate(&mut spec);
+        spec
+    };
+    for (field, spec) in [
+        (
+            "generations",
+            spec_with(|s| s.generations = vec![1_000_000_000_000]),
+        ),
+        (
+            "mutation_layers",
+            spec_with(|s| s.mutation_layers = vec![1_000_000_000]),
+        ),
+        (
+            "runtime_window_ms",
+            spec_with(|s| s.runtime_window_ms = u64::MAX / 1_000 - 1),
+        ),
+    ] {
+        let path = temp_path(&format!("hostile_spec_{field}.json"));
+        write_json(&path, &spec).expect("write spec");
+        assert_rejected_naming(
+            env!("CARGO_BIN_EXE_ext_sweep_grid"),
+            &["--spec", path.to_str().expect("utf-8 temp path")],
+            field,
+        );
+    }
+}
+
+#[test]
+fn tuned_replay_over_the_generation_cap_is_rejected_naming_the_field() {
+    use ev_edge::nmp::evolution::NmpConfig;
+    use ev_edge::nmp::sweep::{CellCoords, SearchAlgorithm, TaskMix};
+    use ev_edge::nmp::tune::{TuneReport, TuneSelection};
+
+    let report = TuneReport {
+        objective: TuneObjective::Latency,
+        spec: autotune_spec(true),
+        selections: vec![TuneSelection {
+            platform: PlatformPreset::XavierAgx,
+            task_mix: TaskMix::MixedSnnAnn,
+            config: NmpConfig {
+                generations: 1_000_000_000_000,
+                ..NmpConfig::default()
+            },
+            queue_capacity: 2,
+            algorithm: SearchAlgorithm::Evolutionary,
+            coords: CellCoords(0, 0, 0, 0, 0, 0, 0, 0),
+            score: 1.0,
+            best_latency_ms: 1.0,
+            best_energy_mj: 1.0,
+            feasible: true,
+            candidates: 1,
+        }],
+        cells_considered: 1,
+    };
+    let path = temp_path("hostile_tune_generations.json");
+    write_json(&path, &report).expect("write tune report");
+    assert_rejected_naming(
+        env!("CARGO_BIN_EXE_fig9_multi_task"),
+        &[
+            "--quick",
+            "--tuned",
+            path.to_str().expect("utf-8 temp path"),
+        ],
+        "generations",
+    );
 }

@@ -52,7 +52,6 @@ fn nmp_config_round_trips() {
 fn pipeline_variant_round_trips() {
     for variant in [
         PipelineVariant::DenseAllGpu,
-        PipelineVariant::DenseEncodeSparse,
         PipelineVariant::E2sf,
         PipelineVariant::E2sfDsfa,
         PipelineVariant::E2sfDsfaNmp,

@@ -17,9 +17,9 @@
 
 use crate::frame::SparseFrame;
 use crate::EvEdgeError;
-use ev_core::event::{Event, Polarity};
+use ev_core::event::Event;
 use ev_core::stream::EventSlice;
-use ev_core::{TimeDelta, TimeWindow};
+use ev_core::TimeWindow;
 use ev_sparse::coo::{SparseEntry, SparseTensor};
 use ev_sparse::dense::Tensor;
 use ev_sparse::encode::{dense_to_sparse, EncodeStats};
@@ -333,24 +333,10 @@ pub fn dense_frame_baseline(
     })
 }
 
-/// Polarity of a channel index (inverse of [`Polarity::channel`]).
-pub fn channel_polarity(channel: u32) -> Polarity {
-    if channel.is_multiple_of(2) {
-        Polarity::On
-    } else {
-        Polarity::Off
-    }
-}
-
-/// The time resolution one bin represents for an interval.
-pub fn bin_duration(interval: TimeWindow, bins: usize) -> TimeDelta {
-    TimeDelta::from_micros(interval.duration().as_micros() / bins.max(1) as i64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ev_core::event::{Event, SensorGeometry};
+    use ev_core::event::{Polarity, SensorGeometry};
     use ev_core::Timestamp;
 
     fn ev(x: u16, y: u16, t_us: u64, p: Polarity) -> Event {
@@ -530,15 +516,5 @@ mod tests {
         assert_eq!(frames.len(), 4);
         assert_eq!(frames[0].event_count(), 1);
         assert_eq!(frames[2].event_count(), 1);
-    }
-
-    #[test]
-    fn helpers() {
-        assert_eq!(channel_polarity(0), Polarity::On);
-        assert_eq!(channel_polarity(1), Polarity::Off);
-        assert_eq!(
-            bin_duration(interval_ms(0, 20), 4),
-            TimeDelta::from_millis(5)
-        );
     }
 }

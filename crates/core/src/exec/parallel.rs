@@ -21,17 +21,33 @@
 use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
 
-/// The number of worker threads to use when the caller asks for "auto"
-/// (`workers == 0`): the machine's available parallelism.
-pub fn auto_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+/// Most threads one [`parallel_map`] call starts, whatever worker count
+/// it is asked for (`--workers` flags and tune reports are external
+/// input). Results do not depend on the worker count.
+pub const MAX_WORKERS: usize = 64;
+
+/// The worker count a request runs on: `0` ("auto") is the machine's
+/// available parallelism, and every request is capped at
+/// [`MAX_WORKERS`].
+pub(crate) fn resolve_workers(workers: usize) -> usize {
+    let workers = if workers == 0 {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    } else {
+        workers
+    };
+    workers.min(MAX_WORKERS)
 }
 
-/// Applies `f` to every item on a pool of `workers` threads pulling
-/// from a shared work queue and replying over a bounded channel;
-/// returns the results in input order.
+/// The threads [`parallel_map`] starts for `workers` over `items` items.
+fn thread_count(workers: usize, items: usize) -> usize {
+    workers.min(items).min(MAX_WORKERS)
+}
+
+/// Applies `f` to every item on a pool of `workers` threads (at most
+/// [`MAX_WORKERS`]) pulling from a shared work queue and replying over
+/// a bounded channel; returns the results in input order.
 ///
 /// With `workers <= 1` (or one item) this degrades to a plain serial
 /// map — same results, no threads. A panic inside `f` propagates to
@@ -44,7 +60,7 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let workers = workers.min(items.len());
+    let workers = thread_count(workers, items.len());
     if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
@@ -199,6 +215,17 @@ mod tests {
                 });
             assert_eq!(out.unwrap_err(), "bad 3", "workers = {workers}");
         }
+    }
+
+    #[test]
+    fn thread_count_is_capped() {
+        assert_eq!(thread_count(usize::MAX, usize::MAX), MAX_WORKERS);
+        assert_eq!(thread_count(MAX_WORKERS + 1, 1_000), MAX_WORKERS);
+        assert_eq!(thread_count(8, 3), 3);
+        assert_eq!(thread_count(0, 10), 0);
+        assert_eq!(resolve_workers(usize::MAX), MAX_WORKERS);
+        assert!((1..=MAX_WORKERS).contains(&resolve_workers(0)));
+        assert_eq!(resolve_workers(3), 3);
     }
 
     #[test]

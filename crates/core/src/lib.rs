@@ -85,9 +85,7 @@ pub mod nmp {
         run_cells, run_sweep, task_spec_for, PlatformPreset, SearchAlgorithm, SweepCell,
         SweepCellReport, SweepReport, SweepSpec, TaskMix, ZooPreset,
     };
-    pub use tune::{
-        rank_cells, AutoTuner, CellObjective, TuneObjective, TuneReport, TuneSelection,
-    };
+    pub use tune::{rank_cells, AutoTuner, TuneObjective, TuneReport, TuneSelection};
 }
 
 pub use dsfa::{CMode, Dsfa, DsfaConfig, MergedBatch};
@@ -120,12 +118,11 @@ pub enum EvEdgeError {
         /// Merge bucket size.
         mb_size: usize,
     },
-    /// A search configuration is degenerate.
+    /// A search configuration field is out of range (see
+    /// [`nmp::evolution::NmpConfig::validate`]).
     InvalidSearchConfig {
-        /// Population size.
-        population: usize,
-        /// Generation count.
-        generations: usize,
+        /// The offending [`nmp::evolution::NmpConfig`] field.
+        field: &'static str,
     },
     /// A mapping problem needs at least one task.
     EmptyProblem,
@@ -162,9 +159,11 @@ pub enum EvEdgeError {
         /// The rejected capacity.
         capacity: usize,
     },
-    /// A configuration-sweep grid has a degenerate axis.
+    /// A configuration-sweep grid has an empty, out-of-range or
+    /// oversized axis, or too many cells.
     InvalidSweepSpec {
-        /// The offending axis of the [`nmp::SweepSpec`].
+        /// The offending axis of the [`nmp::SweepSpec`], or `cells` when
+        /// the grid as a whole is over its cap.
         axis: &'static str,
     },
     /// An auto-tuning pass was given a sweep report with no cells.
@@ -194,13 +193,9 @@ impl fmt::Display for EvEdgeError {
                 f,
                 "invalid DSFA config: buffer {ebuf_size}, bucket {mb_size}"
             ),
-            EvEdgeError::InvalidSearchConfig {
-                population,
-                generations,
-            } => write!(
-                f,
-                "invalid search config: population {population}, generations {generations}"
-            ),
+            EvEdgeError::InvalidSearchConfig { field } => {
+                write!(f, "search config field `{field}` is out of range")
+            }
             EvEdgeError::EmptyProblem => f.write_str("mapping problem has no tasks"),
             EvEdgeError::UnsupportedAssignment {
                 task,
@@ -224,7 +219,10 @@ impl fmt::Display for EvEdgeError {
                 write!(f, "inference queue capacity {capacity} must be nonzero")
             }
             EvEdgeError::InvalidSweepSpec { axis } => {
-                write!(f, "sweep spec axis `{axis}` is degenerate")
+                write!(
+                    f,
+                    "sweep spec `{axis}` is empty, out of range or over its cap"
+                )
             }
             EvEdgeError::EmptySweepReport => {
                 f.write_str("auto-tuning needs a sweep report with at least one cell")

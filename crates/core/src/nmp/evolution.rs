@@ -56,6 +56,41 @@ impl Default for NmpConfig {
     }
 }
 
+/// Largest [`NmpConfig::population`] a search accepts.
+pub const MAX_POPULATION: usize = 1_024;
+/// Largest [`NmpConfig::generations`] a search accepts.
+pub const MAX_GENERATIONS: usize = 10_000;
+/// Largest [`NmpConfig::mutation_layers`] a search accepts.
+pub const MAX_MUTATION_LAYERS: usize = 1_024;
+
+impl NmpConfig {
+    /// Checks a configuration before a search runs on it: a population
+    /// in `2..=MAX_POPULATION`, generations in `1..=MAX_GENERATIONS`, at
+    /// most [`MAX_MUTATION_LAYERS`] mutated layers, and an elite
+    /// fraction in `(0, 1]`. The caps bound the memory and time of a
+    /// search whose configuration was read from a file.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvEdgeError::InvalidSearchConfig`] naming the first
+    /// offending field.
+    pub fn validate(&self) -> Result<(), EvEdgeError> {
+        let elite_ok = self.elite_fraction > 0.0 && self.elite_fraction <= 1.0;
+        let field = if !(2..=MAX_POPULATION).contains(&self.population) {
+            "population"
+        } else if !(1..=MAX_GENERATIONS).contains(&self.generations) {
+            "generations"
+        } else if self.mutation_layers > MAX_MUTATION_LAYERS {
+            "mutation_layers"
+        } else if !elite_ok {
+            "elite_fraction"
+        } else {
+            return Ok(());
+        };
+        Err(EvEdgeError::InvalidSearchConfig { field })
+    }
+}
+
 /// Best/mean fitness of one generation (Figure 10a data).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenerationStat {
@@ -89,7 +124,8 @@ pub struct SearchResult {
 /// # Errors
 ///
 /// Propagates fitness-evaluation errors; returns
-/// [`EvEdgeError::InvalidSearchConfig`] for degenerate configurations.
+/// [`EvEdgeError::InvalidSearchConfig`] for configurations that
+/// [`NmpConfig::validate`] rejects.
 ///
 /// # Examples
 ///
@@ -120,12 +156,7 @@ pub fn run_nmp(
     config: NmpConfig,
     fitness: FitnessConfig,
 ) -> Result<SearchResult, EvEdgeError> {
-    if config.population < 2 || config.generations == 0 {
-        return Err(EvEdgeError::InvalidSearchConfig {
-            population: config.population,
-            generations: config.generations,
-        });
-    }
+    config.validate()?;
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut evaluator = FitnessEvaluator::new(problem, fitness);
     let make_random = |rng: &mut ChaCha8Rng| {
@@ -154,7 +185,7 @@ pub fn run_nmp(
             *slot = seed;
         }
     }
-    let mut history = Vec::with_capacity(config.generations);
+    let mut history = Vec::new();
     // Equation 2 is a hard constraint: prefer the best *feasible*
     // candidate, fall back to the best overall only if nothing feasible
     // was ever seen.
@@ -365,28 +396,37 @@ mod tests {
     #[test]
     fn degenerate_configs_rejected() {
         let p = problem();
-        assert!(matches!(
-            run_nmp(
-                &p,
-                NmpConfig {
-                    population: 1,
-                    ..quick_config()
-                },
-                FitnessConfig::default()
+        let at_caps = NmpConfig {
+            population: MAX_POPULATION,
+            generations: MAX_GENERATIONS,
+            mutation_layers: MAX_MUTATION_LAYERS,
+            elite_fraction: 1.0,
+            ..quick_config()
+        };
+        assert!(at_caps.validate().is_ok());
+        let with = |mutate: fn(&mut NmpConfig)| {
+            let mut config = quick_config();
+            mutate(&mut config);
+            config
+        };
+        for (field, config) in [
+            ("population", with(|c| c.population = 1)),
+            ("population", with(|c| c.population = MAX_POPULATION + 1)),
+            ("generations", with(|c| c.generations = 0)),
+            ("generations", with(|c| c.generations = 1_000_000_000_000)),
+            (
+                "mutation_layers",
+                with(|c| c.mutation_layers = MAX_MUTATION_LAYERS + 1),
             ),
-            Err(EvEdgeError::InvalidSearchConfig { .. })
-        ));
-        assert!(matches!(
-            run_nmp(
-                &p,
-                NmpConfig {
-                    generations: 0,
-                    ..quick_config()
-                },
-                FitnessConfig::default()
-            ),
-            Err(EvEdgeError::InvalidSearchConfig { .. })
-        ));
+            ("elite_fraction", with(|c| c.elite_fraction = 0.0)),
+            ("elite_fraction", with(|c| c.elite_fraction = f64::NAN)),
+        ] {
+            let err = run_nmp(&p, config, FitnessConfig::default()).err();
+            assert!(
+                matches!(err, Some(EvEdgeError::InvalidSearchConfig { field: got }) if got == field),
+                "{field}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -24,9 +24,6 @@ pub enum Objective {
     /// multi-task inference.
     #[default]
     JointLatency,
-    /// Extension: the busiest processing element's busy time per joint
-    /// inference — the reciprocal of the sustainable inference rate.
-    BottleneckLoad,
     /// Extension: schedulability load under periodic streaming arrivals —
     /// the maximum of each task's `latency / period` (tasks are serial:
     /// an inference must finish before its successor starts) and each
@@ -143,11 +140,7 @@ impl<'a> FitnessEvaluator<'a> {
         candidates: &[Candidate],
         workers: usize,
     ) -> Result<Vec<FitnessReport>, EvEdgeError> {
-        let workers = if workers == 0 {
-            crate::exec::parallel::auto_workers()
-        } else {
-            workers
-        };
+        let workers = crate::exec::parallel::resolve_workers(workers);
         // Unique cache misses, in first-occurrence order.
         let mut miss_keys: Vec<u64> = Vec::new();
         let mut miss_candidates: Vec<&Candidate> = Vec::new();
@@ -205,15 +198,6 @@ impl<'a> FitnessEvaluator<'a> {
             task_nodes.push(node_of_layer);
         }
         let energy = builder.energy();
-        // Busy seconds per (PE, task) for the streaming objective.
-        let mut pe_task_busy = vec![vec![0.0f64; problem.tasks().len()]; platform.elements().len()];
-        for (t, nodes) in task_nodes.iter().enumerate() {
-            for &idx in nodes {
-                let node = &builder.nodes()[idx];
-                pe_task_busy[node.queue][t] += node.duration.as_secs_f64();
-            }
-        }
-
         let schedule = builder.schedule()?;
         let per_task_latency: Vec<TimeDelta> = task_nodes
             .iter()
@@ -252,8 +236,16 @@ impl<'a> FitnessEvaluator<'a> {
             .unwrap_or(TimeDelta::ZERO);
         let objective_secs = match self.config.objective {
             Objective::JointLatency => max_latency.as_secs_f64(),
-            Objective::BottleneckLoad => bottleneck.as_secs_f64(),
             Objective::Streaming => {
+                // Busy seconds per (PE, task).
+                let mut pe_task_busy =
+                    vec![vec![0.0f64; problem.tasks().len()]; platform.elements().len()];
+                for (t, nodes) in task_nodes.iter().enumerate() {
+                    for &idx in nodes {
+                        let node = &builder.nodes()[idx];
+                        pe_task_busy[node.queue][t] += node.duration.as_secs_f64();
+                    }
+                }
                 let mut load = 0.0f64;
                 for (t, task) in problem.tasks().iter().enumerate() {
                     let latency_s = per_task_latency[t].as_secs_f64();

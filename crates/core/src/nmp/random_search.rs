@@ -17,24 +17,20 @@ use rand_chacha::ChaCha8Rng;
 ///
 /// # Errors
 ///
-/// Propagates fitness errors; rejects degenerate configurations like
+/// Propagates fitness errors; rejects the configurations that
+/// [`NmpConfig::validate`] rejects, like
 /// [`crate::nmp::evolution::run_nmp`].
 pub fn run_random_search(
     problem: &MultiTaskProblem,
     config: NmpConfig,
     fitness: FitnessConfig,
 ) -> Result<SearchResult, EvEdgeError> {
-    if config.population < 2 || config.generations == 0 {
-        return Err(EvEdgeError::InvalidSearchConfig {
-            population: config.population,
-            generations: config.generations,
-        });
-    }
+    config.validate()?;
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut evaluator = FitnessEvaluator::new(problem, fitness);
     let mut best_feasible: Option<(Candidate, FitnessReport)> = None;
     let mut best_any: Option<(Candidate, FitnessReport)> = None;
-    let mut history = Vec::with_capacity(config.generations);
+    let mut history = Vec::new();
     for generation in 0..config.generations {
         // Draw the whole generation first (the RNG stays serial), then
         // fan evaluation out across the worker pool like the

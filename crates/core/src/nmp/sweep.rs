@@ -362,57 +362,20 @@ impl Default for SweepSpec {
     }
 }
 
+/// Most cells a [`SweepSpec`] grid may expand to.
+pub const MAX_CELLS: usize = 4_096;
+/// Longest [`SweepSpec::runtime_window_ms`] a sweep accepts.
+pub const MAX_RUNTIME_WINDOW_MS: u64 = 10_000;
+
 impl SweepSpec {
-    /// Validates the grid axes.
+    /// Validates the grid: its axes, its size and every cell's search
+    /// configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`EvEdgeError::InvalidSweepSpec`] naming the offending
-    /// axis: empty axes, populations below 2, zero generations, elite
-    /// fractions outside `(0, 1]`, zero queue capacities, an empty
-    /// custom task mix, or a runtime window that is zero or whose
-    /// microsecond count overflows `u64`.
+    /// Returns [`EvEdgeError::InvalidSweepSpec`] as [`SweepSpec::cells`].
     pub fn validate(&self) -> Result<(), EvEdgeError> {
-        let bad = |axis| Err(EvEdgeError::InvalidSweepSpec { axis });
-        if self.populations.is_empty() || self.populations.iter().any(|&p| p < 2) {
-            return bad("populations");
-        }
-        if self.generations.is_empty() || self.generations.contains(&0) {
-            return bad("generations");
-        }
-        if self.mutation_layers.is_empty() {
-            return bad("mutation_layers");
-        }
-        if self.elite_fractions.is_empty()
-            || self
-                .elite_fractions
-                .iter()
-                .any(|f| !f.is_finite() || *f <= 0.0 || *f > 1.0)
-        {
-            return bad("elite_fractions");
-        }
-        if self.queue_capacities.is_empty() || self.queue_capacities.contains(&0) {
-            return bad("queue_capacities");
-        }
-        if self.platforms.is_empty() {
-            return bad("platforms");
-        }
-        if self.task_mixes.is_empty()
-            || self.task_mixes.iter().any(|m| m.networks().is_empty())
-            || self
-                .task_mixes
-                .iter()
-                .any(|m| !m.delta_scale().is_finite() || m.delta_scale() < 0.0)
-        {
-            return bad("task_mixes");
-        }
-        if self.algorithms.is_empty() {
-            return bad("algorithms");
-        }
-        if self.runtime_window_ms == 0 || self.runtime_window_ms.checked_mul(1_000).is_none() {
-            return bad("runtime_window_ms");
-        }
-        Ok(())
+        self.cells().map(drop)
     }
 
     /// Expands the grid into cells, in canonical axis order (populations
@@ -421,9 +384,47 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`EvEdgeError::InvalidSweepSpec`] as [`SweepSpec::validate`].
+    /// Returns [`EvEdgeError::InvalidSweepSpec`] naming the offending
+    /// axis: an empty axis, zero queue capacities, an empty custom task
+    /// mix, a runtime window that is zero or longer than
+    /// [`MAX_RUNTIME_WINDOW_MS`], more than [`MAX_CELLS`] cells (axis
+    /// `cells`), or a cell whose search configuration
+    /// [`NmpConfig::validate`] rejects (named by its axis, such as
+    /// `generations`).
     pub fn cells(&self) -> Result<Vec<SweepCell>, EvEdgeError> {
-        self.validate()?;
+        let bad = |axis| Err(EvEdgeError::InvalidSweepSpec { axis });
+        let axes = [
+            ("populations", self.populations.len()),
+            ("generations", self.generations.len()),
+            ("mutation_layers", self.mutation_layers.len()),
+            ("elite_fractions", self.elite_fractions.len()),
+            ("queue_capacities", self.queue_capacities.len()),
+            ("platforms", self.platforms.len()),
+            ("task_mixes", self.task_mixes.len()),
+            ("algorithms", self.algorithms.len()),
+        ];
+        if let Some(&(axis, _)) = axes.iter().find(|(_, len)| *len == 0) {
+            return bad(axis);
+        }
+        if self.queue_capacities.contains(&0) {
+            return bad("queue_capacities");
+        }
+        if self.task_mixes.iter().any(|m| {
+            m.networks().is_empty() || !m.delta_scale().is_finite() || m.delta_scale() < 0.0
+        }) {
+            return bad("task_mixes");
+        }
+        if !(1..=MAX_RUNTIME_WINDOW_MS).contains(&self.runtime_window_ms) {
+            return bad("runtime_window_ms");
+        }
+        // Bounded before the axes are deduplicated, so a huge axis is
+        // rejected before any per-value work.
+        let grid_cells = axes
+            .iter()
+            .try_fold(1usize, |cells, &(_, len)| cells.checked_mul(len));
+        if grid_cells.is_none_or(|cells| cells > MAX_CELLS) {
+            return bad("cells");
+        }
         let populations = dedup(&self.populations);
         let generations = dedup(&self.generations);
         let mutation_layers = dedup(&self.mutation_layers);
@@ -456,6 +457,15 @@ impl SweepSpec {
                                             algorithm,
                                             seed: 0,
                                         };
+                                        if let Err(EvEdgeError::InvalidSearchConfig { field }) =
+                                            cell.nmp_config(0).validate()
+                                        {
+                                            return bad(match field {
+                                                "population" => "populations",
+                                                "elite_fraction" => "elite_fractions",
+                                                axis => axis,
+                                            });
+                                        }
                                         cells.push(SweepCell {
                                             seed: self.cell_seed(&cell),
                                             ..cell
@@ -884,7 +894,6 @@ fn execute_cells(
     cells: &[SweepCell],
     workers: usize,
 ) -> Result<SweepExecution, EvEdgeError> {
-    spec.validate()?;
     let zoo = spec.zoo.config();
     let prepared = prepare_problems(cells, &zoo)?;
     let window = spec.runtime_window();
@@ -908,11 +917,7 @@ fn execute_cells(
             }
         }
     }
-    let workers = if workers == 0 {
-        crate::exec::parallel::auto_workers()
-    } else {
-        workers
-    };
+    let workers = crate::exec::parallel::resolve_workers(workers);
     // With fewer distinct searches than pool workers, spare cores go to
     // candidate evaluation *inside* each search (bitwise identical for
     // any split, so this is purely a wall-clock choice).
@@ -967,6 +972,7 @@ pub fn run_cells(
     cells: &[SweepCell],
     workers: usize,
 ) -> Result<Vec<SweepCellReport>, EvEdgeError> {
+    spec.validate()?;
     Ok(execute_cells(spec, cells, workers)?.reports)
 }
 
@@ -1102,9 +1108,32 @@ mod tests {
                 "runtime_window_ms",
                 Box::new(|s| s.runtime_window_ms = u64::MAX / 1_000 + 1),
             ),
+            // Over the caps: each would otherwise abort on allocation or
+            // run for minutes.
+            (
+                "generations",
+                Box::new(|s| s.generations = vec![2, 1_000_000_000_000]),
+            ),
+            (
+                "mutation_layers",
+                Box::new(|s| s.mutation_layers = vec![1_000_000_000]),
+            ),
+            (
+                "runtime_window_ms",
+                Box::new(|s| s.runtime_window_ms = u64::MAX / 1_000 - 1),
+            ),
+            (
+                "runtime_window_ms",
+                Box::new(|s| s.runtime_window_ms = MAX_RUNTIME_WINDOW_MS + 1),
+            ),
+            (
+                "cells",
+                Box::new(|s| s.populations = (2..MAX_CELLS + 3).collect()),
+            ),
         ] {
             let mut spec = tiny_spec();
             mutate(&mut spec);
+            assert!(spec.validate().is_err(), "{axis}");
             match spec.cells() {
                 Err(EvEdgeError::InvalidSweepSpec { axis: got }) => {
                     assert_eq!(got, axis);

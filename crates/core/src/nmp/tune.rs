@@ -8,7 +8,7 @@
 //! against. This module turns a [`SweepReport`] (what *did* win, per
 //! configuration cell) into a [`TuneReport`] (what *should run*, per
 //! platform × task mix): an [`AutoTuner`] ranks every cell with a
-//! pluggable deterministic objective and emits, for each
+//! deterministic objective and emits, for each
 //! (platform, task-mix, algorithm) group the sweep covered, the
 //! winning cell's replayable search configuration —
 //! [`TuneReport::selection_for_mix`] answers "what should this
@@ -20,10 +20,10 @@
 //!
 //! A tuning decision must not depend on how the sweep was executed:
 //!
-//! * **Objectives are pure functions of the cell report.** Every
-//!   [`CellObjective`] maps a [`SweepCellReport`] to one `f64`; nothing
-//!   about worker counts, wall-clock time or evaluation order enters
-//!   the score.
+//! * **Objectives are pure functions of the cell report.**
+//!   [`TuneObjective::score`] maps a [`SweepCellReport`] to one `f64`;
+//!   nothing about worker counts, wall-clock time or evaluation order
+//!   enters the score.
 //! * **Ranking breaks ties on the cell key.** Cells are ordered by
 //!   feasibility, then score ([`f64::total_cmp`], so even NaN scores
 //!   order deterministically), then [`crate::nmp::sweep::SweepCell::coords`] — a total
@@ -73,18 +73,7 @@ use crate::nmp::sweep::{
 };
 use crate::EvEdgeError;
 
-/// A deterministic ranking objective over evaluated sweep cells.
-///
-/// Implementations must be pure functions of the report (no wall-clock,
-/// no RNG, no global state): the tuner's winner-selection guarantees —
-/// the same winner for any worker count and any cell order — hold for
-/// exactly that class of objective. Lower scores are better.
-pub trait CellObjective {
-    /// Scores one evaluated cell; lower is better.
-    fn score(&self, report: &SweepCellReport) -> f64;
-}
-
-/// The built-in tuning objectives (all serde-round-trippable).
+/// The tuning objectives (all serde-round-trippable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TuneObjective {
@@ -124,10 +113,12 @@ impl TuneObjective {
             }),
         }
     }
-}
 
-impl CellObjective for TuneObjective {
-    fn score(&self, report: &SweepCellReport) -> f64 {
+    /// Scores one evaluated cell; lower is better. A pure function of
+    /// the report (no wall-clock, no RNG, no global state), which the
+    /// tuner's winner-selection guarantees rest on: the same winner for
+    /// any worker count and any cell order.
+    pub fn score(self, report: &SweepCellReport) -> f64 {
         match self {
             TuneObjective::Latency => report.best_latency_ms,
             TuneObjective::Energy => report.best_energy_mj,
@@ -168,10 +159,7 @@ fn rank_order(
 /// ties break on score then on [`crate::nmp::sweep::SweepCell::coords`], so the ranking is
 /// a pure function of the *set* of reports — shuffling the slice
 /// permutes the returned indices but never the cells they denote.
-pub fn rank_cells<O: CellObjective + ?Sized>(
-    reports: &[SweepCellReport],
-    objective: &O,
-) -> Vec<usize> {
+pub fn rank_cells(reports: &[SweepCellReport], objective: &TuneObjective) -> Vec<usize> {
     let scores: Vec<f64> = reports.iter().map(|r| objective.score(r)).collect();
     let mut order: Vec<usize> = (0..reports.len()).collect();
     order.sort_by(|&i, &j| {
@@ -281,22 +269,10 @@ impl TuneReport {
         self.best_where(|s| s.platform == platform && &s.task_mix == task_mix)
     }
 
-    /// The best selection for a platform across every task mix and
-    /// algorithm the sweep covered: feasible first, then lowest score,
-    /// then the cell key — the same total order the tuner ranks with.
-    /// This answers "what should this platform run"; a replay path
-    /// bound to a *fixed* search runner must use
-    /// [`TuneReport::selection_for_algorithm`] instead (the Figure 8/9
-    /// `--tuned` replays do), because the winner returned here may
-    /// belong to a different algorithm than the one the caller would
-    /// re-run. Replay the result with
-    /// [`TuneSelection::replay_search`], which dispatches correctly.
-    pub fn selection_for(&self, platform: PlatformPreset) -> Option<&TuneSelection> {
-        self.best_where(|s| s.platform == platform)
-    }
-
-    /// [`TuneReport::selection_for`] restricted to winners of one
-    /// search algorithm. A caller that replays through a *fixed* search
+    /// The best selection for a platform across every task mix,
+    /// restricted to winners of one search algorithm: feasible first,
+    /// then lowest score, then the cell key — the same total order the
+    /// tuner ranks with. A caller that replays through a *fixed* search
     /// runner (the Figure 8/9 binaries always run the evolutionary NMP)
     /// must use this so a Random-search winner is never silently
     /// replayed under a different algorithm than the one that earned
@@ -307,17 +283,6 @@ impl TuneReport {
         algorithm: SearchAlgorithm,
     ) -> Option<&TuneSelection> {
         self.best_where(|s| s.platform == platform && s.algorithm == algorithm)
-    }
-
-    /// The search configuration of [`TuneReport::selection_for`]'s
-    /// winner. This drops the winning *algorithm*, so only use it when
-    /// the algorithm is known or irrelevant — replaying the config
-    /// through a fixed runner reproduces the selection's numbers only
-    /// if that runner matches [`TuneSelection::algorithm`]; prefer
-    /// [`TuneReport::selection_for_algorithm`] +
-    /// [`TuneSelection::replay_search`] otherwise.
-    pub fn config_for(&self, platform: PlatformPreset) -> Option<NmpConfig> {
-        self.selection_for(platform).map(|s| s.config)
     }
 
     /// The best matching selection under the tuner's total order
@@ -605,20 +570,26 @@ mod tests {
         let tuned = AutoTuner::new(TuneObjective::Latency)
             .tune_spec(&spec, 1)
             .unwrap();
-        let nano = tuned.selection_for(PlatformPreset::NanoLike).unwrap();
+        let nano = tuned
+            .selection_for_mix(PlatformPreset::NanoLike, &TaskMix::AllSnn)
+            .unwrap();
         assert_eq!(nano.platform, PlatformPreset::NanoLike);
         assert_eq!(
             tuned
-                .selection_for_mix(PlatformPreset::NanoLike, &TaskMix::AllSnn)
+                .selection_for_algorithm(PlatformPreset::NanoLike, SearchAlgorithm::Evolutionary)
                 .unwrap(),
             nano
         );
-        assert!(tuned.selection_for(PlatformPreset::OrinLike).is_none());
+        assert!(tuned
+            .selection_for_mix(PlatformPreset::OrinLike, &TaskMix::AllSnn)
+            .is_none());
         assert!(tuned
             .selection_for_mix(PlatformPreset::XavierAgx, &TaskMix::AllAnn)
             .is_none());
-        let config = tuned.config_for(PlatformPreset::XavierAgx).unwrap();
-        assert!(config.population >= 3);
+        let xavier = tuned
+            .selection_for_mix(PlatformPreset::XavierAgx, &TaskMix::AllSnn)
+            .unwrap();
+        assert!(xavier.config.population >= 3);
     }
 
     #[test]
@@ -721,10 +692,10 @@ mod tests {
             .selection_for_algorithm(PlatformPreset::NanoLike, SearchAlgorithm::Evolutionary)
             .unwrap();
         assert_eq!(nano.algorithm, SearchAlgorithm::Evolutionary);
-        // The unrestricted lookup still sees the Random winner.
+        // The lookup across algorithms still sees the Random winner.
         assert_eq!(
             report
-                .selection_for(PlatformPreset::XavierAgx)
+                .selection_for_mix(PlatformPreset::XavierAgx, &TaskMix::AllSnn)
                 .unwrap()
                 .algorithm,
             SearchAlgorithm::Random

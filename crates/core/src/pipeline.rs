@@ -41,20 +41,12 @@ use ev_platform::timeline::DeviceTimeline;
 
 pub use crate::exec::job::JobRecord;
 
-/// Modeled throughput of dense-frame→sparse encoding on the GPU,
-/// elements/second (the overhead the dense+encode ablation pays).
-pub const ENCODE_THROUGHPUT: f64 = 2.0e9;
-
 /// Which optimizations are active (cumulative, as in Figure 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PipelineVariant {
     /// Dense event frames on the GPU at FP32 — the paper's baseline.
     DenseAllGpu,
-    /// Dense frames, post-hoc sparse encoding, sparse execution — the
-    /// "sparse libraries on dense frames" ablation whose encode overhead
-    /// E2SF eliminates.
-    DenseEncodeSparse,
     /// E2SF sparse frames, FIFO dispatch, all-GPU FP32.
     E2sf,
     /// E2SF + DSFA aggregation, all-GPU FP32.
@@ -89,7 +81,6 @@ impl PipelineVariant {
     pub fn label(self) -> &'static str {
         match self {
             PipelineVariant::DenseAllGpu => "all-GPU (dense)",
-            PipelineVariant::DenseEncodeSparse => "dense+encode+sparse",
             PipelineVariant::E2sf => "+E2SF",
             PipelineVariant::E2sfDsfa => "+E2SF+DSFA",
             PipelineVariant::E2sfDsfaNmp => "+E2SF+DSFA+NMP",
@@ -195,18 +186,6 @@ pub struct PipelineReport {
     pub metric: f64,
     /// Executed jobs (for distribution analysis).
     pub jobs: Vec<JobRecord>,
-}
-
-impl PipelineReport {
-    /// Throughput in processed events per second of makespan.
-    pub fn event_throughput(&self) -> f64 {
-        let secs = self.makespan.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.events as f64 / secs
-        }
-    }
 }
 
 /// Runs the single-task pipeline on the unified execution engine.
@@ -365,14 +344,7 @@ fn inference_cost(
         |l| workloads[l].output_bytes * batch.max(1) as u64,
     )?;
     let schedule = builder.schedule()?;
-    let mut duration = schedule.makespan;
-    if variant == PipelineVariant::DenseEncodeSparse {
-        // Post-hoc dense→sparse encoding before every inference.
-        let elements =
-            workloads.first().map(|w| w.input_bytes / 4).unwrap_or(0) as f64 * batch.max(1) as f64;
-        duration += TimeDelta::from_secs_f64(elements / ENCODE_THROUGHPUT);
-    }
-    Ok((duration, builder.energy()))
+    Ok((schedule.makespan, builder.energy()))
 }
 
 #[cfg(test)]
@@ -462,7 +434,7 @@ mod tests {
     #[test]
     fn report_throughput_and_job_accounting() {
         let report = run(NetworkId::Dotie, PipelineVariant::E2sf);
-        assert!(report.event_throughput() > 0.0);
+        assert!(report.events > 0 && report.makespan > TimeDelta::ZERO);
         // Jobs never start before their input is ready and never overlap.
         let mut prev_end = Timestamp::ZERO;
         for job in &report.jobs {
@@ -475,17 +447,5 @@ mod tests {
         assert_eq!(report.inferences, report.frames);
         let job_events: usize = report.jobs.iter().map(|j| j.events).sum();
         assert_eq!(job_events, report.events);
-    }
-
-    #[test]
-    fn encode_ablation_pays_overhead() {
-        let sparse = run(NetworkId::Dotie, PipelineVariant::E2sf);
-        let encode = run(NetworkId::Dotie, PipelineVariant::DenseEncodeSparse);
-        assert!(
-            encode.makespan > sparse.makespan,
-            "encode overhead {:?} must exceed direct sparse {:?}",
-            encode.makespan,
-            sparse.makespan
-        );
     }
 }

@@ -7,7 +7,6 @@
 //! perception output fresh under overload.
 
 use crate::EvEdgeError;
-use core::fmt;
 use std::collections::VecDeque;
 
 /// A bounded FIFO that discards the oldest entry on overflow.
@@ -32,7 +31,6 @@ pub struct InferenceQueue<T> {
     items: VecDeque<T>,
     capacity: usize,
     dropped: u64,
-    accepted: u64,
 }
 
 impl<T> InferenceQueue<T> {
@@ -50,13 +48,7 @@ impl<T> InferenceQueue<T> {
             items: VecDeque::with_capacity(capacity),
             capacity,
             dropped: 0,
-            accepted: 0,
         })
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Pending inputs.
@@ -72,7 +64,6 @@ impl<T> InferenceQueue<T> {
     /// Enqueues an input; if full, the *earliest* pending input is
     /// discarded and returned (paper §4.2 drop rule).
     pub fn push(&mut self, item: T) -> Option<T> {
-        self.accepted += 1;
         let evicted = if self.items.len() == self.capacity {
             self.dropped += 1;
             self.items.pop_front()
@@ -96,23 +87,6 @@ impl<T> InferenceQueue<T> {
     /// Inputs discarded so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Inputs accepted (pushed) so far.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-}
-
-impl<T> fmt::Display for InferenceQueue<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "InferenceQueue({}/{} pending, {} dropped)",
-            self.items.len(),
-            self.capacity,
-            self.dropped
-        )
     }
 }
 
@@ -140,7 +114,6 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.front(), Some(&20));
         assert_eq!(q.dropped(), 1);
-        assert_eq!(q.accepted(), 3);
     }
 
     #[test]

@@ -22,9 +22,9 @@ fn arb_events(max: usize) -> impl Strategy<Value = Vec<Event>> {
     )
 }
 
-fn make_slice(events: Vec<Event>) -> EventSlice {
-    EventSlice::from_unsorted(SensorGeometry::new(W as u32, H as u32), events)
-        .expect("bounded events")
+fn make_slice(mut events: Vec<Event>) -> EventSlice {
+    events.sort_by_key(|e| e.t);
+    EventSlice::new(SensorGeometry::new(W as u32, H as u32), events).expect("bounded events")
 }
 
 /// E2SF spelled out bin by bin (paper §4.1): bin `k` takes the
@@ -114,14 +114,15 @@ proptest! {
         for (i, ((w, h), nb, (start, quotient, remainder), raw)) in
             conversions.into_iter().enumerate()
         {
-            let events = raw
+            let mut events: Vec<Event> = raw
                 .into_iter()
                 .map(|(x, y, t, p)| {
                     let (x, y) = ((x % w) as u16, (y % h) as u16);
                     Event::new(x, y, Timestamp::from_micros(t), Polarity::from_bit(p))
                 })
                 .collect();
-            let slice = EventSlice::from_unsorted(SensorGeometry::new(w, h), events)
+            events.sort_by_key(|e| e.t);
+            let slice = EventSlice::new(SensorGeometry::new(w, h), events)
                 .expect("events lie on the sensor");
             let len = nb as u64 * quotient + remainder % nb as u64;
             let interval = TimeWindow::new(

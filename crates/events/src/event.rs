@@ -16,7 +16,6 @@ use core::fmt;
 ///
 /// assert_eq!(Polarity::On.sign(), 1);
 /// assert_eq!(Polarity::Off.sign(), -1);
-/// assert_eq!(Polarity::On.flip(), Polarity::Off);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -46,15 +45,6 @@ impl Polarity {
         }
     }
 
-    /// The opposite polarity.
-    #[inline]
-    pub const fn flip(self) -> Polarity {
-        match self {
-            Polarity::On => Polarity::Off,
-            Polarity::Off => Polarity::On,
-        }
-    }
-
     /// Decodes a polarity from the conventional AER bit (`true`/1 → On).
     #[inline]
     pub const fn from_bit(bit: bool) -> Polarity {
@@ -63,12 +53,6 @@ impl Polarity {
         } else {
             Polarity::Off
         }
-    }
-
-    /// Encodes the polarity as the conventional AER bit.
-    #[inline]
-    pub const fn as_bit(self) -> bool {
-        matches!(self, Polarity::On)
     }
 }
 
@@ -220,10 +204,8 @@ mod tests {
 
     #[test]
     fn polarity_bit_round_trip() {
-        for p in [Polarity::On, Polarity::Off] {
-            assert_eq!(Polarity::from_bit(p.as_bit()), p);
-            assert_eq!(p.flip().flip(), p);
-        }
+        assert_eq!(Polarity::from_bit(true), Polarity::On);
+        assert_eq!(Polarity::from_bit(false), Polarity::Off);
     }
 
     #[test]

@@ -73,13 +73,6 @@ pub enum EventError {
         /// The sensor geometry that was violated.
         geometry: SensorGeometry,
     },
-    /// Two streams with different geometries were combined.
-    GeometryMismatch {
-        /// Geometry of the left operand.
-        left: SensorGeometry,
-        /// Geometry of the right operand.
-        right: SensorGeometry,
-    },
 }
 
 impl fmt::Display for EventError {
@@ -90,9 +83,6 @@ impl fmt::Display for EventError {
             }
             EventError::OutOfBounds { x, y, geometry } => {
                 write!(f, "event at ({x}, {y}) outside {geometry} sensor")
-            }
-            EventError::GeometryMismatch { left, right } => {
-                write!(f, "sensor geometry mismatch: {left} vs {right}")
             }
         }
     }

@@ -109,17 +109,6 @@ impl Summary {
     }
 }
 
-/// Mean fill ratio (fraction of pixels with ≥1 event) across frame slices.
-///
-/// The paper's Figure 3 reports this per network/input representation, with
-/// observed values between 0.15% and 28.57%.
-pub fn mean_fill_ratio(frames: &[EventSlice]) -> f64 {
-    if frames.is_empty() {
-        return 0.0;
-    }
-    frames.iter().map(|f| f.fill_ratio()).sum::<f64>() / frames.len() as f64
-}
-
 /// Burstiness of a density histogram: peak-to-mean ratio of bin rates.
 ///
 /// A constant stream scores ≈1; the MVSEC `indoorflying` sequences in
@@ -203,13 +192,5 @@ mod tests {
         let bb = burstiness(&temporal_density(&bursty.generate(w).unwrap(), w, bin));
         assert!(bc < 1.5, "constant burstiness {bc}");
         assert!(bb > 2.0, "bursty burstiness {bb}");
-    }
-
-    #[test]
-    fn fill_ratio_mean_over_frames() {
-        let g = SensorGeometry::new(16, 16);
-        let empty = EventSlice::empty(g);
-        assert_eq!(mean_fill_ratio(&[]), 0.0);
-        assert_eq!(mean_fill_ratio(&[empty.clone(), empty]), 0.0);
     }
 }

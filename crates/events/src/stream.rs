@@ -2,11 +2,10 @@
 //!
 //! An [`EventSlice`] is an owned, time-ordered batch of events with a known
 //! sensor geometry — the unit the Ev-Edge runtime ingests. Utilities cover
-//! validation, time-slicing (used by E2SF binning), merging of concurrent
-//! streams, and polarity counting.
+//! validation, time-slicing (used by E2SF binning) and polarity counting.
 
 use crate::event::{Event, Polarity, SensorGeometry};
-use crate::time::{TimeWindow, Timestamp};
+use crate::time::TimeWindow;
 use crate::EventError;
 use core::fmt;
 
@@ -67,20 +66,6 @@ impl EventSlice {
         Ok(EventSlice { geometry, events })
     }
 
-    /// Creates a slice from unsorted events by sorting them (stable) first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EventError::OutOfBounds`] if any event address falls outside
-    /// `geometry`.
-    pub fn from_unsorted(
-        geometry: SensorGeometry,
-        mut events: Vec<Event>,
-    ) -> Result<Self, EventError> {
-        events.sort_by_key(|e| e.t);
-        EventSlice::new(geometry, events)
-    }
-
     /// An empty slice for `geometry`.
     pub fn empty(geometry: SensorGeometry) -> Self {
         EventSlice {
@@ -112,28 +97,6 @@ impl EventSlice {
         self.events.iter()
     }
 
-    /// Timestamp of the first event, if any.
-    pub fn first_timestamp(&self) -> Option<Timestamp> {
-        self.events.first().map(|e| e.t)
-    }
-
-    /// Timestamp of the last event, if any.
-    pub fn last_timestamp(&self) -> Option<Timestamp> {
-        self.events.last().map(|e| e.t)
-    }
-
-    /// The tight `[first, last_event_time + 1us)` window covering all events,
-    /// or `None` when empty.
-    pub fn span(&self) -> Option<TimeWindow> {
-        match (self.first_timestamp(), self.last_timestamp()) {
-            (Some(a), Some(b)) => Some(TimeWindow::new(
-                a,
-                b + crate::time::TimeDelta::from_micros(1),
-            )),
-            _ => None,
-        }
-    }
-
     /// Returns the contiguous sub-slice of events with `t ∈ [window.start, window.end)`.
     ///
     /// Runs in `O(log n)` via binary search thanks to the ordering invariant.
@@ -151,38 +114,6 @@ impl EventSlice {
             .filter(|e| e.polarity == Polarity::On)
             .count();
         (on, self.events.len() - on)
-    }
-
-    /// Merges two time-ordered slices into one time-ordered slice.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EventError::GeometryMismatch`] if the slices come from
-    /// different sensor geometries.
-    pub fn merge(&self, other: &EventSlice) -> Result<EventSlice, EventError> {
-        if self.geometry != other.geometry {
-            return Err(EventError::GeometryMismatch {
-                left: self.geometry,
-                right: other.geometry,
-            });
-        }
-        let mut merged = Vec::with_capacity(self.len() + other.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.events.len() && j < other.events.len() {
-            if self.events[i].t <= other.events[j].t {
-                merged.push(self.events[i]);
-                i += 1;
-            } else {
-                merged.push(other.events[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&self.events[i..]);
-        merged.extend_from_slice(&other.events[j..]);
-        Ok(EventSlice {
-            geometry: self.geometry,
-            events: merged,
-        })
     }
 
     /// Fraction of distinct pixels that fired at least once, in `[0, 1]`.
@@ -228,7 +159,7 @@ impl<'a> IntoIterator for &'a EventSlice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::TimeDelta;
+    use crate::time::Timestamp;
 
     fn ev(x: u16, y: u16, t: u64, p: Polarity) -> Event {
         Event::new(x, y, Timestamp::from_micros(t), p)
@@ -259,15 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn from_unsorted_sorts() {
-        let g = SensorGeometry::new(8, 8);
-        let events = vec![ev(0, 0, 10, Polarity::On), ev(1, 1, 5, Polarity::Off)];
-        let s = EventSlice::from_unsorted(g, events).unwrap();
-        assert_eq!(s.first_timestamp().unwrap().as_micros(), 5);
-        assert_eq!(s.last_timestamp().unwrap().as_micros(), 10);
-    }
-
-    #[test]
     fn window_uses_half_open_bounds() {
         let s = slice(vec![
             ev(0, 0, 0, Polarity::On),
@@ -278,26 +200,6 @@ mod tests {
         let got = s.window(w);
         assert_eq!(got.len(), 2);
         assert_eq!(got[1].x, 1);
-    }
-
-    #[test]
-    fn merge_preserves_order_and_count() {
-        let a = slice(vec![ev(0, 0, 1, Polarity::On), ev(0, 0, 7, Polarity::On)]);
-        let b = slice(vec![ev(1, 1, 3, Polarity::Off), ev(1, 1, 9, Polarity::Off)]);
-        let m = a.merge(&b).unwrap();
-        assert_eq!(m.len(), 4);
-        let ts: Vec<u64> = m.iter().map(|e| e.t.as_micros()).collect();
-        assert_eq!(ts, vec![1, 3, 7, 9]);
-    }
-
-    #[test]
-    fn merge_rejects_geometry_mismatch() {
-        let a = slice(vec![]);
-        let b = EventSlice::empty(SensorGeometry::new(4, 4));
-        assert!(matches!(
-            a.merge(&b),
-            Err(EventError::GeometryMismatch { .. })
-        ));
     }
 
     #[test]
@@ -323,16 +225,5 @@ mod tests {
             ev(2, 0, 3, Polarity::On),
         ]);
         assert_eq!(s.polarity_counts(), (2, 1));
-    }
-
-    #[test]
-    fn span_covers_all_events() {
-        let s = slice(vec![ev(0, 0, 4, Polarity::On), ev(0, 0, 9, Polarity::On)]);
-        let span = s.span().unwrap();
-        assert_eq!(span.start(), Timestamp::from_micros(4));
-        assert_eq!(span.duration(), TimeDelta::from_micros(6));
-        assert!(EventSlice::empty(SensorGeometry::new(2, 2))
-            .span()
-            .is_none());
     }
 }

@@ -231,16 +231,6 @@ impl TimeDelta {
         TimeDelta(self.0.abs())
     }
 
-    /// Integer division of this delta by another, rounding toward zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs` is zero.
-    #[inline]
-    pub fn div_delta(self, rhs: TimeDelta) -> i64 {
-        self.0 / rhs.0
-    }
-
     /// Scales the delta by a float factor, rounding to the nearest
     /// microsecond.
     #[inline]
@@ -463,7 +453,6 @@ mod tests {
     fn delta_scaling() {
         let d = TimeDelta::from_millis(10);
         assert_eq!(d.mul_f64(0.5), TimeDelta::from_millis(5));
-        assert_eq!(d.div_delta(TimeDelta::from_millis(3)), 3);
         assert_eq!((-d).abs(), d);
         assert!((-d).is_negative());
     }

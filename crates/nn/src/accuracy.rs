@@ -153,11 +153,6 @@ impl AccuracyModel {
             self.baseline + degradation
         }
     }
-
-    /// Whether `degradation` respects the NMP constraint ΔA (Equation 2).
-    pub fn within_threshold(&self, degradation: f64, delta_a: f64) -> bool {
-        degradation <= delta_a
-    }
 }
 
 /// Uniform compute shares for `n` layers (helper for callers without a
@@ -237,13 +232,6 @@ mod tests {
         assert!(miou.degraded_metric(2.13) < 66.31);
         let aee = model();
         assert!(aee.degraded_metric(0.03) > 1.0);
-    }
-
-    #[test]
-    fn threshold_check() {
-        let m = model();
-        assert!(m.within_threshold(0.05, 0.05));
-        assert!(!m.within_threshold(0.051, 0.05));
     }
 
     #[test]

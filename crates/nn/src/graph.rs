@@ -68,15 +68,6 @@ impl NetworkGraph {
         &self.preds[id.0]
     }
 
-    /// Successors of a layer.
-    pub fn successors(&self, id: LayerId) -> Vec<LayerId> {
-        self.layers
-            .iter()
-            .filter(|l| self.preds[l.id.0].contains(&id))
-            .map(|l| l.id)
-            .collect()
-    }
-
     /// The network input shape.
     pub fn input_shape(&self) -> Shape {
         self.input_shape
@@ -493,7 +484,6 @@ mod tests {
         assert_eq!(g.output_shape(c2), Shape::Chw { c: 16, h: 8, w: 8 });
         assert_eq!(g.outputs(), vec![c2]);
         assert_eq!(g.predecessors(c2), &[c1]);
-        assert_eq!(g.successors(c1), vec![c2]);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The DNN framework substrate the paper's workloads run on: a layer/graph
 //! IR with shape inference and workload extraction ([`layer`], [`graph`]),
 //! stateful LIF spiking dynamics ([`snn`]), a real forward executor over
-//! `ev-sparse` kernels ([`forward`]), FP32/FP16/INT8 quantization
-//! ([`quant`]), the Table-2-anchored accuracy-degradation model
+//! `ev-sparse` kernels ([`forward`]), the FP32/FP16/INT8 precision
+//! lattice ([`quant`]), the Table-2-anchored accuracy-degradation model
 //! ([`accuracy`]), and the Table 1 model zoo ([`zoo`]).
 //!
 //! ## Example

@@ -1,13 +1,12 @@
-//! Numeric precision and linear quantization.
+//! Numeric precision.
 //!
 //! The Network Mapper searches over per-layer precision (paper §4.3:
 //! "quantized linearly based on the layer bit-widths specified in the
 //! candidate set"). This module provides the precision lattice the Jetson
-//! Xavier AGX exposes through TensorRT (FP32/FP16/INT8), real
-//! quantize-dequantize kernels, and error statistics.
+//! Xavier AGX exposes through TensorRT (FP32/FP16/INT8); the accuracy
+//! model prices a precision through [`Precision::noise_weight`].
 
 use core::fmt;
-use ev_sparse::dense::Tensor;
 
 /// A numeric precision available on at least one processing element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,162 +64,6 @@ impl fmt::Display for Precision {
     }
 }
 
-/// Error statistics of a quantize-dequantize round trip.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct QuantStats {
-    /// Maximum absolute error.
-    pub max_abs_error: f32,
-    /// Signal-to-noise ratio in dB (`f64::INFINITY` for exact round trips).
-    pub snr_db: f64,
-}
-
-/// Quantizes a tensor to `precision` and dequantizes back, returning the
-/// lossy tensor and the error statistics.
-///
-/// # Examples
-///
-/// ```
-/// use ev_nn::quant::{quantize_dequantize, Precision};
-/// use ev_sparse::dense::Tensor;
-///
-/// let mut t = Tensor::zeros(&[64]);
-/// t.fill_pseudorandom(3, 1.0);
-/// let (q, stats) = quantize_dequantize(&t, Precision::Int8);
-/// assert_eq!(q.shape(), t.shape());
-/// assert!(stats.snr_db > 30.0); // INT8 keeps ≈40+ dB on smooth data
-/// ```
-pub fn quantize_dequantize(t: &Tensor, precision: Precision) -> (Tensor, QuantStats) {
-    let out = match precision {
-        Precision::Fp32 => t.clone(),
-        Precision::Fp16 => {
-            let mut o = t.clone();
-            for v in o.as_mut_slice() {
-                *v = f16_round_trip(*v);
-            }
-            o
-        }
-        Precision::Int8 => {
-            let max_abs = t.max_abs();
-            if max_abs == 0.0 {
-                t.clone()
-            } else {
-                let scale = max_abs / 127.0;
-                let mut o = t.clone();
-                for v in o.as_mut_slice() {
-                    let q = (*v / scale).round().clamp(-127.0, 127.0);
-                    *v = q * scale;
-                }
-                o
-            }
-        }
-    };
-    let mut signal = 0.0f64;
-    let mut noise = 0.0f64;
-    let mut max_abs_error = 0.0f32;
-    for (a, b) in t.as_slice().iter().zip(out.as_slice()) {
-        signal += (*a as f64) * (*a as f64);
-        let e = a - b;
-        noise += (e as f64) * (e as f64);
-        max_abs_error = max_abs_error.max(e.abs());
-    }
-    let snr_db = if noise == 0.0 {
-        f64::INFINITY
-    } else {
-        10.0 * (signal / noise).log10()
-    };
-    (
-        out,
-        QuantStats {
-            max_abs_error,
-            snr_db,
-        },
-    )
-}
-
-/// Rounds an `f32` through IEEE 754 half precision (round-to-nearest-even),
-/// returning the value the FP16 hardware would compute with.
-pub fn f16_round_trip(x: f32) -> f32 {
-    f16_bits_to_f32(f32_to_f16_bits(x))
-}
-
-/// Converts `f32` to IEEE 754 binary16 bits (round-to-nearest-even).
-pub fn f32_to_f16_bits(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let mant = bits & 0x007F_FFFF;
-
-    if exp == 255 {
-        // Inf / NaN.
-        return sign | 0x7C00 | if mant != 0 { 0x0200 } else { 0 };
-    }
-    // Re-bias exponent: f32 bias 127 → f16 bias 15.
-    let unbiased = exp - 127;
-    if unbiased > 15 {
-        return sign | 0x7C00; // overflow → inf
-    }
-    if unbiased >= -14 {
-        // Normal f16.
-        let mut half_exp = (unbiased + 15) as u32;
-        let mut half_mant = mant >> 13;
-        // Round to nearest even on the 13 dropped bits.
-        let round_bits = mant & 0x1FFF;
-        if round_bits > 0x1000 || (round_bits == 0x1000 && (half_mant & 1) == 1) {
-            half_mant += 1;
-            if half_mant == 0x400 {
-                half_mant = 0;
-                half_exp += 1;
-                if half_exp >= 31 {
-                    return sign | 0x7C00;
-                }
-            }
-        }
-        sign | ((half_exp as u16) << 10) | half_mant as u16
-    } else if unbiased >= -24 {
-        // Subnormal f16.
-        let shift = (-14 - unbiased) as u32;
-        let full_mant = mant | 0x0080_0000; // implicit leading 1
-        let drop = 13 + shift;
-        let mut half_mant = full_mant >> drop;
-        let round_mask = 1u32 << (drop - 1);
-        let round_bits = full_mant & ((1u32 << drop) - 1);
-        if round_bits > round_mask || (round_bits == round_mask && (half_mant & 1) == 1) {
-            half_mant += 1;
-        }
-        sign | half_mant as u16
-    } else {
-        sign // underflow → signed zero
-    }
-}
-
-/// Converts IEEE 754 binary16 bits to `f32`.
-pub fn f16_bits_to_f32(h: u16) -> f32 {
-    let sign = ((h & 0x8000) as u32) << 16;
-    let exp = ((h >> 10) & 0x1F) as u32;
-    let mant = (h & 0x03FF) as u32;
-    let bits = if exp == 31 {
-        sign | 0x7F80_0000 | (mant << 13) // inf / nan
-    } else if exp == 0 {
-        if mant == 0 {
-            sign // zero
-        } else {
-            // Subnormal: normalize.
-            let mut e = 0i32;
-            let mut m = mant;
-            while m & 0x0400 == 0 {
-                m <<= 1;
-                e -= 1;
-            }
-            m &= 0x03FF;
-            let exp32 = (127 - 15 + e + 1) as u32;
-            sign | (exp32 << 23) | (m << 13)
-        }
-    } else {
-        sign | ((exp + 127 - 15) << 23) | (mant << 13)
-    };
-    f32::from_bits(bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,75 +75,5 @@ mod tests {
         assert_eq!(Precision::Fp32.bytes(), 4);
         assert!(Precision::Int8 < Precision::Fp32);
         assert_eq!(Precision::Fp32.noise_weight(), 0.0);
-    }
-
-    #[test]
-    fn f16_round_trips_exact_values() {
-        for v in [0.0f32, 1.0, -1.0, 0.5, 2.0, 65504.0, -0.25] {
-            assert_eq!(f16_round_trip(v), v, "{v} should be exactly representable");
-        }
-    }
-
-    #[test]
-    fn f16_rounds_inexact_values() {
-        // 1 + 2^-11 is not representable in f16 (10-bit mantissa).
-        let v = 1.0 + f32::powi(2.0, -11);
-        let r = f16_round_trip(v);
-        assert!((r - v).abs() > 0.0);
-        assert!((r - v).abs() < f32::powi(2.0, -10));
-    }
-
-    #[test]
-    fn f16_handles_extremes() {
-        assert_eq!(f16_round_trip(1e9), f32::INFINITY);
-        assert_eq!(f16_round_trip(-1e9), f32::NEG_INFINITY);
-        assert_eq!(f16_round_trip(1e-10), 0.0);
-        // Subnormal survival: 2^-20 is a representable f16 subnormal.
-        let sub = f32::powi(2.0, -20);
-        assert!((f16_round_trip(sub) - sub).abs() / sub < 0.05);
-        assert!(f16_round_trip(f32::NAN).is_nan());
-    }
-
-    #[test]
-    fn fp32_quantization_is_exact() {
-        let mut t = Tensor::zeros(&[32]);
-        t.fill_pseudorandom(1, 2.0);
-        let (q, stats) = quantize_dequantize(&t, Precision::Fp32);
-        assert_eq!(q, t);
-        assert_eq!(stats.max_abs_error, 0.0);
-        assert!(stats.snr_db.is_infinite());
-    }
-
-    #[test]
-    fn int8_error_is_bounded_by_scale() {
-        let mut t = Tensor::zeros(&[256]);
-        t.fill_pseudorandom(2, 1.0);
-        let (q, stats) = quantize_dequantize(&t, Precision::Int8);
-        let scale = t.max_abs() / 127.0;
-        assert!(stats.max_abs_error <= scale / 2.0 + 1e-7);
-        assert!(stats.snr_db > 30.0);
-        assert_eq!(q.shape(), t.shape());
-    }
-
-    #[test]
-    fn snr_ordering_matches_precision() {
-        let mut t = Tensor::zeros(&[512]);
-        t.fill_pseudorandom(3, 1.0);
-        let (_, s8) = quantize_dequantize(&t, Precision::Int8);
-        let (_, s16) = quantize_dequantize(&t, Precision::Fp16);
-        assert!(
-            s16.snr_db > s8.snr_db,
-            "fp16 {} dB should beat int8 {} dB",
-            s16.snr_db,
-            s8.snr_db
-        );
-    }
-
-    #[test]
-    fn zero_tensor_quantizes_cleanly() {
-        let t = Tensor::zeros(&[8]);
-        let (q, stats) = quantize_dequantize(&t, Precision::Int8);
-        assert_eq!(q, t);
-        assert!(stats.snr_db.is_infinite());
     }
 }

@@ -1,10 +1,9 @@
 //! Property-based tests for the network substrate: random chains through
-//! the executor, quantization laws, LIF dynamics.
+//! the executor, LIF dynamics.
 
 use ev_nn::forward::{Activation, Executor};
 use ev_nn::graph::GraphBuilder;
 use ev_nn::layer::{Conv2dCfg, LayerKind, LifCfg, Shape};
-use ev_nn::quant::{f16_round_trip, quantize_dequantize, Precision};
 use ev_nn::snn::LifState;
 use ev_nn::Task;
 use ev_sparse::coo::{SparseEntry, SparseTensor};
@@ -118,40 +117,6 @@ proptest! {
             prop_assert!(trace.output_density >= 0.0 && trace.output_density <= 1.0);
             prop_assert!(trace.work.actual.macs <= trace.work.dense_equivalent.macs);
         }
-    }
-
-    #[test]
-    fn quantize_is_idempotent(seed in 0u64..10_000) {
-        let mut t = Tensor::zeros(&[128]);
-        t.fill_pseudorandom(seed, 2.0);
-        for p in [Precision::Int8, Precision::Fp16, Precision::Fp32] {
-            let (once, _) = quantize_dequantize(&t, p);
-            let (twice, stats2) = quantize_dequantize(&once, p);
-            // Re-quantizing an already-quantized tensor is exact.
-            prop_assert_eq!(&once, &twice, "{} not idempotent", p);
-            prop_assert!(stats2.max_abs_error == 0.0);
-        }
-    }
-
-    #[test]
-    fn quantization_error_ordering(seed in 0u64..10_000) {
-        let mut t = Tensor::zeros(&[256]);
-        t.fill_pseudorandom(seed, 1.0);
-        let (_, s8) = quantize_dequantize(&t, Precision::Int8);
-        let (_, s16) = quantize_dequantize(&t, Precision::Fp16);
-        let (_, s32) = quantize_dequantize(&t, Precision::Fp32);
-        prop_assert!(s32.max_abs_error <= s16.max_abs_error);
-        prop_assert!(s16.max_abs_error <= s8.max_abs_error + 1e-9);
-    }
-
-    #[test]
-    fn f16_round_trip_is_faithful(v in -60_000.0f32..60_000.0) {
-        let r = f16_round_trip(v);
-        // Relative error within half-precision epsilon (2^-11 rounding).
-        let tol = v.abs() * f32::powi(2.0, -11) + 1e-7;
-        prop_assert!((r - v).abs() <= tol, "{v} → {r}");
-        // Round trip of a round trip is exact.
-        prop_assert_eq!(f16_round_trip(r), r);
     }
 
     #[test]

@@ -36,11 +36,6 @@ impl Default for LayerContext {
 }
 
 impl LayerContext {
-    /// A dense FP32 single-sample context.
-    pub fn dense_fp32() -> Self {
-        LayerContext::default()
-    }
-
     /// Sets the precision.
     pub fn with_precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
@@ -116,9 +111,9 @@ pub fn sparsity_work_factor(sparse_efficiency: f64, density: f64) -> f64 {
 ///     param_bytes: 1 << 16,
 ///     domain: Domain::Ann,
 /// };
-/// let dense = layer_cost(&platform, gpu, &workload, LayerContext::dense_fp32())?;
+/// let dense = layer_cost(&platform, gpu, &workload, LayerContext::default())?;
 /// let sparse = layer_cost(&platform, gpu, &workload,
-///     LayerContext::dense_fp32().with_density(0.05))?;
+///     LayerContext::default().with_density(0.05))?;
 /// assert!(sparse.latency < dense.latency);
 /// # Ok(())
 /// # }

@@ -58,19 +58,6 @@ pub struct Schedule {
     pub queue_busy: Vec<TimeDelta>,
 }
 
-impl Schedule {
-    /// Utilization of `queue` relative to the makespan, in `[0, 1]`.
-    pub fn utilization(&self, queue: usize) -> f64 {
-        if self.makespan == TimeDelta::ZERO {
-            return 0.0;
-        }
-        self.queue_busy
-            .get(queue)
-            .map(|b| b.as_secs_f64() / self.makespan.as_secs_f64())
-            .unwrap_or(0.0)
-    }
-}
-
 /// Schedules `nodes` over `queue_count` FIFO queues, computing Equation 3
 /// end times in topological order.
 ///
@@ -225,7 +212,7 @@ mod tests {
         ];
         let s = list_schedule(&nodes, 2).unwrap();
         assert_eq!(s.makespan, ms(2));
-        assert_eq!(s.utilization(0), 1.0);
+        assert_eq!(s.queue_busy, vec![ms(2), ms(2)]);
     }
 
     #[test]
@@ -279,7 +266,7 @@ mod tests {
     fn empty_graph_is_zero() {
         let s = list_schedule(&[], 2).unwrap();
         assert_eq!(s.makespan, TimeDelta::ZERO);
-        assert_eq!(s.utilization(0), 0.0);
+        assert_eq!(s.queue_busy, vec![TimeDelta::ZERO; 2]);
     }
 
     #[test]

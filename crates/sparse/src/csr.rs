@@ -5,7 +5,6 @@
 //! with work proportional to the nonzeros.
 
 use crate::dense::Tensor;
-use crate::opcount::OpCount;
 use crate::SparseError;
 use core::fmt;
 
@@ -210,83 +209,6 @@ impl CsrMatrix {
         (&self.col_idx[lo..hi], &self.values[lo..hi])
     }
 
-    /// Sparse matrix × dense vector, returning the result and the measured
-    /// work (proportional to `nnz`, not to the dense size).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::ShapeMismatch`] if `x.len() != n_cols`.
-    pub fn spmv(&self, x: &[f32]) -> Result<(Vec<f32>, OpCount), SparseError> {
-        if x.len() != self.n_cols {
-            return Err(SparseError::ShapeMismatch {
-                expected: self.n_cols,
-                actual: x.len(),
-            });
-        }
-        let mut y = vec![0.0f32; self.n_rows];
-        for (r, out) in y.iter_mut().enumerate() {
-            let (cols, vals) = self.row(r);
-            let mut acc = 0.0f32;
-            for (c, v) in cols.iter().zip(vals) {
-                acc += v * x[*c as usize];
-            }
-            *out = acc;
-        }
-        let ops = OpCount {
-            macs: self.nnz() as u64,
-            adds: 0,
-            bytes_read: (self.nnz() * 8 + x.len() * 4) as u64,
-            bytes_written: (y.len() * 4) as u64,
-        };
-        Ok((y, ops))
-    }
-
-    /// Sparse matrix × dense matrix (`[n_cols, n]` row-major), returning a
-    /// dense `[n_rows, n]` tensor and the measured work.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::ShapeMismatch`] on inner-dimension mismatch or
-    /// [`SparseError::RankMismatch`] if `rhs` is not rank 2.
-    pub fn spmm(&self, rhs: &Tensor) -> Result<(Tensor, OpCount), SparseError> {
-        if rhs.rank() != 2 {
-            return Err(SparseError::RankMismatch {
-                expected: 2,
-                actual: rhs.rank(),
-            });
-        }
-        let (k, n) = (rhs.shape()[0], rhs.shape()[1]);
-        if k != self.n_cols {
-            return Err(SparseError::ShapeMismatch {
-                expected: self.n_cols,
-                actual: k,
-            });
-        }
-        let mut out = Tensor::zeros(&[self.n_rows, n]);
-        let rhs_data = rhs.as_slice();
-        let out_data = out.as_mut_slice();
-        // One output row per CSR row: slice the destination once per row
-        // (not once per nonzero) so the inner loop is a pure axpy zip.
-        for (r, dst) in out_data.chunks_exact_mut(n).enumerate() {
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            for (c, v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
-                let c = *c as usize;
-                let src = &rhs_data[c * n..(c + 1) * n];
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d += v * s;
-                }
-            }
-        }
-        let ops = OpCount {
-            macs: (self.nnz() * n) as u64,
-            adds: 0,
-            bytes_read: (self.nnz() * (8 + n * 4)) as u64,
-            bytes_written: (self.n_rows * n * 4) as u64,
-        };
-        Ok((out, ops))
-    }
-
     /// Materializes the dense `[n_rows, n_cols]` tensor.
     #[allow(clippy::needless_range_loop)]
     pub fn to_dense(&self) -> Tensor {
@@ -354,29 +276,6 @@ mod tests {
         let m = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 0, 2.0), (1, 1, 0.0)]).unwrap();
         assert_eq!(m.nnz(), 1);
         assert_eq!(m.get(0, 0), 3.0);
-    }
-
-    #[test]
-    fn spmv_matches_dense() {
-        let m = sample();
-        let (y, ops) = m.spmv(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(y, vec![7.0, 0.0, 11.0]);
-        assert_eq!(ops.macs, 4); // = nnz
-        assert!(m.spmv(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn spmm_matches_manual() {
-        let m = sample();
-        let rhs = Tensor::from_vec(&[3, 2], vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]).unwrap();
-        let (out, ops) = m.spmm(&rhs).unwrap();
-        // Row 0: 1*[1,0] + 2*[1,1] = [3,2]
-        assert_eq!(out.get(&[0, 0]), 3.0);
-        assert_eq!(out.get(&[0, 1]), 2.0);
-        // Row 2: 3*[1,0] + 4*[0,1] = [3,4]
-        assert_eq!(out.get(&[2, 0]), 3.0);
-        assert_eq!(out.get(&[2, 1]), 4.0);
-        assert_eq!(ops.macs, 8); // nnz * n = 4*2
     }
 
     #[test]

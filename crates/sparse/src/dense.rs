@@ -183,11 +183,6 @@ impl Tensor {
         }
     }
 
-    /// Maximum absolute value (0 for the all-zero tensor).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
-    }
-
     /// Deterministically fills the tensor with pseudo-random values in
     /// `[-scale, scale]` derived from `seed` — used to synthesize network
     /// weights without a training pipeline.
@@ -266,7 +261,7 @@ mod tests {
         a.fill_pseudorandom(42, 0.5);
         b.fill_pseudorandom(42, 0.5);
         assert_eq!(a, b);
-        assert!(a.max_abs() <= 0.5);
+        assert!(a.as_slice().iter().all(|v| v.abs() <= 0.5));
         assert!(a.nnz() > 0);
         let mut c = Tensor::zeros(&[64]);
         c.fill_pseudorandom(43, 0.5);

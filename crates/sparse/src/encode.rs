@@ -23,17 +23,6 @@ pub struct EncodeStats {
     pub nanos: u64,
 }
 
-impl EncodeStats {
-    /// Throughput in elements/second (0 when no time elapsed).
-    pub fn throughput(&self) -> f64 {
-        if self.nanos == 0 {
-            0.0
-        } else {
-            self.elements_scanned as f64 / (self.nanos as f64 / 1e9)
-        }
-    }
-}
-
 /// Encodes a dense `[C, H, W]` tensor into COO, measuring the scan cost.
 ///
 /// # Errors
@@ -89,16 +78,5 @@ mod tests {
     fn encode_rejects_wrong_rank() {
         let t = Tensor::zeros(&[4, 4]);
         assert!(dense_to_sparse(&t, 0.0).is_err());
-    }
-
-    #[test]
-    fn throughput_is_finite() {
-        let stats = EncodeStats {
-            elements_scanned: 100,
-            entries_out: 10,
-            nanos: 50,
-        };
-        assert!(stats.throughput() > 0.0);
-        assert_eq!(EncodeStats::default().throughput(), 0.0);
     }
 }

@@ -1,12 +1,12 @@
-//! Event-graph kernels: grid adjacency, neighborhood gather/scatter, and
+//! Event-graph kernels: grid adjacency, neighborhood gather, and
 //! active-set dilation.
 //!
 //! EvGNN-style event-driven graph networks (PAPERS.md: EvGNN) treat the
 //! sensor plane as a graph — one node per pixel site, edges between
 //! spatial neighbours — and only touch the nodes an event stream has
 //! activated. The kernels here are the substrate for that workload
-//! class: a CSR adjacency over the node grid, neighbourhood
-//! gather/scatter with exact operation accounting (the data-dependent
+//! class: a CSR adjacency over the node grid, a neighbourhood
+//! gather with exact operation accounting (the data-dependent
 //! cost the scheduler must absorb), and per-event active-set updates
 //! whose dilation from layer to layer is exactly the receptive-field
 //! growth of a graph-convolution stack.
@@ -266,63 +266,6 @@ pub fn gather_mean(
     Ok((out, work))
 }
 
-/// Neighbourhood scatter: `out[j] = Σ_{i : j∈N(i)} a_ij·x[i]` — each
-/// node adds its feature row to every neighbour (the transpose of the
-/// gather's aggregation term). `features` is `[nodes, f]` row-major.
-///
-/// # Errors
-///
-/// Returns [`SparseError::RankMismatch`] unless `features` has rank 2,
-/// and [`SparseError::ShapeMismatch`] when its row count differs from
-/// the adjacency's node count.
-pub fn scatter_add(
-    adj: &CsrMatrix,
-    features: &Tensor,
-) -> Result<(Tensor, WorkComparison), SparseError> {
-    if features.rank() != 2 {
-        return Err(SparseError::RankMismatch {
-            expected: 2,
-            actual: features.rank(),
-        });
-    }
-    let (nodes, f) = (features.shape()[0], features.shape()[1]);
-    if nodes != adj.n_rows() || adj.n_cols() != adj.n_rows() {
-        return Err(SparseError::ShapeMismatch {
-            expected: adj.n_rows(),
-            actual: nodes,
-        });
-    }
-    let x = features.as_slice();
-    let mut out = Tensor::zeros(&[nodes, f]);
-    let dst_all = out.as_mut_slice();
-    for i in 0..nodes {
-        let (cols, vals) = adj.row(i);
-        let src = &x[i * f..(i + 1) * f];
-        for (c, v) in cols.iter().zip(vals) {
-            let dst = &mut dst_all[*c as usize * f..(*c as usize + 1) * f];
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += v * s;
-            }
-        }
-    }
-    let nnz = adj.nnz() as u64;
-    let work = WorkComparison {
-        actual: OpCount {
-            macs: nnz * f as u64,
-            adds: 0,
-            bytes_read: nnz * (8 + 4 * f as u64),
-            bytes_written: (nodes * f * 4) as u64,
-        },
-        dense_equivalent: OpCount {
-            macs: (nodes * nodes * f) as u64,
-            adds: 0,
-            bytes_read: ((nodes * nodes + nodes * f) * 4) as u64,
-            bytes_written: (nodes * f * 4) as u64,
-        },
-    };
-    Ok((out, work))
-}
-
 /// One step of active-set dilation over an arbitrary adjacency: the
 /// result marks every node that was active or has an active in-edge
 /// neighbour. Edge scans are counted as adds.
@@ -443,20 +386,10 @@ mod tests {
     }
 
     #[test]
-    fn scatter_is_the_transpose_of_the_gather_sum() {
-        let adj = grid_adjacency(2, 3, 1).unwrap();
-        let x = Tensor::from_vec(&[6, 2], (0..12).map(|v| v as f32).collect()).unwrap();
-        let (scattered, _) = scatter_add(&adj, &x).unwrap();
-        let (via_transpose, _) = adj.transpose().spmm(&x).unwrap();
-        assert_eq!(scattered.as_slice(), via_transpose.as_slice());
-    }
-
-    #[test]
     fn kernels_reject_mismatched_shapes() {
         let adj = grid_adjacency(2, 2, 1).unwrap();
         let bad = Tensor::zeros(&[3, 2]);
         assert!(gather_mean(&adj, &bad).is_err());
-        assert!(scatter_add(&adj, &bad).is_err());
         assert!(dilate_active(&adj, &[true; 3]).is_err());
         let rank1 = Tensor::zeros(&[4]);
         assert!(gather_mean(&adj, &rank1).is_err());

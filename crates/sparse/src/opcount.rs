@@ -40,16 +40,6 @@ impl OpCount {
         bytes_read: 0,
         bytes_written: 0,
     };
-
-    /// Total arithmetic operations (MACs counted as one op each).
-    pub fn total_ops(&self) -> u64 {
-        self.macs + self.adds
-    }
-
-    /// Total bytes moved.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes_read + self.bytes_written
-    }
 }
 
 impl Add for OpCount {
@@ -144,8 +134,8 @@ mod tests {
         };
         let sum: OpCount = [a, a, OpCount::ZERO].into_iter().sum();
         assert_eq!(sum.macs, 6);
-        assert_eq!(sum.total_ops(), 8);
-        assert_eq!(sum.total_bytes(), 28);
+        assert_eq!(sum.adds, 2);
+        assert_eq!((sum.bytes_read, sum.bytes_written), (20, 8));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use ev_sparse::coo::{SparseEntry, SparseTensor};
 use ev_sparse::csr::CsrMatrix;
 use ev_sparse::dense::Tensor;
 use ev_sparse::graph::{
-    active_fraction, dilate_active, gather_mean, grid_adjacency, grid_edge_count, scatter_add,
+    active_fraction, dilate_active, gather_mean, grid_adjacency, grid_edge_count,
 };
 use ev_sparse::opcount::OpCount;
 use ev_sparse::ops::conv::{
@@ -102,25 +102,6 @@ proptest! {
     }
 
     #[test]
-    fn csr_spmv_matches_dense(
-        triplets in prop::collection::vec((0u32..6, 0u32..5, -3i8..=3), 0..20),
-        x in prop::collection::vec(-2.0f32..2.0, 5),
-    ) {
-        let trip: Vec<(u32, u32, f32)> =
-            triplets.into_iter().map(|(r, c, v)| (r, c, v as f32)).collect();
-        let m = CsrMatrix::from_triplets(6, 5, &trip).expect("in bounds");
-        let (y, _) = m.spmv(&x).expect("length 5");
-        let dense = m.to_dense();
-        for r in 0..6 {
-            let mut acc = 0.0f32;
-            for c in 0..5 {
-                acc += dense.get(&[r, c]) * x[c];
-            }
-            prop_assert!((y[r] - acc).abs() < 1e-4);
-        }
-    }
-
-    #[test]
     fn csr_assign_reuse_matches_from_dense(
         grids in prop::collection::vec(
             (1usize..7, 0usize..7, prop::collection::vec(-3i8..=3, 42)),
@@ -178,38 +159,6 @@ proptest! {
         }
         prop_assert!(work.actual.macs <= work.dense_equivalent.macs);
         prop_assert_eq!(work.actual.macs, (adj.nnz() * f) as u64);
-    }
-
-    #[test]
-    fn graph_scatter_matches_dense_reference(
-        h in 1usize..6,
-        w in 1usize..6,
-        radius in 0usize..3,
-        f in 1usize..4,
-        values in prop::collection::vec(-3i8..=3, 36 * 3),
-    ) {
-        // Scatter is the adjacency-transpose aggregation:
-        // out[j] = Σ_i A[i][j]·x[i], computed naively over the dense matrix.
-        let nodes = h * w;
-        let adj = grid_adjacency(h, w, radius).expect("valid grid");
-        let data: Vec<f32> = values[..nodes * f].iter().map(|&v| v as f32).collect();
-        let x = Tensor::from_vec(&[nodes, f], data.clone()).expect("shape matches");
-        let (out, work) = scatter_add(&adj, &x).expect("valid scatter");
-        let dense = adj.to_dense();
-        for j in 0..nodes {
-            for k in 0..f {
-                let mut reference = 0.0f32;
-                for i in 0..nodes {
-                    reference += dense.get(&[i, j]) * data[i * f + k];
-                }
-                prop_assert!(
-                    (out.get(&[j, k]) - reference).abs() < 1e-4,
-                    "node {} feature {}: {} vs {}",
-                    j, k, out.get(&[j, k]), reference
-                );
-            }
-        }
-        prop_assert!(work.actual.macs <= work.dense_equivalent.macs);
     }
 
     #[test]
