@@ -11,7 +11,8 @@ use ev_edge::multipipe::{
     run_multi_task_runtime, run_multi_task_streams, MultiTaskRuntimeConfig, StreamTask,
 };
 use ev_edge::nmp::baseline;
-use ev_edge::nmp::multitask::{MultiTaskProblem, TaskSpec};
+use ev_edge::nmp::multitask::MultiTaskProblem;
+use ev_edge::nmp::task_spec_for;
 use ev_nn::zoo::{NetworkId, ZooConfig};
 use ev_platform::pe::Platform;
 
@@ -20,21 +21,9 @@ fn problem() -> MultiTaskProblem {
     MultiTaskProblem::new(
         Platform::xavier_agx(),
         vec![
-            TaskSpec::new(
-                NetworkId::FusionFlowNet.build(&cfg).expect("buildable"),
-                NetworkId::FusionFlowNet.accuracy_model(),
-                0.07,
-            ),
-            TaskSpec::new(
-                NetworkId::E2Depth.build(&cfg).expect("buildable"),
-                NetworkId::E2Depth.accuracy_model(),
-                0.02,
-            ),
-            TaskSpec::new(
-                NetworkId::Dotie.build(&cfg).expect("buildable"),
-                NetworkId::Dotie.accuracy_model(),
-                0.04,
-            ),
+            task_spec_for(NetworkId::FusionFlowNet, &cfg, 1.0).expect("buildable"),
+            task_spec_for(NetworkId::E2Depth, &cfg, 1.0).expect("buildable"),
+            task_spec_for(NetworkId::Dotie, &cfg, 1.0).expect("buildable"),
         ],
     )
     .expect("valid problem")

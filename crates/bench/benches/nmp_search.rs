@@ -5,7 +5,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ev_edge::nmp::candidate::Candidate;
 use ev_edge::nmp::evolution::{run_nmp, NmpConfig};
 use ev_edge::nmp::fitness::{FitnessConfig, FitnessEvaluator};
-use ev_edge::nmp::multitask::{MultiTaskProblem, TaskSpec};
+use ev_edge::nmp::multitask::MultiTaskProblem;
+use ev_edge::nmp::task_spec_for;
 use ev_nn::zoo::{NetworkId, ZooConfig};
 use ev_platform::pe::Platform;
 use rand::SeedableRng;
@@ -16,16 +17,8 @@ fn problem() -> MultiTaskProblem {
     MultiTaskProblem::new(
         Platform::xavier_agx(),
         vec![
-            TaskSpec::new(
-                NetworkId::FusionFlowNet.build(&cfg).expect("buildable"),
-                NetworkId::FusionFlowNet.accuracy_model(),
-                0.07,
-            ),
-            TaskSpec::new(
-                NetworkId::Dotie.build(&cfg).expect("buildable"),
-                NetworkId::Dotie.accuracy_model(),
-                0.04,
-            ),
+            task_spec_for(NetworkId::FusionFlowNet, &cfg, 1.0).expect("buildable"),
+            task_spec_for(NetworkId::Dotie, &cfg, 1.0).expect("buildable"),
         ],
     )
     .expect("valid problem")

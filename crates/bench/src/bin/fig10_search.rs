@@ -8,6 +8,7 @@
 //! and workload mix in full mode), and `--ablate` keeps the legacy GA
 //! hyper-parameter point comparison.
 
+use ev_bench::claims::FIG10_OVER_RANDOM;
 use ev_bench::experiments::{figure10, ga_ablation, sweep_cells_table, sweep_grid};
 use ev_bench::report::{write_json, CommonArgs, TextTable};
 
@@ -37,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     println!("Figure 10b — searched mapping latency:");
     println!(
-        "  NMP:    {:.2} ms\n  random: {:.2} ms\n  NMP is {:.2}x faster (paper: 1.42x)",
+        "  NMP:    {:.2} ms\n  random: {:.2} ms\n  NMP is {:.2}x faster (paper: {FIG10_OVER_RANDOM}x)",
         result.nmp_best_ms, result.random_best_ms, result.improvement_over_random
     );
 

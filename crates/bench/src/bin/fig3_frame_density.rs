@@ -1,6 +1,7 @@
 //! Figure 3: average percentage of events per event frame for different
 //! networks (paper: 0.15%–28.57% across input representations).
 
+use ev_bench::claims::FIG3_FILL_PCT;
 use ev_bench::experiments::figure3;
 use ev_bench::report::{write_json, CommonArgs, TextTable};
 
@@ -26,7 +27,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .fold(f64::INFINITY, f64::min);
     let max = rows.iter().map(|r| r.mean_fill_pct).fold(0.0f64, f64::max);
     println!();
-    println!("Spread: {min:.2}% – {max:.2}%  (paper reports 0.15% – 28.57%)");
+    println!(
+        "Spread: {min:.2}% – {max:.2}%  (paper reports {}% – {}%)",
+        FIG3_FILL_PCT.low, FIG3_FILL_PCT.high
+    );
 
     if let Some(path) = args.json {
         write_json(&path, &rows)?;

@@ -7,6 +7,7 @@
 //! hard-coded one (sweep → tune → replay). `--ablate-dsfa` prints the
 //! DSFA threshold/mode ablation instead.
 
+use ev_bench::claims::{FIG8_ENERGY, FIG8_SPEEDUP};
 use ev_bench::experiments::{default_nmp_config, dsfa_ablation, figure8_with, tuned_replay_config};
 use ev_bench::report::{write_json, CommonArgs, TextTable};
 
@@ -63,8 +64,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let emax = rows.iter().map(|r| r.energy_ratio).fold(0.0f64, f64::max);
     println!();
     println!(
-        "Combined speedup range: {min:.2}x – {max:.2}x   (paper: 1.28x – 2.05x)\n\
-         Energy improvement:     {emin:.2}x – {emax:.2}x   (paper: 1.23x – 2.15x)"
+        "Combined speedup range: {min:.2}x – {max:.2}x   (paper: {}x – {}x)\n\
+         Energy improvement:     {emin:.2}x – {emax:.2}x   (paper: {}x – {}x)",
+        FIG8_SPEEDUP.low, FIG8_SPEEDUP.high, FIG8_ENERGY.low, FIG8_ENERGY.high
     );
 
     if let Some(path) = args.json {

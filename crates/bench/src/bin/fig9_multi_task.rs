@@ -11,6 +11,7 @@
 //! `gnn-heavy`, `corner-inference`) — the heterogeneous mixes exercise
 //! the data-dependent GraphNet and always-on corner-frontend tasks.
 
+use ev_bench::claims::{FIG9_FP_SLOWDOWN, FIG9_OVER_RR_LAYER, FIG9_OVER_RR_NETWORK};
 use ev_bench::experiments::{
     default_nmp_config, fig9_playback_table, figure9_detail, mix_flag, tuned_replay_config,
 };
@@ -55,8 +56,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", table.render());
     println!();
     println!(
-        "Paper bands: NMP beats RR-Network by 1.43x-1.81x, RR-Layer by 1.24x-1.41x;\n\
-         NMP-FP (full precision only) trails NMP by 1.05x-1.22x but still beats both RRs."
+        "Paper bands: NMP beats RR-Network by {}x-{}x, RR-Layer by {}x-{}x;\n\
+         NMP-FP (full precision only) trails NMP by {}x-{}x but still beats both RRs.",
+        FIG9_OVER_RR_NETWORK.low,
+        FIG9_OVER_RR_NETWORK.high,
+        FIG9_OVER_RR_LAYER.low,
+        FIG9_OVER_RR_LAYER.high,
+        FIG9_FP_SLOWDOWN.low,
+        FIG9_FP_SLOWDOWN.high,
     );
 
     if let Some(playback) = &playback {

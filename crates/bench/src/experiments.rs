@@ -12,10 +12,10 @@ use ev_edge::e2sf::FrameRepresentation;
 use ev_edge::nmp::baseline;
 use ev_edge::nmp::evolution::{run_nmp, NmpConfig};
 use ev_edge::nmp::fitness::{FitnessConfig, FitnessEvaluator};
-use ev_edge::nmp::multitask::{MultiTaskProblem, TaskSpec};
+use ev_edge::nmp::multitask::MultiTaskProblem;
 use ev_edge::nmp::sweep::{
-    run_sweep, PlatformPreset, SearchAlgorithm, SweepReport, SweepSpec, TaskMix, TrajectoryPoint,
-    ZooPreset,
+    run_sweep, task_spec_for, PlatformPreset, SearchAlgorithm, SweepReport, SweepSpec, TaskMix,
+    TrajectoryPoint, ZooPreset,
 };
 use ev_edge::nmp::tune::{AutoTuner, TuneObjective, TuneReport};
 use ev_edge::pipeline::{run_single_task, PipelineOptions, PipelineSetup, PipelineVariant};
@@ -42,11 +42,6 @@ pub fn sequence_for(network: NetworkId) -> SequenceId {
     }
 }
 
-/// The ΔA threshold per network (the paper's Table 2 deltas).
-pub fn delta_a_for(network: NetworkId) -> f64 {
-    network.delta_a()
-}
-
 fn analysis_window(quick: bool) -> TimeWindow {
     let ms = if quick { 100 } else { 250 };
     TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(ms))
@@ -69,10 +64,6 @@ pub fn default_nmp_config(quick: bool) -> NmpConfig {
             ..NmpConfig::default()
         }
     }
-}
-
-fn nmp_config(quick: bool) -> NmpConfig {
-    default_nmp_config(quick)
 }
 
 // ---------------------------------------------------------------------
@@ -299,8 +290,8 @@ pub struct Fig3Row {
     pub mean_fill_pct: f64,
 }
 
-/// Regenerates Figure 3: average event-frame density per network. The
-/// paper reports a 0.15%–28.57% spread.
+/// Regenerates Figure 3: average event-frame density per network (the
+/// paper's spread is [`FIG3_FILL_PCT`](crate::claims::FIG3_FILL_PCT)).
 ///
 /// # Errors
 ///
@@ -428,7 +419,7 @@ pub struct Fig8Row {
 ///
 /// Propagates pipeline errors.
 pub fn figure8(quick: bool) -> Result<Vec<Fig8Row>, Box<dyn Error>> {
-    figure8_with(quick, nmp_config(quick))
+    figure8_with(quick, default_nmp_config(quick))
 }
 
 /// Figure 8 with an explicit NMP search configuration — the `--tuned`
@@ -482,43 +473,6 @@ pub fn figure8_with(quick: bool, nmp: NmpConfig) -> Result<Vec<Fig8Row>, Box<dyn
 // Figure 9
 // ---------------------------------------------------------------------
 
-/// The multi-task configurations of §5.
-pub fn multitask_configs() -> Vec<(&'static str, Vec<NetworkId>)> {
-    vec![
-        ("all-ANN", vec![NetworkId::EvFlowNet, NetworkId::E2Depth]),
-        (
-            "all-SNN",
-            vec![NetworkId::Dotie, NetworkId::AdaptiveSpikeNet],
-        ),
-        (
-            "mixed SNN-ANN",
-            vec![
-                NetworkId::FusionFlowNet,
-                NetworkId::Halsie,
-                NetworkId::Dotie,
-                NetworkId::E2Depth,
-            ],
-        ),
-    ]
-}
-
-/// Builds the mapping problem for a multi-task configuration.
-///
-/// # Errors
-///
-/// Propagates graph/profile construction errors.
-pub fn build_problem(networks: &[NetworkId]) -> Result<MultiTaskProblem, Box<dyn Error>> {
-    let zoo = ZooConfig::mvsec();
-    // The shared task constructor attaches the measured density schedule
-    // of data-dependent networks (GraphNet), so the recorded cost tables
-    // price them identically everywhere.
-    let tasks = networks
-        .iter()
-        .map(|&n| ev_edge::nmp::task_spec_for(n, &zoo, 1.0))
-        .collect::<Result<Vec<_>, ev_nn::NnError>>()?;
-    Ok(MultiTaskProblem::new(Platform::xavier_agx(), tasks)?)
-}
-
 /// One multi-task configuration's results (Figure 9 bar group).
 #[derive(Debug, Clone, Serialize)]
 pub struct Fig9Row {
@@ -532,11 +486,14 @@ pub struct Fig9Row {
     pub nmp_ms: f64,
     /// Ev-Edge-NMP-FP latency, ms.
     pub nmp_fp_ms: f64,
-    /// NMP speedup over RR-Network (paper: 1.43×–1.81×).
+    /// NMP speedup over RR-Network (paper:
+    /// [`FIG9_OVER_RR_NETWORK`](crate::claims::FIG9_OVER_RR_NETWORK)).
     pub speedup_vs_rr_network: f64,
-    /// NMP speedup over RR-Layer (paper: 1.24×–1.41×).
+    /// NMP speedup over RR-Layer (paper:
+    /// [`FIG9_OVER_RR_LAYER`](crate::claims::FIG9_OVER_RR_LAYER)).
     pub speedup_vs_rr_layer: f64,
-    /// NMP-FP slowdown vs NMP (paper: 1.05×–1.22×).
+    /// NMP-FP slowdown vs NMP (paper:
+    /// [`FIG9_FP_SLOWDOWN`](crate::claims::FIG9_FP_SLOWDOWN)).
     pub fp_slowdown: f64,
 }
 
@@ -547,7 +504,7 @@ pub struct Fig9Row {
 ///
 /// Propagates search errors.
 pub fn figure9(quick: bool) -> Result<Vec<Fig9Row>, Box<dyn Error>> {
-    figure9_with(nmp_config(quick))
+    figure9_with(default_nmp_config(quick))
 }
 
 /// Figure 9 with an explicit NMP search configuration (the `--tuned`
@@ -567,13 +524,14 @@ pub fn figure9_with(config: NmpConfig) -> Result<Vec<Fig9Row>, Box<dyn Error>> {
 pub type Fig9Detail = (Vec<Fig9Row>, Option<Vec<Fig9PlaybackRow>>);
 
 /// Figure 9 in full generality (the `fig9_multi_task` binary): the
-/// paper's three configurations, or only `mix` (the `--mix` flag; the
-/// heterogeneous mixes `gnn-heavy` and `corner-inference` route their
-/// data-dependent density schedules into the cost tables via the shared
-/// task constructor). `playback` is `Some(quick)` to also play each
-/// configuration's NMP winner forward through the multi-task runtime
-/// (the `--playback` flag) over the quick or full window; the searches
-/// run once and feed both the table and the playback.
+/// paper's three §5 mixes (all-ANN, all-SNN, mixed SNN-ANN), or only
+/// `mix` (the `--mix` flag; the heterogeneous mixes `gnn-heavy` and
+/// `corner-inference` route their data-dependent density schedules into
+/// the cost tables via [`TaskMix::build_problem`]). `playback` is
+/// `Some(quick)` to also play each configuration's NMP winner forward
+/// through the multi-task runtime (the `--playback` flag) over the quick
+/// or full window; the searches run once and feed both the table and
+/// the playback.
 ///
 /// # Errors
 ///
@@ -585,17 +543,15 @@ pub fn figure9_detail(
 ) -> Result<Fig9Detail, Box<dyn Error>> {
     use ev_edge::multipipe::{run_multi_task_runtime, MultiTaskRuntimeConfig};
 
-    let configs: Vec<(String, Vec<NetworkId>)> = match mix {
-        Some(mix) => vec![(mix.name(), mix.networks())],
-        None => multitask_configs()
-            .into_iter()
-            .map(|(name, networks)| (name.to_string(), networks))
-            .collect(),
+    let mixes = match mix {
+        Some(mix) => vec![mix.clone()],
+        None => vec![TaskMix::AllAnn, TaskMix::AllSnn, TaskMix::MixedSnnAnn],
     };
     let mut rows = Vec::new();
     let mut playback_rows = playback.map(|_| Vec::new());
-    for (name, networks) in configs {
-        let problem = build_problem(&networks)?;
+    for mix in mixes {
+        let name = mix.name();
+        let problem = mix.build_problem(Platform::xavier_agx(), &ZooConfig::mvsec())?;
         let mut evaluator = FitnessEvaluator::new(&problem, FitnessConfig::default());
         let rr_net = evaluator.evaluate(&baseline::rr_network(&problem))?;
         let rr_layer = evaluator.evaluate(&baseline::rr_layer(&problem))?;
@@ -625,7 +581,7 @@ pub fn figure9_detail(
             let mean_utilization =
                 played.utilization.iter().sum::<f64>() / played.utilization.len().max(1) as f64;
             out.push(Fig9PlaybackRow {
-                config: name.to_string(),
+                config: name.clone(),
                 completed: played.per_task.iter().map(|t| t.completed).sum(),
                 dropped: played.total_dropped(),
                 worst_mean_latency_ms: played.worst_mean_latency().as_secs_f64() * 1e3,
@@ -633,7 +589,7 @@ pub fn figure9_detail(
             });
         }
         rows.push(Fig9Row {
-            config: name.to_string(),
+            config: name,
             rr_network_ms: ms(rr_net.max_latency),
             rr_layer_ms: ms(rr_layer.max_latency),
             nmp_ms: ms(nmp.report.max_latency),
@@ -699,14 +655,15 @@ pub struct Fig10Result {
     pub nmp_best_ms: f64,
     /// Random-search best mapping latency, ms.
     pub random_best_ms: f64,
-    /// `random / nmp` latency ratio (paper: 1.42×).
+    /// `random / nmp` latency ratio (paper:
+    /// [`FIG10_OVER_RANDOM`](crate::claims::FIG10_OVER_RANDOM)).
     pub improvement_over_random: f64,
 }
 
 /// The 1×1-grid sweep behind Figure 10: one evolutionary cell and one
 /// random-search cell on the mixed SNN-ANN configuration.
 fn figure10_spec(quick: bool) -> SweepSpec {
-    let config = nmp_config(quick);
+    let config = default_nmp_config(quick);
     SweepSpec {
         base_seed: config.seed,
         populations: vec![config.population],
@@ -997,7 +954,8 @@ pub fn load_sweep_spec(path: &std::path::Path) -> Result<SweepSpec, Box<dyn Erro
 /// # Errors
 ///
 /// Fails when the report has no evolutionary selection for the
-/// platform.
+/// platform, or when the selected configuration fails
+/// [`NmpConfig::validate`] (a report is external input).
 pub fn tuned_config(
     report: &TuneReport,
     platform: PlatformPreset,
@@ -1008,7 +966,7 @@ pub fn tuned_config(
     // mixed SNN-ANN workload — the figures' hardest configuration and
     // the one Fig. 10 searches on — and only fall back to the tuner's
     // cross-mix order when the sweep didn't cover it.
-    report
+    let config = report
         .selections
         .iter()
         .find(|s| {
@@ -1032,8 +990,9 @@ pub fn tuned_config(
                     .collect::<Vec<_>>()
                     .join(", ")
             )
-            .into()
-        })
+        })?;
+    config.validate()?;
+    Ok(config)
 }
 
 /// Parses the figure binaries' `--tuned <path>` flag: loads the tune
@@ -1043,8 +1002,9 @@ pub fn tuned_config(
 ///
 /// # Errors
 ///
-/// Fails on a missing flag value, unreadable/invalid report, or a
-/// report without a Xavier evolutionary selection.
+/// Fails, before anything is announced, on a missing flag value, an
+/// unreadable/invalid report, or a report without a valid Xavier
+/// evolutionary selection.
 pub fn tuned_replay_config(
     args: &crate::report::CommonArgs,
 ) -> Result<Option<NmpConfig>, Box<dyn Error>> {
@@ -1127,7 +1087,7 @@ pub fn tuned_vs_default(
     quick: bool,
 ) -> Result<Vec<TunedVsDefaultRow>, Box<dyn Error>> {
     let zoo = report.zoo().config();
-    let default_config = nmp_config(quick);
+    let default_config = default_nmp_config(quick);
     let mut rows = Vec::new();
     // One row per (platform, task-mix) pair: the pair's best selection
     // across algorithms, so an algorithm-ablating sweep doesn't repeat
@@ -1367,14 +1327,9 @@ pub struct GaAblationRow {
 ///
 /// Propagates search errors.
 pub fn ga_ablation(quick: bool) -> Result<Vec<GaAblationRow>, Box<dyn Error>> {
-    let networks = vec![
-        NetworkId::FusionFlowNet,
-        NetworkId::Halsie,
-        NetworkId::Dotie,
-        NetworkId::E2Depth,
-    ];
-    let problem = build_problem(&networks)?;
-    let base = nmp_config(quick);
+    let problem =
+        TaskMix::MixedSnnAnn.build_problem(Platform::xavier_agx(), &ZooConfig::mvsec())?;
+    let base = default_nmp_config(quick);
     let mut variants = vec![
         NmpConfig {
             population: base.population / 2,
@@ -1450,13 +1405,10 @@ pub fn multitask_runtime(quick: bool) -> Result<Vec<RuntimeRow>, Box<dyn Error>>
     use ev_edge::multipipe::{run_multi_task_runtime, MultiTaskRuntimeConfig};
     use ev_edge::nmp::candidate::Candidate;
 
-    let networks = vec![
-        NetworkId::FusionFlowNet,
-        NetworkId::Halsie,
-        NetworkId::Dotie,
-        NetworkId::E2Depth,
-    ];
-    let problem = build_problem(&networks)?;
+    let mix = TaskMix::MixedSnnAnn;
+    let zoo = ZooConfig::mvsec();
+    let networks = mix.networks();
+    let problem = mix.build_problem(Platform::xavier_agx(), &zoo)?;
     // Input periods: one inference per network timestep, slowed 3× so the
     // platform sits *near* saturation — good mappings keep up, bad ones
     // drop (pure overload would make every policy drop alike).
@@ -1471,25 +1423,25 @@ pub fn multitask_runtime(quick: bool) -> Result<Vec<RuntimeRow>, Box<dyn Error>>
         })
         .collect();
     let config = MultiTaskRuntimeConfig::new(analysis_window(quick));
-    let nmp = run_nmp(&problem, nmp_config(quick), FitnessConfig::default())?;
+    let nmp = run_nmp(
+        &problem,
+        default_nmp_config(quick),
+        FitnessConfig::default(),
+    )?;
     // Extension: the same search minimizing schedulability load (per-task
     // latency/period and per-PE utilization) — the right objective under
     // periodic streaming arrivals. The problem is rebuilt with periods.
-    let zoo = ZooConfig::mvsec();
     let streaming_tasks = networks
         .iter()
         .zip(&periods)
-        .map(|(&n, &p)| {
-            Ok(TaskSpec::new(n.build(&zoo)?, n.accuracy_model(), delta_a_for(n)).with_period(p))
-        })
+        .map(|(&n, &p)| Ok(task_spec_for(n, &zoo, 1.0)?.with_period(p)))
         .collect::<Result<Vec<_>, ev_nn::NnError>>()?;
     let streaming_problem = MultiTaskProblem::new(Platform::xavier_agx(), streaming_tasks)?;
     let nmp_streaming = run_nmp(
         &streaming_problem,
-        nmp_config(quick),
+        default_nmp_config(quick),
         FitnessConfig {
             objective: ev_edge::nmp::fitness::Objective::Streaming,
-            ..FitnessConfig::default()
         },
     )?;
     let policies: Vec<(&str, Candidate)> = vec![
@@ -1541,7 +1493,10 @@ pub struct CrossPlatformRow {
 pub fn cross_platform(quick: bool) -> Result<Vec<CrossPlatformRow>, Box<dyn Error>> {
     use ev_edge::nmp::fitness::FitnessEvaluator;
     let zoo = ZooConfig::mvsec();
-    let networks = [NetworkId::SpikeFlowNet, NetworkId::Dotie];
+    let mix = TaskMix::Custom {
+        networks: vec![NetworkId::SpikeFlowNet, NetworkId::Dotie],
+        delta_scale: 1.0,
+    };
     let platforms = vec![
         Platform::nano_like(),
         Platform::xavier_agx(),
@@ -1549,21 +1504,15 @@ pub fn cross_platform(quick: bool) -> Result<Vec<CrossPlatformRow>, Box<dyn Erro
     ];
     let mut rows = Vec::new();
     for platform in platforms {
-        let tasks = networks
-            .iter()
-            .map(|&n| {
-                Ok(TaskSpec::new(
-                    n.build(&zoo)?,
-                    n.accuracy_model(),
-                    delta_a_for(n),
-                ))
-            })
-            .collect::<Result<Vec<_>, ev_nn::NnError>>()?;
         let name = platform.name().to_string();
-        let problem = MultiTaskProblem::new(platform, tasks)?;
+        let problem = mix.build_problem(platform, &zoo)?;
         let mut evaluator = FitnessEvaluator::new(&problem, FitnessConfig::default());
         let all_gpu = evaluator.evaluate(&baseline::all_gpu(&problem)?)?;
-        let result = run_nmp(&problem, nmp_config(quick), FitnessConfig::default())?;
+        let result = run_nmp(
+            &problem,
+            default_nmp_config(quick),
+            FitnessConfig::default(),
+        )?;
         let gpu_id = problem.platform().id_by_name("gpu").expect("gpu exists");
         let assignments = result.best.assignments();
         let gpu_share =
@@ -1607,6 +1556,15 @@ pub struct Table1Row {
     pub ann_layers: usize,
 }
 
+/// A network's Table 1 type from its (SNN, ANN) parametered-layer counts.
+pub fn network_kind(snn: usize, ann: usize) -> &'static str {
+    match (snn, ann) {
+        (0, _) => "ANN",
+        (_, 0) => "SNN",
+        _ => "SNN-ANN",
+    }
+}
+
 /// Regenerates Table 1 from the zoo registry.
 ///
 /// # Errors
@@ -1618,15 +1576,10 @@ pub fn table1() -> Result<Vec<Table1Row>, Box<dyn Error>> {
     for network in NetworkId::TABLE1 {
         let graph = network.build(&zoo)?;
         let (snn, ann) = ev_nn::zoo::counted_layers(&graph);
-        let kind = match (snn, ann) {
-            (0, _) => "ANN",
-            (_, 0) => "SNN",
-            _ => "SNN-ANN",
-        };
         rows.push(Table1Row {
             network: network.name().to_string(),
             task: graph.task().to_string(),
-            kind: kind.to_string(),
+            kind: network_kind(snn, ann).to_string(),
             layers: snn + ann,
             snn_layers: snn,
             ann_layers: ann,

@@ -18,13 +18,15 @@
 //!
 //! Each binary accepts `--quick` (reduced budget) and `--json <path>`
 //! (machine-readable artifact). Criterion micro-benchmarks live in
-//! `benches/`. The [`conformance`] module pins every artifact claim as
-//! a data-driven spec; `./kick-tires.sh` at the repo root reproduces
-//! everything in one command.
+//! `benches/`. The [`claims`] module holds the paper's numbers and the
+//! claims `validate_repro` checks against them; the [`conformance`]
+//! module pins every artifact as a data-driven spec; `./kick-tires.sh`
+//! at the repo root reproduces everything in one command.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claims;
 pub mod conformance;
 pub mod experiments;
 pub mod report;

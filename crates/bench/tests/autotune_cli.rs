@@ -7,7 +7,8 @@
 //!   selected configuration: their JSON artifacts match a direct
 //!   library run of that exact configuration bit for bit.
 //! * A `--spec` or `--tuned` file whose search configuration is over a
-//!   cap ends promptly in an error that names the field.
+//!   cap ends promptly in an error that names the field, before a
+//!   `--tuned` replay is announced.
 
 use ev_bench::experiments::{
     autotune, autotune_spec, figure8_with, figure9_with, load_tune_report, sweep_grid_spec,
@@ -21,10 +22,12 @@ use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-fn temp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ev-edge-autotune-{}", std::process::id()));
+/// This process's temp directory for one test. The test removes it
+/// once it passes; a failing test leaves its files for inspection.
+fn temp_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ev-edge-autotune-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(name)
+    dir
 }
 
 fn run_ok(exe: &str, args: &[&str]) {
@@ -42,8 +45,9 @@ fn run_ok(exe: &str, args: &[&str]) {
 
 #[test]
 fn tune_report_json_is_byte_identical_for_workers_1_and_8() {
-    let one = temp_path("tune_w1.json");
-    let eight = temp_path("tune_w8.json");
+    let dir = temp_dir("workers");
+    let one = dir.join("tune_w1.json");
+    let eight = dir.join("tune_w8.json");
     for (workers, path) in [("1", &one), ("8", &eight)] {
         run_ok(
             env!("CARGO_BIN_EXE_ext_autotune"),
@@ -64,11 +68,13 @@ fn tune_report_json_is_byte_identical_for_workers_1_and_8() {
         bytes_one, bytes_eight,
         "TuneReport JSON must not depend on the sweep worker count"
     );
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
 
 #[test]
 fn fig8_tuned_replay_matches_a_direct_run_bit_for_bit() {
-    let tune = temp_path("tune_fig8.json");
+    let dir = temp_dir("fig8");
+    let tune = dir.join("tune_fig8.json");
     run_ok(
         env!("CARGO_BIN_EXE_ext_autotune"),
         &[
@@ -78,7 +84,7 @@ fn fig8_tuned_replay_matches_a_direct_run_bit_for_bit() {
             tune.to_str().expect("utf-8 temp path"),
         ],
     );
-    let via_bin = temp_path("fig8_tuned_bin.json");
+    let via_bin = dir.join("fig8_tuned_bin.json");
     run_ok(
         env!("CARGO_BIN_EXE_fig8_single_task"),
         &[
@@ -94,13 +100,14 @@ fn fig8_tuned_replay_matches_a_direct_run_bit_for_bit() {
     let report = load_tune_report(&tune).expect("tune report parses");
     let config = tuned_config(&report, PlatformPreset::XavierAgx).expect("xavier selection");
     let rows = figure8_with(true, config).expect("direct figure 8 run");
-    let direct = temp_path("fig8_tuned_direct.json");
+    let direct = dir.join("fig8_tuned_direct.json");
     write_json(&direct, &rows).expect("write direct report");
     assert_eq!(
         std::fs::read(&via_bin).expect("bin artifact"),
         std::fs::read(&direct).expect("direct artifact"),
         "fig8 --tuned must replay the selected config bit for bit"
     );
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
 
 #[test]
@@ -109,9 +116,10 @@ fn fig9_tuned_replay_matches_a_direct_run_bit_for_bit() {
     // doubles as a check that the bin artifact and the in-process
     // report agree.
     let report = autotune(true, 0, TuneObjective::Latency).expect("autotune runs");
-    let tune = temp_path("tune_fig9.json");
+    let dir = temp_dir("fig9");
+    let tune = dir.join("tune_fig9.json");
     write_json(&tune, &report).expect("write tune report");
-    let via_bin = temp_path("fig9_tuned_bin.json");
+    let via_bin = dir.join("fig9_tuned_bin.json");
     run_ok(
         env!("CARGO_BIN_EXE_fig9_multi_task"),
         &[
@@ -124,13 +132,14 @@ fn fig9_tuned_replay_matches_a_direct_run_bit_for_bit() {
     );
     let config = tuned_config(&report, PlatformPreset::XavierAgx).expect("xavier selection");
     let rows = figure9_with(config).expect("direct figure 9 run");
-    let direct = temp_path("fig9_tuned_direct.json");
+    let direct = dir.join("fig9_tuned_direct.json");
     write_json(&direct, &rows).expect("write direct report");
     assert_eq!(
         std::fs::read(&via_bin).expect("bin artifact"),
         std::fs::read(&direct).expect("direct artifact"),
         "fig9 --tuned must replay the selected config bit for bit"
     );
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
 
 #[test]
@@ -196,7 +205,8 @@ const REJECT_DEADLINE: Duration = Duration::from_secs(10);
 /// Runs `exe` on a hostile input and asserts a clean, prompt rejection:
 /// exit code 1 (an error returned from `main`, neither a panic's 101 nor
 /// a signal) within [`REJECT_DEADLINE`], with `field` named on stderr.
-fn assert_rejected_naming(exe: &str, args: &[&str], field: &str) {
+/// Returns the stderr text.
+fn assert_rejected_naming(exe: &str, args: &[&str], field: &str) -> String {
     let mut child = Command::new(exe)
         .args(args)
         .stdout(Stdio::null())
@@ -231,10 +241,12 @@ fn assert_rejected_naming(exe: &str, args: &[&str], field: &str) {
         stderr.contains(field) && !stderr.contains("panicked"),
         "{exe} {args:?} must name `{field}` without panicking; stderr:\n{stderr}"
     );
+    stderr
 }
 
 #[test]
 fn sweep_specs_over_a_cap_are_rejected_naming_the_field() {
+    let dir = temp_dir("hostile_spec");
     let spec_with = |mutate: fn(&mut SweepSpec)| {
         let mut spec = sweep_grid_spec(true);
         mutate(&mut spec);
@@ -254,7 +266,7 @@ fn sweep_specs_over_a_cap_are_rejected_naming_the_field() {
             spec_with(|s| s.runtime_window_ms = u64::MAX / 1_000 - 1),
         ),
     ] {
-        let path = temp_path(&format!("hostile_spec_{field}.json"));
+        let path = dir.join(format!("hostile_spec_{field}.json"));
         write_json(&path, &spec).expect("write spec");
         assert_rejected_naming(
             env!("CARGO_BIN_EXE_ext_sweep_grid"),
@@ -262,6 +274,7 @@ fn sweep_specs_over_a_cap_are_rejected_naming_the_field() {
             field,
         );
     }
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
 
 #[test]
@@ -291,15 +304,27 @@ fn tuned_replay_over_the_generation_cap_is_rejected_naming_the_field() {
         }],
         cells_considered: 1,
     };
-    let path = temp_path("hostile_tune_generations.json");
+    let dir = temp_dir("hostile_tune");
+    let path = dir.join("hostile_tune_generations.json");
     write_json(&path, &report).expect("write tune report");
-    assert_rejected_naming(
+    for exe in [
+        env!("CARGO_BIN_EXE_fig8_single_task"),
         env!("CARGO_BIN_EXE_fig9_multi_task"),
-        &[
-            "--quick",
-            "--tuned",
-            path.to_str().expect("utf-8 temp path"),
-        ],
-        "generations",
-    );
+    ] {
+        let stderr = assert_rejected_naming(
+            exe,
+            &[
+                "--quick",
+                "--tuned",
+                path.to_str().expect("utf-8 temp path"),
+            ],
+            "generations",
+        );
+        // The selection is validated before the replay is announced.
+        assert!(
+            !stderr.contains("replaying"),
+            "{exe} announced a replay it then rejected; stderr:\n{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }

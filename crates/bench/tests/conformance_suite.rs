@@ -51,9 +51,11 @@ fn specs_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../specs")
 }
 
+/// Runner options whose sandboxes sit under a root of this process's
+/// own; a test removes that root once it passes.
 fn options(sandbox: &str) -> RunnerOptions {
     let mut options = RunnerOptions::new(specs_dir(), bin_map());
-    options.sandbox_root = std::env::temp_dir().join(sandbox);
+    options.sandbox_root = std::env::temp_dir().join(format!("{sandbox}-{}", std::process::id()));
     options
 }
 
@@ -63,12 +65,14 @@ fn options(sandbox: &str) -> RunnerOptions {
 #[test]
 fn shipped_specs_all_pass_quick() {
     let specs = discover_specs(&specs_dir()).expect("specs directory parses");
-    let report = run_suite(specs, &options("conf-suite-all")).expect("suite runs");
+    let opts = options("conf-suite-all");
+    let report = run_suite(specs, &opts).expect("suite runs");
     assert!(
         report.all_passed(),
         "conformance suite failed:\n{}",
         report.render()
     );
+    let _ = std::fs::remove_dir_all(&opts.sandbox_root);
 }
 
 /// The suite report — JSON artifact and rendered text — is
@@ -108,6 +112,7 @@ fn suite_report_is_byte_identical_across_worker_counts() {
         text1, text8,
         "workers=1 vs workers=8 rendered reports differ"
     );
+    let _ = std::fs::remove_dir_all(&opts.sandbox_root);
 }
 
 /// Every `fig*`/`table*` experiment binary is covered by at least one
@@ -220,4 +225,6 @@ fn must_fail_semantics() {
         "{:?}",
         outcome.failures
     );
+    // The inverted scenario failed, so its sandbox stayed: the root goes.
+    let _ = std::fs::remove_dir_all(&opts.sandbox_root);
 }

@@ -22,7 +22,6 @@ use ev_core::stream::EventSlice;
 use ev_core::TimeWindow;
 use ev_sparse::coo::{SparseEntry, SparseTensor};
 use ev_sparse::dense::Tensor;
-use ev_sparse::encode::{dense_to_sparse, EncodeStats};
 
 /// How a sparse frame encodes the events of a bin (paper §2, Figure 2:
 /// Ev-Edge "supports all of the aforementioned input representations").
@@ -291,17 +290,14 @@ impl E2sf {
     }
 }
 
-/// A dense event frame plus the measured cost of building it and
-/// (optionally) sparsifying it afterwards — the conventional pipeline E2SF
-/// replaces.
+/// A dense event frame and the sparse tensor encoded from it afterwards —
+/// the conventional pipeline E2SF replaces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseFramePath {
     /// The dense `[2, H, W]` event frame.
     pub dense: Tensor,
     /// The sparse tensor obtained by post-hoc encoding.
     pub sparse: SparseTensor,
-    /// Measured encode cost (the overhead the paper calls prohibitive).
-    pub encode_stats: EncodeStats,
 }
 
 /// Builds one bin the conventional way: accumulate into a dense frame,
@@ -325,12 +321,8 @@ pub fn dense_frame_baseline(
             data[(c * h + ev.y as usize) * w + ev.x as usize] += 1.0;
         }
     }
-    let (sparse, encode_stats) = dense_to_sparse(&dense, 0.0)?;
-    Ok(DenseFramePath {
-        dense,
-        sparse,
-        encode_stats,
-    })
+    let sparse = SparseTensor::from_dense(&dense, 0.0)?;
+    Ok(DenseFramePath { dense, sparse })
 }
 
 #[cfg(test)]
@@ -432,7 +424,6 @@ mod tests {
         let dense_path = dense_frame_baseline(&events, window).unwrap();
         assert_eq!(frames[0].tensor(), &dense_path.sparse);
         assert_eq!(frames[0].tensor().to_dense(), dense_path.dense);
-        assert!(dense_path.encode_stats.elements_scanned >= 2 * 32 * 32);
     }
 
     #[test]

@@ -143,7 +143,7 @@ pub struct SearchResult {
 ///     vec![TaskSpec::new(
 ///         NetworkId::Dotie.build(&cfg)?,
 ///         NetworkId::Dotie.accuracy_model(),
-///         0.04,
+///         NetworkId::Dotie.delta_a(),
 ///     )],
 /// )?;
 /// let result = run_nmp(&problem, NmpConfig::default(), FitnessConfig::default())?;

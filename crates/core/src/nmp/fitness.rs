@@ -34,22 +34,14 @@ pub enum Objective {
     Streaming,
 }
 
+/// Multiplicative latency penalty per unit of relative ΔA violation.
+const VIOLATION_PENALTY: f64 = 10.0;
+
 /// Fitness evaluation configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FitnessConfig {
-    /// Multiplicative latency penalty per unit of relative ΔA violation.
-    pub violation_penalty: f64,
     /// The quantity being minimized.
     pub objective: Objective,
-}
-
-impl Default for FitnessConfig {
-    fn default() -> Self {
-        FitnessConfig {
-            violation_penalty: 10.0,
-            objective: Objective::JointLatency,
-        }
-    }
 }
 
 /// The evaluated fitness of one candidate.
@@ -266,7 +258,7 @@ impl<'a> FitnessEvaluator<'a> {
                 load
             }
         };
-        let score = objective_secs * (1.0 + self.config.violation_penalty * violation);
+        let score = objective_secs * (1.0 + VIOLATION_PENALTY * violation);
         Ok(FitnessReport {
             per_task_latency,
             max_latency,

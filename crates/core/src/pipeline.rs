@@ -137,17 +137,6 @@ impl PipelineOptions {
             },
             _ => DsfaConfig::default(),
         };
-        let max_degradation = match network {
-            NetworkId::SpikeFlowNet => 0.03,
-            NetworkId::FusionFlowNet => 0.07,
-            NetworkId::AdaptiveSpikeNet => 0.09,
-            NetworkId::Halsie => 2.13,
-            NetworkId::E2Depth => 0.02,
-            NetworkId::Dotie => 0.04,
-            NetworkId::EvFlowNet => 0.04,
-            NetworkId::GraphNet => 0.05,
-            NetworkId::CornerNet => 0.06,
-        };
         PipelineOptions {
             variant,
             dsfa,
@@ -156,7 +145,7 @@ impl PipelineOptions {
                 generations: 16,
                 ..NmpConfig::default()
             },
-            max_degradation,
+            max_degradation: network.delta_a(),
         }
     }
 }

@@ -59,6 +59,12 @@ pub struct ServeScenario {
     pub churn: Vec<ChurnEvent>,
 }
 
+/// Engine-side bounded inference-queue capacity (§4.2 drop-oldest). It
+/// never binds: the ingress queue releases a job only to an idle task and
+/// the drain enqueues one job at a time, so the engine queue holds at most
+/// one input. It also sets the tune sweep's `queue_capacities` axis.
+const ENGINE_QUEUE_CAPACITY: usize = 2;
+
 /// Service-layer configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
@@ -68,8 +74,6 @@ pub struct ServeConfig {
     pub platform: PlatformPreset,
     /// Zoo scale for tenant task graphs.
     pub zoo: ZooPreset,
-    /// Engine-side bounded inference-queue capacity (§4.2 drop-oldest).
-    pub queue_capacity: usize,
     /// Per-tenant ingress queue capacity (reject-newest).
     pub ingress_capacity: usize,
     /// Registry admission limit.
@@ -103,7 +107,6 @@ impl ServeConfig {
             window,
             platform: PlatformPreset::XavierAgx,
             zoo: ZooPreset::Small,
-            queue_capacity: 2,
             ingress_capacity: 4,
             max_tenants: 64,
             watermark: 0.75,
@@ -130,9 +133,6 @@ impl ServeConfig {
                 self.window.start(),
                 self.window.end()
             ));
-        }
-        if self.queue_capacity == 0 {
-            return invalid("queue_capacity must be positive".to_string());
         }
         if self.ingress_capacity == 0 {
             return invalid("ingress_capacity must be positive".to_string());
@@ -163,7 +163,7 @@ impl ServeConfig {
             generations: self.tune_generations.clone(),
             mutation_layers: vec![1],
             elite_fractions: vec![0.25],
-            queue_capacities: vec![self.queue_capacity],
+            queue_capacities: vec![ENGINE_QUEUE_CAPACITY],
             platforms: vec![self.platform],
             task_mixes: vec![mix],
             algorithms: vec![SearchAlgorithm::Evolutionary],
@@ -645,7 +645,7 @@ fn run_epoch(
     let tasks = live.len();
     let timeline = DeviceTimeline::new(problem.platform().queue_count());
     let mut engine =
-        ExecEngine::new(window.start(), timeline, tasks, config.queue_capacity)?.with_job_records();
+        ExecEngine::new(window.start(), timeline, tasks, ENGINE_QUEUE_CAPACITY)?.with_job_records();
     let mut model = MappedJobModel::new(problem, candidate);
 
     // task index (admission order) → run-wide accumulator index, through
@@ -795,9 +795,9 @@ mod tests {
     #[test]
     fn config_validation_names_the_field() {
         let mut config = quick_config(4);
-        config.queue_capacity = 0;
+        config.ingress_capacity = 0;
         let err = config.validate().unwrap_err();
-        assert!(err.to_string().contains("queue_capacity"));
+        assert!(err.to_string().contains("ingress_capacity"));
         let mut config = quick_config(4);
         config.window = TimeWindow::new(Timestamp::from_millis(1), Timestamp::from_millis(1));
         assert!(config.validate().is_err());

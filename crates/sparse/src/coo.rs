@@ -512,6 +512,18 @@ mod tests {
     }
 
     #[test]
+    fn from_dense_rejects_wrong_rank() {
+        let dense = Tensor::zeros(&[4, 4]);
+        assert!(matches!(
+            SparseTensor::from_dense(&dense, 0.0),
+            Err(SparseError::RankMismatch {
+                expected: 3,
+                actual: 2
+            })
+        ));
+    }
+
+    #[test]
     fn from_dense_respects_threshold() {
         let dense = Tensor::from_vec(&[1, 1, 3], vec![0.05, 0.2, -0.01]).unwrap();
         let sparse = SparseTensor::from_dense(&dense, 0.1).unwrap();

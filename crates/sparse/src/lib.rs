@@ -2,9 +2,8 @@
 //!
 //! The "sparse library" substrate the paper relies on (its reference `[6]`):
 //! COO sparse tensors ([`coo`]), CSR matrices ([`csr`]), dense tensors
-//! ([`dense`]), real compute kernels with exact operation accounting
-//! ([`ops`], [`opcount`]), and measured dense↔sparse conversion costs
-//! ([`encode`]).
+//! ([`dense`]), and real compute kernels with exact operation accounting
+//! ([`ops`], [`opcount`]).
 //!
 //! There are two convolutions: the register-tiled dense one and the
 //! sparse scatter over COO nonzeros ([`ops::conv`]). They agree bit for
@@ -44,7 +43,6 @@
 pub mod coo;
 pub mod csr;
 pub mod dense;
-pub mod encode;
 pub mod graph;
 pub mod opcount;
 

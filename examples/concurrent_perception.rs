@@ -14,7 +14,8 @@ use ev_edge::multipipe::{run_multi_task_streams, MultiTaskRuntimeConfig, StreamT
 use ev_edge::nmp::baseline;
 use ev_edge::nmp::evolution::{run_nmp, NmpConfig};
 use ev_edge::nmp::fitness::FitnessConfig;
-use ev_edge::nmp::multitask::{MultiTaskProblem, TaskSpec};
+use ev_edge::nmp::multitask::MultiTaskProblem;
+use ev_edge::nmp::task_spec_for;
 use ev_nn::zoo::{NetworkId, ZooConfig};
 use ev_platform::pe::Platform;
 
@@ -25,16 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let problem = MultiTaskProblem::new(
         Platform::xavier_agx(),
         vec![
-            TaskSpec::new(
-                NetworkId::Dotie.build(&zoo)?,
-                NetworkId::Dotie.accuracy_model(),
-                0.04,
-            ),
-            TaskSpec::new(
-                NetworkId::E2Depth.build(&zoo)?,
-                NetworkId::E2Depth.accuracy_model(),
-                0.02,
-            ),
+            task_spec_for(NetworkId::Dotie, &zoo, 1.0)?,
+            task_spec_for(NetworkId::E2Depth, &zoo, 1.0)?,
         ],
     )?;
     let streams = vec![

@@ -10,24 +10,14 @@
 use ev_edge::nmp::baseline;
 use ev_edge::nmp::evolution::{run_nmp, NmpConfig};
 use ev_edge::nmp::fitness::{FitnessConfig, FitnessEvaluator};
-use ev_edge::nmp::multitask::{MultiTaskProblem, TaskSpec};
-use ev_nn::zoo::{NetworkId, ZooConfig};
+use ev_edge::nmp::TaskMix;
+use ev_nn::zoo::ZooConfig;
 use ev_platform::pe::Platform;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let zoo = ZooConfig::mvsec();
-    let networks = [
-        (NetworkId::FusionFlowNet, 0.07),
-        (NetworkId::Halsie, 2.13),
-        (NetworkId::Dotie, 0.04),
-        (NetworkId::E2Depth, 0.02),
-    ];
-    let tasks = networks
-        .iter()
-        .map(|&(n, delta)| Ok(TaskSpec::new(n.build(&zoo)?, n.accuracy_model(), delta)))
-        .collect::<Result<Vec<_>, ev_nn::NnError>>()?;
-    let platform = Platform::xavier_agx();
-    let problem = MultiTaskProblem::new(platform, tasks)?;
+    // Fusion-FlowNet, HALSIE, DOTIE and E2Depth, each under its Table 2 ΔA.
+    let problem =
+        TaskMix::MixedSnnAnn.build_problem(Platform::xavier_agx(), &ZooConfig::mvsec())?;
     println!(
         "mixed SNN-ANN workload: {} layers across {} networks\n",
         problem.node_count(),

@@ -1,183 +1,65 @@
-//! Qualitative reproduction checks: every table/figure experiment must
-//! show the paper's shape — who wins, orderings, rough factor bands.
+//! The paper's claims, one test per artifact of the
+//! [`ev_bench::claims`] ledger: each test fails with every claim that
+//! does not hold. `validate_repro` prints the same checks.
 //!
 //! Absolute numbers are platform-model outputs, pinned by the conformance
 //! goldens in `specs/golden/`; these tests pin down the claims that must
 //! not regress.
 
+use ev_bench::claims::{self, Check};
 use ev_bench::experiments::{figure1, figure10, figure3, figure5, figure8, figure9, table1};
 
-#[test]
-fn figure1_dense_processing_wastes_most_operations() {
-    let result = figure1(true).expect("experiment runs");
-    for row in &result.rows {
-        assert!(
-            row.wasted_pct > 50.0,
-            "dense processing must waste most work: {row:?}"
-        );
-        assert!(row.actual_mmacs < row.dense_mmacs);
-    }
-    // Real kernels agree with the model's direction.
-    assert!(result.measured.effectual_fraction < 0.5);
-}
-
-#[test]
-fn figure3_density_spread_spans_orders_of_magnitude() {
-    let rows = figure3(true).expect("experiment runs");
-    assert_eq!(rows.len(), 7);
-    let min = rows
+fn assert_all_hold(checks: Vec<Check>) {
+    assert!(!checks.is_empty(), "the ledger checks nothing here");
+    let failed: Vec<String> = checks
         .iter()
-        .map(|r| r.mean_fill_pct)
-        .fold(f64::INFINITY, f64::min);
-    let max = rows.iter().map(|r| r.mean_fill_pct).fold(0.0f64, f64::max);
-    // Paper: 0.15%–28.57%.
-    assert!(min < 1.5, "sparsest representation {min}%");
-    assert!(max > 10.0, "densest representation {max}%");
-    // Finer binning gives sparser frames: Adaptive-SpikeNet (nB=32) must
-    // be sparser than EV-FlowNet (full accumulation).
-    let fine = rows
-        .iter()
-        .find(|r| r.network == "Adaptive-SpikeNet")
-        .expect("row exists");
-    let coarse = rows
-        .iter()
-        .find(|r| r.network == "EV-FlowNet")
-        .expect("row exists");
-    assert!(fine.mean_fill_pct * 5.0 < coarse.mean_fill_pct);
-}
-
-#[test]
-fn figure5_flying_sequence_is_bursty() {
-    let result = figure5(true).expect("experiment runs");
+        .filter(|c| !c.passed)
+        .map(Check::to_string)
+        .collect();
     assert!(
-        result.burstiness > 2.0,
-        "indoor_flying2 must be bursty, got {:.2}",
-        result.burstiness
+        failed.is_empty(),
+        "claims that do not hold:\n{}",
+        failed.join("\n")
     );
-}
-
-#[test]
-fn figure8_optimizations_compound_and_land_in_band() {
-    let rows = figure8(true).expect("experiment runs");
-    assert_eq!(rows.len(), 6);
-    for row in &rows {
-        // Cumulative optimizations never hurt (small tolerance for
-        // DSFA tail effects).
-        assert!(
-            row.speedup_dsfa >= row.speedup_e2sf * 0.95,
-            "{}: DSFA regressed E2SF: {row:?}",
-            row.network
-        );
-        assert!(
-            row.speedup_nmp >= row.speedup_dsfa * 0.95,
-            "{}: NMP regressed DSFA: {row:?}",
-            row.network
-        );
-        // Energy improves alongside latency.
-        assert!(row.energy_ratio > 1.0, "{}: {row:?}", row.network);
-    }
-    let max = rows.iter().map(|r| r.speedup_nmp).fold(0.0f64, f64::max);
-    let min = rows
-        .iter()
-        .map(|r| r.speedup_nmp)
-        .fold(f64::INFINITY, f64::min);
-    // Paper band 1.28–2.05; we accept the same order.
-    assert!(max > 1.6 && max < 2.6, "max combined speedup {max}");
-    assert!(min > 1.0, "every network must benefit, min {min}");
-    // SNNs benefit most (paper: "SNNs achieve the highest improvements").
-    let adaptive = rows
-        .iter()
-        .find(|r| r.network == "Adaptive-SpikeNet")
-        .expect("row exists");
-    assert!(
-        (adaptive.speedup_nmp - max).abs() < 1e-9,
-        "the all-SNN network should lead: {adaptive:?}"
-    );
-}
-
-#[test]
-fn figure8_accuracy_stays_within_table2_bands() {
-    let rows = figure8(true).expect("experiment runs");
-    for row in &rows {
-        let delta = (row.metric_evedge - row.metric_baseline).abs();
-        let paper_delta = match row.network.as_str() {
-            "SpikeFlowNet" => 0.03,
-            "Fusion-FlowNet" => 0.07,
-            "Adaptive-SpikeNet" => 0.09,
-            "HALSIE" => 2.13,
-            "E2Depth" => 0.02,
-            "DOTIE" => 0.04,
-            other => panic!("unexpected network {other}"),
-        };
-        assert!(
-            delta <= paper_delta * 1.05 + 1e-9,
-            "{}: degradation {delta} exceeds ΔA {paper_delta}",
-            row.network
-        );
-    }
-}
-
-#[test]
-fn figure9_nmp_beats_round_robin() {
-    let rows = figure9(true).expect("experiment runs");
-    assert_eq!(rows.len(), 3);
-    for row in &rows {
-        assert!(
-            row.speedup_vs_rr_network >= 1.0,
-            "{}: NMP must not lose to RR-Network: {row:?}",
-            row.config
-        );
-        assert!(
-            row.speedup_vs_rr_layer >= 1.0,
-            "{}: NMP must not lose to RR-Layer: {row:?}",
-            row.config
-        );
-        // NMP-FP sits between NMP and the round-robins in spirit: slower
-        // than NMP, but by a bounded factor.
-        assert!(row.fp_slowdown >= 1.0, "{}: {row:?}", row.config);
-        assert!(row.fp_slowdown < 2.5, "{}: {row:?}", row.config);
-    }
-    // At least one configuration shows a decisive (≥1.4×) win, matching
-    // the paper's 1.43–1.81 band.
-    assert!(rows.iter().any(|r| r.speedup_vs_rr_network > 1.4));
-}
-
-#[test]
-fn figure10_evolution_beats_random_search() {
-    let result = figure10(true).expect("experiment runs");
-    // Paper: 1.42× faster mapping than random search.
-    assert!(
-        result.improvement_over_random >= 1.0,
-        "NMP {} vs random {}",
-        result.nmp_best_ms,
-        result.random_best_ms
-    );
-    // Convergence curves are monotone non-increasing in best score.
-    for pair in result.nmp_history.windows(2) {
-        assert!(pair[1].best_score <= pair[0].best_score + 1e-12);
-    }
-    for pair in result.random_history.windows(2) {
-        assert!(pair[1].best_score <= pair[0].best_score + 1e-12);
-    }
 }
 
 #[test]
 fn table1_reproduces_exactly() {
-    let rows = table1().expect("experiment runs");
-    let expect = [
-        ("SpikeFlowNet", "SNN-ANN", 12),
-        ("Fusion-FlowNet", "SNN-ANN", 29),
-        ("Adaptive-SpikeNet", "SNN", 8),
-        ("HALSIE", "SNN-ANN", 16),
-        ("E2Depth", "ANN", 15),
-        ("DOTIE", "SNN", 1),
-    ];
-    for (name, kind, layers) in expect {
-        let row = rows
-            .iter()
-            .find(|r| r.network == name)
-            .unwrap_or_else(|| panic!("{name} missing"));
-        assert_eq!(row.kind, kind, "{name}");
-        assert_eq!(row.layers, layers, "{name}");
-    }
+    assert_all_hold(claims::table1(&table1().expect("experiment runs")));
+}
+
+#[test]
+fn figure1_dense_processing_wastes_most_operations() {
+    assert_all_hold(claims::figure1(&figure1(true).expect("experiment runs")));
+}
+
+#[test]
+fn figure3_density_spread_spans_orders_of_magnitude() {
+    assert_all_hold(claims::figure3(&figure3(true).expect("experiment runs")));
+}
+
+#[test]
+fn figure5_flying_sequence_is_bursty() {
+    assert_all_hold(claims::figure5(&figure5(true).expect("experiment runs")));
+}
+
+#[test]
+fn figure8_optimizations_compound_and_land_in_band() {
+    assert_all_hold(claims::figure8(&figure8(true).expect("experiment runs")));
+}
+
+/// Table 2 is read off the Figure 8 runs.
+#[test]
+fn figure8_accuracy_stays_within_table2_bands() {
+    assert_all_hold(claims::table2(&figure8(true).expect("experiment runs")));
+}
+
+#[test]
+fn figure9_nmp_beats_round_robin() {
+    assert_all_hold(claims::figure9(&figure9(true).expect("experiment runs")));
+}
+
+#[test]
+fn figure10_evolution_beats_random_search() {
+    assert_all_hold(claims::figure10(&figure10(true).expect("experiment runs")));
 }
