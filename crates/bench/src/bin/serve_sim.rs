@@ -2,8 +2,8 @@
 //! N synthetic tenants arrive above the platform's sustainable rate,
 //! one more joins and leaves mid-run, and the service admits, sheds,
 //! and re-maps deterministically. Demonstrates the `crates/serve` front
-//! door over the exec core: watermark admission control with typed
-//! reject-newest shedding, bounded per-tenant ingress queues, and
+//! door over the exec core: one bounded queue per tenant that sheds
+//! the newest arrival at the utilization watermark or when full, and
 //! churn-triggered incremental NMP remapping with bit-for-bit cached
 //! replays.
 //!

@@ -2,6 +2,7 @@
 
 use ev_bench::experiments::figure8;
 use ev_bench::report::{write_json, CommonArgs, TextTable};
+use ev_nn::zoo::NetworkId;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = CommonArgs::parse()?;
@@ -21,10 +22,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     print!("{}", table.render());
     println!();
+    // The paper's line, from the zoo: each network's baseline and its
+    // metric degraded by its full ΔA.
+    let paper: Vec<String> = NetworkId::TABLE1
+        .iter()
+        .map(|&n| {
+            let model = n.accuracy_model();
+            format!(
+                "{} {:.2}→{:.2}",
+                n.name(),
+                model.baseline(),
+                model.degraded_metric(n.delta_a())
+            )
+        })
+        .collect();
     println!(
-        "Paper's Table 2: SpikeFlowNet 0.93→0.96, Fusion-FlowNet 0.72→0.79,\n\
-         Adaptive-SpikeNet 1.27→1.36, HALSIE 66.31→64.18, E2Depth 0.61→0.63,\n\
-         DOTIE 0.86→0.82 — minimal degradation under Ev-Edge."
+        "Paper's Table 2: {},\n{},\n{} — minimal degradation under Ev-Edge.",
+        paper[..2].join(", "),
+        paper[2..5].join(", "),
+        paper[5]
     );
 
     if let Some(path) = args.json {

@@ -55,45 +55,6 @@ pub struct EngineReport {
     pub utilization: Vec<f64>,
 }
 
-/// Read access to an engine's device-load counters: the signal an
-/// admission controller samples between arrivals (the `ev_serve`
-/// front door trips its watermark on these).
-///
-/// Deliberately narrower than [`ReservationTimeline`]: a load probe
-/// answers "how much device time is booked", nothing else, so streaming
-/// frontends can stay generic over engines whose timelines they never
-/// see.
-pub trait LoadProbe {
-    /// Number of device (PE) queues behind the engine.
-    fn device_queues(&self) -> usize;
-
-    /// Busy time summed over every device queue.
-    fn device_busy_total(&self) -> TimeDelta;
-
-    /// Mean per-queue utilization over `elapsed` simulated time:
-    /// `device_busy_total / (device_queues × elapsed)`, `0.0` before
-    /// any time has elapsed. May exceed `1.0` when reservations are
-    /// booked past `elapsed` — the overload signal a watermark trips
-    /// on.
-    fn device_utilization(&self, elapsed: TimeDelta) -> f64 {
-        let queues = self.device_queues();
-        if elapsed.as_micros() <= 0 || queues == 0 {
-            return 0.0;
-        }
-        self.device_busy_total().as_secs_f64() / (queues as f64 * elapsed.as_secs_f64())
-    }
-}
-
-impl<T: ReservationTimeline> LoadProbe for ExecEngine<T> {
-    fn device_queues(&self) -> usize {
-        self.timeline.queues()
-    }
-
-    fn device_busy_total(&self) -> TimeDelta {
-        self.timeline.total_busy()
-    }
-}
-
 /// The unified streaming execution engine.
 ///
 /// Generic over the timeline so a caller can wrap the runtime's
@@ -191,6 +152,25 @@ impl<T: ReservationTimeline> ExecEngine<T> {
         self.task_free[task] <= time
     }
 
+    /// Inputs waiting in `task`'s bounded queue (the in-flight inference
+    /// is not counted).
+    pub fn pending(&self, task: usize) -> usize {
+        self.queues[task].len()
+    }
+
+    /// Mean per-queue device utilization over `elapsed` simulated time:
+    /// booked busy time over (device queues × `elapsed`), `0.0` before
+    /// any time has elapsed. Exceeds `1.0` when reservations are booked
+    /// past `elapsed`, the overload signal the `ev_serve` watermark
+    /// sheds on.
+    pub fn device_utilization(&self, elapsed: TimeDelta) -> f64 {
+        let queues = self.timeline.queues();
+        if elapsed.as_micros() <= 0 || queues == 0 {
+            return 0.0;
+        }
+        self.timeline.total_busy().as_secs_f64() / (queues as f64 * elapsed.as_secs_f64())
+    }
+
     /// Records one frontend-level input arrival for `task` without
     /// enqueuing anything (streaming frontends count raw frames even
     /// when DSFA buffers them).
@@ -218,6 +198,7 @@ impl<T: ReservationTimeline> ExecEngine<T> {
     /// # Errors
     ///
     /// Propagates dispatch errors.
+    #[inline]
     pub fn service(
         &mut self,
         task: usize,
@@ -228,26 +209,38 @@ impl<T: ReservationTimeline> ExecEngine<T> {
             let Some(job) = self.queues[task].pop() else {
                 break;
             };
-            let ready = job.ready.max(self.task_free[task]);
-            let (end, energy) = model.dispatch(task, &job, ready, &mut self.timeline)?;
-            self.energy += energy;
-            self.task_free[task] = end;
-            self.makespan_end = self.makespan_end.max(end);
-            self.completed[task] += 1;
-            let latency = end - job.ready;
-            self.latency_sum[task] += latency.as_micros();
-            self.latency_max[task] = self.latency_max[task].max(latency);
-            if self.record_jobs {
-                self.jobs.push(JobRecord {
-                    task,
-                    ready: job.ready,
-                    start: ready,
-                    end,
-                    batch: job.batch,
-                    density: job.density,
-                    events: job.events,
-                });
-            }
+            self.run_job(task, job, model)?;
+        }
+        Ok(())
+    }
+
+    /// Runs one input of `task` through `model`, from when both the
+    /// input and the task are ready, and books its completion.
+    fn run_job(
+        &mut self,
+        task: usize,
+        job: JobInput,
+        model: &mut dyn JobModel,
+    ) -> Result<(), EvEdgeError> {
+        let ready = job.ready.max(self.task_free[task]);
+        let (end, energy) = model.dispatch(task, &job, ready, &mut self.timeline)?;
+        self.energy += energy;
+        self.task_free[task] = end;
+        self.makespan_end = self.makespan_end.max(end);
+        self.completed[task] += 1;
+        let latency = end - job.ready;
+        self.latency_sum[task] += latency.as_micros();
+        self.latency_max[task] = self.latency_max[task].max(latency);
+        if self.record_jobs {
+            self.jobs.push(JobRecord {
+                task,
+                ready: job.ready,
+                start: ready,
+                end,
+                batch: job.batch,
+                density: job.density,
+                events: job.events,
+            });
         }
         Ok(())
     }
@@ -437,16 +430,17 @@ mod tests {
             duration: TimeDelta::from_millis(30),
             queue: 0,
         };
-        assert_eq!(engine.device_queues(), 2);
         assert_eq!(engine.device_utilization(TimeDelta::from_millis(10)), 0.0);
         engine.submit(0, JobInput::arrival(ms(0)));
         engine.submit(0, JobInput::arrival(ms(0)));
+        assert_eq!(engine.pending(0), 2);
         engine.drain(0, &mut model).unwrap();
-        assert_eq!(engine.device_busy_total(), TimeDelta::from_millis(60));
+        assert_eq!(engine.pending(0), 0);
         // 60 ms booked over 2 queues × 30 ms elapsed → saturated.
         let u = engine.device_utilization(TimeDelta::from_millis(30));
         assert!((u - 1.0).abs() < 1e-12);
         assert_eq!(engine.device_utilization(TimeDelta::ZERO), 0.0);
+        assert_eq!(engine.finish(0.0).busy_time, TimeDelta::from_millis(60));
     }
 
     #[test]

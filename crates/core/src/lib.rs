@@ -61,7 +61,7 @@ pub mod exec {
     pub mod stage;
 
     pub use clock::EventClock;
-    pub use engine::{EngineReport, ExecEngine, LoadProbe, TaskStats};
+    pub use engine::{EngineReport, ExecEngine, TaskStats};
     pub use job::{
         BatchCostModel, JobInput, JobModel, JobRecord, MappedJobModel, SchedGraphBuilder,
     };

@@ -110,10 +110,9 @@ pub struct PipelineOptions {
     pub variant: PipelineVariant,
     /// DSFA configuration (used by DSFA variants).
     pub dsfa: DsfaConfig,
-    /// NMP search configuration (used by the NMP variant).
+    /// NMP search configuration (used by the NMP variant; its ΔA
+    /// threshold is the network's own, [`NetworkId::delta_a`]).
     pub nmp: NmpConfig,
-    /// ΔA threshold for the NMP variant (metric units).
-    pub max_degradation: f64,
 }
 
 impl PipelineOptions {
@@ -145,7 +144,6 @@ impl PipelineOptions {
                 generations: 16,
                 ..NmpConfig::default()
             },
-            max_degradation: network.delta_a(),
         }
     }
 }
@@ -208,7 +206,7 @@ pub fn run_single_task(
             let problem = MultiTaskProblem::new(
                 setup.platform.clone(),
                 vec![
-                    TaskSpec::new(graph.clone(), accuracy, options.max_degradation)
+                    TaskSpec::new(graph.clone(), accuracy, setup.network.delta_a())
                         .with_aggregation(worst_case_aggregation),
                 ],
             )?;

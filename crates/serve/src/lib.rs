@@ -3,15 +3,15 @@
 //! The paper evaluates the runtime as batch replays of *fixed* task
 //! mixes; this crate is the front door that turns those replay drivers
 //! into a long-lived service. Event streams are admitted and retired as
-//! **tenants** ([`TenantRegistry`]): each live tenant owns a bounded
-//! ingress queue feeding the exec core's [`ExecEngine`] dispatch loop,
-//! an [`AdmissionController`] sheds load (reject-newest, typed
-//! [`Overloaded`]) when PE-timeline utilization crosses a watermark,
-//! and tenant churn triggers incremental NMP remapping: the live mix is
-//! re-tuned through the existing `AutoTuner` when it drifts past a
-//! configurable threshold, and otherwise carries the previous mapping
-//! over ([`remap`]). Per-(platform × mix) tunings are cached and
-//! replayed deterministically from their `NmpConfig`.
+//! **tenants** ([`TenantRegistry`]). Each live tenant has one queue:
+//! its bounded §4.2 inference queue in the exec core's [`ExecEngine`].
+//! An arrival goes straight into that queue unless it is shed, newest
+//! first: when PE-timeline utilization is at the watermark, or when the
+//! queue is full. Tenant churn triggers incremental NMP remapping: the
+//! live mix is re-tuned through the existing `AutoTuner` when it drifts
+//! past a threshold, and otherwise carries the previous mapping over
+//! ([`remap`]). Per-(platform × mix) tunings are cached and replayed
+//! deterministically from their `NmpConfig`.
 //!
 //! The whole service is driven in simulated time on one thread —
 //! `workers` only fans out the tuner's sweep, which is byte-identical
@@ -48,87 +48,26 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod admission;
 pub mod remap;
 pub mod scenario;
 pub mod service;
 pub mod tenant;
 
-pub use admission::AdmissionController;
 pub use remap::{carry_over_mapping, mix_drift, MappingCache, MappingSource, MixEntry};
 pub use scenario::{corner_frontend_scenario, synthetic_scenario};
 pub use service::{
     run_service, ChurnAction, ChurnEvent, EpochRecord, ServeConfig, ServeOutcome, ServeReport,
     ServeScenario, ServeTotals, TenantReport,
 };
-pub use tenant::{TenantEntry, TenantId, TenantRegistry, TenantSpec};
+pub use tenant::{TenantEntry, TenantRegistry, TenantSpec};
 
 use core::fmt;
-use ev_core::Timestamp;
 use ev_edge::EvEdgeError;
-
-/// Why an arrival was shed at the front door.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ShedReason {
-    /// PE-timeline utilization reached the admission watermark.
-    Saturated {
-        /// Observed mean per-queue utilization at the arrival.
-        utilization: f64,
-        /// The configured watermark it crossed.
-        watermark: f64,
-    },
-    /// The tenant's bounded ingress queue was full (reject-newest: the
-    /// arriving input is refused, queued work is never displaced).
-    IngressFull {
-        /// The ingress queue capacity.
-        capacity: usize,
-    },
-}
-
-impl fmt::Display for ShedReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShedReason::Saturated {
-                utilization,
-                watermark,
-            } => write!(
-                f,
-                "PE utilization {utilization:.3} at watermark {watermark:.3}"
-            ),
-            ShedReason::IngressFull { capacity } => {
-                write!(f, "ingress queue full (capacity {capacity})")
-            }
-        }
-    }
-}
-
-/// A typed load-shedding rejection: the service refused one arrival.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Overloaded {
-    /// The tenant whose arrival was shed.
-    pub tenant: String,
-    /// When the arrival was refused.
-    pub at: Timestamp,
-    /// Why it was refused.
-    pub reason: ShedReason,
-}
-
-impl fmt::Display for Overloaded {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "tenant `{}` overloaded at {}: {}",
-            self.tenant, self.at, self.reason
-        )
-    }
-}
 
 /// Errors produced by the service layer.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum ServeError {
-    /// An arrival was refused by admission control.
-    Overloaded(Overloaded),
     /// No live tenant has this name.
     UnknownTenant {
         /// The name that failed to resolve.
@@ -141,7 +80,7 @@ pub enum ServeError {
     },
     /// The registry is at its tenant limit.
     TenantLimit {
-        /// The configured maximum.
+        /// The registry's maximum.
         max: usize,
     },
     /// A tenant spec is malformed.
@@ -162,17 +101,6 @@ pub enum ServeError {
         /// The mix display name.
         mix: String,
     },
-    /// A tenant has no slot in the per-tenant accounting table — the
-    /// registry and the accumulators disagree. Surfaced as an error so
-    /// a broken bookkeeping invariant fails loudly in release builds
-    /// instead of panicking on (or silently misattributing to) a wrong
-    /// index.
-    MissingAccumulator {
-        /// The tenant whose accumulator failed to resolve.
-        name: String,
-        /// Its registry-assigned id.
-        id: u64,
-    },
     /// An exec-core error surfaced through the service.
     Edge(EvEdgeError),
 }
@@ -180,7 +108,6 @@ pub enum ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::Overloaded(o) => write!(f, "{o}"),
             ServeError::UnknownTenant { name } => write!(f, "unknown tenant `{name}`"),
             ServeError::DuplicateTenant { name } => {
                 write!(f, "tenant `{name}` is already admitted")
@@ -195,11 +122,6 @@ impl fmt::Display for ServeError {
             ServeError::NoSelection { mix } => {
                 write!(f, "auto-tune produced no selection for mix {mix}")
             }
-            ServeError::MissingAccumulator { name, id } => write!(
-                f,
-                "tenant `{name}` (id {id}) has no accounting slot — registry \
-                 and accumulator table disagree"
-            ),
             ServeError::Edge(e) => write!(f, "{e}"),
         }
     }
@@ -213,37 +135,17 @@ impl From<EvEdgeError> for ServeError {
     }
 }
 
-impl From<Overloaded> for ServeError {
-    fn from(o: Overloaded) -> Self {
-        ServeError::Overloaded(o)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn errors_display_and_convert() {
-        let o = Overloaded {
-            tenant: "cam-0".to_string(),
-            at: Timestamp::from_millis(3),
-            reason: ShedReason::Saturated {
-                utilization: 0.91,
-                watermark: 0.75,
-            },
-        };
-        let e: ServeError = o.clone().into();
-        assert!(e.to_string().contains("cam-0"));
-        assert!(e.to_string().contains("0.910"));
-        let full: ServeError = Overloaded {
-            reason: ShedReason::IngressFull { capacity: 4 },
-            ..o
-        }
-        .into();
-        assert!(full.to_string().contains("capacity 4"));
+        let limit = ServeError::TenantLimit { max: 64 };
+        assert!(limit.to_string().contains("64 live tenants"));
         let edge: ServeError = EvEdgeError::EmptyProblem.into();
         assert!(matches!(edge, ServeError::Edge(_)));
+        assert_eq!(edge.to_string(), EvEdgeError::EmptyProblem.to_string());
     }
 
     #[test]

@@ -4,13 +4,12 @@
 //! *joined* mix's own critical-path latencies (the sweep module's
 //! near-saturation rule, ¾ of per-task latency), then scales them by a
 //! `pressure` factor: `1.0` arrives right at saturation, `0.5` at
-//! twice the sustainable rate — which keeps the bounded ingress queues
-//! full and guarantees the admission path sheds, exercising the service
-//! layer end to end. One tenant joins at 40% of the window and leaves
-//! at 70%, so every run crosses a drift-triggered re-tune and a
-//! cache-replay epoch.
+//! twice the sustainable rate — which keeps the tenants' bounded queues
+//! full and guarantees the service sheds, exercising it end to end.
+//! One tenant joins at 40% of the window and leaves at 70%, so every
+//! run crosses a drift-triggered re-tune and a cache-replay epoch.
 
-use crate::service::{ChurnAction, ChurnEvent, ServeConfig, ServeScenario};
+use crate::service::{ChurnAction, ChurnEvent, ServeConfig, ServeScenario, MAX_TENANTS};
 use crate::tenant::TenantSpec;
 use crate::ServeError;
 use ev_core::TimeDelta;
@@ -48,72 +47,21 @@ pub fn synthetic_scenario(
     tenants: usize,
     pressure: f64,
 ) -> Result<ServeScenario, ServeError> {
-    if tenants == 0 {
-        return Err(ServeError::InvalidConfig {
-            what: "synthetic scenario needs at least one tenant".to_string(),
-        });
-    }
-    if tenants + 1 > config.max_tenants {
-        return Err(ServeError::InvalidConfig {
-            what: format!(
-                "synthetic scenario needs {} tenant slots, config allows {}",
-                tenants + 1,
-                config.max_tenants
-            ),
-        });
-    }
-    if !pressure.is_finite() || pressure <= 0.0 {
-        return Err(ServeError::InvalidConfig {
-            what: format!("pressure must be finite and positive, got {pressure}"),
-        });
-    }
-
-    // Size periods against the *joined* mix so cadences stay put when
-    // the joiner arrives — its join changes the mapping, not anyone's
-    // arrival phase.
-    let networks: Vec<NetworkId> = (0..=tenants)
-        .map(|i| ROTATION[i % ROTATION.len()])
-        .collect();
-    let mix = TaskMix::Custom {
-        networks: networks.clone(),
-        delta_scale: 1.0,
-    };
-    let problem = mix.build_problem(config.platform.build(), &config.zoo.config())?;
-    let rr = baseline::rr_network(&problem);
-    let report = FitnessEvaluator::new(&problem, FitnessConfig::default()).evaluate(&rr)?;
-    let periods: Vec<TimeDelta> = near_saturation_periods(&report)
-        .into_iter()
-        .map(|p| scaled_period(p, pressure))
-        .collect::<Result<_, _>>()?;
-
-    let initial = (0..tenants)
-        .map(|i| TenantSpec {
-            name: format!("tenant-{i:02}"),
-            network: networks[i],
-            period: periods[i],
-        })
-        .collect();
-
+    let mut scenario = scenario_with_joiner(
+        config,
+        "synthetic",
+        tenants,
+        |i| ROTATION[i % ROTATION.len()],
+        "tenant-join",
+        pressure,
+    )?;
     let start = config.window.start();
     let span = (config.window.end() - start).as_micros();
-    let join_at = start + TimeDelta::from_micros(span * 2 / 5);
-    let leave_at = start + TimeDelta::from_micros(span * 7 / 10);
-    let churn = vec![
-        ChurnEvent {
-            at: join_at,
-            action: ChurnAction::Join(TenantSpec {
-                name: "tenant-join".to_string(),
-                network: networks[tenants],
-                period: periods[tenants],
-            }),
-        },
-        ChurnEvent {
-            at: leave_at,
-            action: ChurnAction::Leave("tenant-join".to_string()),
-        },
-    ];
-
-    Ok(ServeScenario { initial, churn })
+    scenario.churn.push(ChurnEvent {
+        at: start + TimeDelta::from_micros(span * 7 / 10),
+        action: ChurnAction::Leave("tenant-join".to_string()),
+    });
+    Ok(scenario)
 }
 
 /// Network rotation for the heterogeneous scenario's initial tenants:
@@ -144,17 +92,47 @@ pub fn corner_frontend_scenario(
     tenants: usize,
     pressure: f64,
 ) -> Result<ServeScenario, ServeError> {
+    scenario_with_joiner(
+        config,
+        "corner-frontend",
+        tenants,
+        |i| {
+            if i < tenants {
+                HETERO_ROTATION[i % HETERO_ROTATION.len()]
+            } else {
+                NetworkId::CornerNet
+            }
+        },
+        "corner-frontend",
+        pressure,
+    )
+}
+
+/// What both builders share: `tenants` initial streams (`tenant-NN`)
+/// and one `joiner` joining at 40% of the window, where stream `i` runs
+/// `network_of(i)` and the joiner is stream `tenants`. Every period is
+/// `pressure` × the near-saturation period of the *joined* mix under
+/// RR-Network, so cadences stay put when the joiner arrives — its join
+/// changes the mapping, not anyone's arrival phase. `kind` names the
+/// scenario in error messages.
+fn scenario_with_joiner(
+    config: &ServeConfig,
+    kind: &str,
+    tenants: usize,
+    network_of: impl Fn(usize) -> NetworkId,
+    joiner: &str,
+    pressure: f64,
+) -> Result<ServeScenario, ServeError> {
     if tenants == 0 {
         return Err(ServeError::InvalidConfig {
-            what: "corner-frontend scenario needs at least one tenant".to_string(),
+            what: format!("{kind} scenario needs at least one tenant"),
         });
     }
-    if tenants + 1 > config.max_tenants {
+    let slots = tenants.saturating_add(1);
+    if slots > MAX_TENANTS {
         return Err(ServeError::InvalidConfig {
             what: format!(
-                "corner-frontend scenario needs {} tenant slots, config allows {}",
-                tenants + 1,
-                config.max_tenants
+                "{kind} scenario needs {slots} tenant slots, config allows {MAX_TENANTS}"
             ),
         });
     }
@@ -164,10 +142,7 @@ pub fn corner_frontend_scenario(
         });
     }
 
-    let mut networks: Vec<NetworkId> = (0..tenants)
-        .map(|i| HETERO_ROTATION[i % HETERO_ROTATION.len()])
-        .collect();
-    networks.push(NetworkId::CornerNet);
+    let networks: Vec<NetworkId> = (0..=tenants).map(network_of).collect();
     let mix = TaskMix::Custom {
         networks: networks.clone(),
         delta_scale: 1.0,
@@ -187,19 +162,16 @@ pub fn corner_frontend_scenario(
             period: periods[i],
         })
         .collect();
-
     let start = config.window.start();
     let span = (config.window.end() - start).as_micros();
-    let join_at = start + TimeDelta::from_micros(span * 2 / 5);
     let churn = vec![ChurnEvent {
-        at: join_at,
+        at: start + TimeDelta::from_micros(span * 2 / 5),
         action: ChurnAction::Join(TenantSpec {
-            name: "corner-frontend".to_string(),
-            network: NetworkId::CornerNet,
+            name: joiner.to_string(),
+            network: networks[tenants],
             period: periods[tenants],
         }),
     }];
-
     Ok(ServeScenario { initial, churn })
 }
 
@@ -263,9 +235,18 @@ mod tests {
         assert!(synthetic_scenario(&config, 0, 0.5).is_err());
         assert!(synthetic_scenario(&config, 2, 0.0).is_err());
         assert!(synthetic_scenario(&config, 2, f64::NAN).is_err());
-        let mut tiny = quick_config();
-        tiny.max_tenants = 2;
-        assert!(synthetic_scenario(&tiny, 2, 0.5).is_err());
+        // 64 initial tenants and the joiner need 65 registry slots.
+        let err = synthetic_scenario(&config, MAX_TENANTS, 0.5).unwrap_err();
+        assert!(err.to_string().contains("65 tenant slots"), "{err}");
+        // A count whose joiner slot would overflow is rejected, not added.
+        assert!(synthetic_scenario(&config, usize::MAX, 0.5).is_err());
+        // The corner-frontend builder runs the same checks under its name.
+        let err = corner_frontend_scenario(&config, MAX_TENANTS, 0.5).unwrap_err();
+        assert!(
+            err.to_string()
+                .starts_with("invalid service config: corner-frontend scenario needs 65"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -6,8 +6,9 @@
 #
 # Builds the workspace in release mode, smoke-tests the multi-tenant
 # service layer end to end (`serve_sim --quick`), the heterogeneous
-# mixes and the benchmark harness (`evbench --smoke`), then drives the
-# declarative conformance suite in `specs/*.json`: each spec runs one
+# mixes and the benchmark harness (`evbench --smoke`, which must report
+# `"correct":true`), then drives the declarative conformance suite in
+# `specs/*.json`: each spec runs one
 # figure/table/service binary in a sandboxed output directory and
 # checks its report against golden snapshots (f64 bit-equality) and
 # structural assertions. Exit code 0 means everything reproduced.
@@ -70,7 +71,15 @@ echo "== kick-tires: corner-frontend smoke (serve_sim --corner) =="
 cargo run --release --quiet --bin serve_sim -- --quick --corner
 
 echo "== kick-tires: benchmark smoke (evbench --smoke) =="
-cargo run --release --quiet --offline --manifest-path evbench/Cargo.toml -- --smoke
+# evbench exits 0 on a failed iteration (a traced reconstruction that
+# diverges from the entry point, or a broken invariant) unless it runs
+# with --compare, so gate on its verdict: the last line's "correct".
+smoke="$(cargo run --release --quiet --offline --manifest-path evbench/Cargo.toml -- --smoke)"
+printf '%s\n' "$smoke"
+if [[ "${smoke##*$'\n'}" != *'"correct":true'* ]]; then
+    echo "kick-tires: evbench --smoke failed an iteration (its last line lacks \"correct\":true)" >&2
+    exit 1
+fi
 
 echo "== kick-tires: running conformance suite ($budget) =="
 exec cargo run --release --quiet --bin conformance -- "$budget" ${extra[@]+"${extra[@]}"}
