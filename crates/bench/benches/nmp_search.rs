@@ -30,12 +30,16 @@ fn bench_nmp(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function("fitness_eval_uncached", |b| {
+        // Candidates drawn up front, so the loop times evaluation alone.
         let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let candidates: Vec<Candidate> =
+            (0..256).map(|_| Candidate::random(&p, &mut rng)).collect();
+        let mut next = candidates.iter().cycle();
         b.iter(|| {
             // Fresh evaluator each iteration → no cache reuse.
             let mut eval = FitnessEvaluator::new(&p, FitnessConfig::default());
-            let candidate = Candidate::random(&p, &mut rng);
-            eval.evaluate(&candidate).expect("valid candidate")
+            let candidate = next.next().expect("cycle never ends");
+            eval.evaluate(candidate).expect("valid candidate")
         });
     });
 

@@ -3,41 +3,34 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ev_core::TimeDelta;
-use ev_platform::schedule::{list_schedule, SchedNode};
+use ev_platform::schedule::{list_schedule, SchedGraph, Schedule};
 
-fn chain_with_transfers(layers: usize, queues: usize) -> Vec<SchedNode> {
-    let mut nodes = Vec::new();
+fn chain_with_transfers(layers: usize, queues: usize) -> SchedGraph {
+    let mut graph = SchedGraph::new();
     for l in 0..layers {
         let queue = l % queues;
+        let mut deps = Vec::new();
         if l > 0 {
             // Transfer node on the last queue (memory).
-            let t = nodes.len();
-            nodes.push(SchedNode::new(
-                queues,
-                TimeDelta::from_micros(20),
-                vec![t - 1],
-            ));
+            let producer = graph.len() - 1;
+            deps.push(graph.push(queues, TimeDelta::from_micros(20), &[producer]));
         }
-        let deps = if nodes.is_empty() {
-            vec![]
-        } else {
-            vec![nodes.len() - 1]
-        };
-        nodes.push(SchedNode::new(
+        graph.push(
             queue,
             TimeDelta::from_micros(100 + (l as i64 * 37) % 400),
-            deps,
-        ));
+            &deps,
+        );
     }
-    nodes
+    graph
 }
 
 fn bench_scheduler(c: &mut Criterion) {
     let mut group = c.benchmark_group("list_schedule");
     for &layers in &[16usize, 64, 256] {
-        let nodes = chain_with_transfers(layers, 4);
-        group.bench_with_input(BenchmarkId::from_parameter(layers), &nodes, |b, nodes| {
-            b.iter(|| list_schedule(nodes, 5).expect("valid graph"));
+        let graph = chain_with_transfers(layers, 4);
+        let mut schedule = Schedule::new();
+        group.bench_with_input(BenchmarkId::from_parameter(layers), &graph, |b, graph| {
+            b.iter(|| list_schedule(graph, 5, &mut schedule).expect("valid graph"));
         });
     }
     group.finish();

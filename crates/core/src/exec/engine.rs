@@ -251,6 +251,7 @@ impl<T: ReservationTimeline> ExecEngine<T> {
     /// # Errors
     ///
     /// Propagates dispatch errors.
+    #[inline]
     pub fn service_all(
         &mut self,
         now: Timestamp,

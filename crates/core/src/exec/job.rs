@@ -22,7 +22,7 @@ use ev_nn::LayerId;
 use ev_platform::energy::Energy;
 use ev_platform::latency::{transfer_cost, CostEstimate};
 use ev_platform::pe::Platform;
-use ev_platform::schedule::{list_schedule, SchedNode, Schedule};
+use ev_platform::schedule::SchedGraph;
 use ev_platform::ReservationTimeline;
 use std::collections::HashMap;
 
@@ -104,26 +104,35 @@ pub trait JobModel {
 /// Both the offline fitness evaluator (one joint multi-task graph) and
 /// the single-task job coster (one graph per `(density, batch)` point)
 /// build their DAGs through this type — the transfer/energy bookkeeping
-/// exists exactly once.
-#[derive(Debug)]
-pub struct SchedGraphBuilder<'a> {
-    platform: &'a Platform,
-    nodes: Vec<SchedNode>,
+/// exists exactly once. [`SchedGraphBuilder::clear`] keeps every
+/// buffer's capacity, so a builder reused across candidates stops
+/// allocating once it has held the largest graph.
+#[derive(Debug, Default)]
+pub struct SchedGraphBuilder {
+    graph: SchedGraph,
+    /// The scheduler node of every layer added so far, networks in the
+    /// order added and layers in id order.
+    layer_nodes: Vec<usize>,
+    /// One layer's dependencies while its transfer nodes are pushed.
+    deps: Vec<usize>,
     energy: Energy,
 }
 
-impl<'a> SchedGraphBuilder<'a> {
-    /// An empty DAG over `platform`.
-    pub fn new(platform: &'a Platform) -> Self {
-        SchedGraphBuilder {
-            platform,
-            nodes: Vec::new(),
-            energy: Energy::ZERO,
-        }
+impl SchedGraphBuilder {
+    /// An empty DAG.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Removes every node and resets the energy, keeping capacity.
+    pub fn clear(&mut self) {
+        self.graph.clear();
+        self.layer_nodes.clear();
+        self.energy = Energy::ZERO;
     }
 
     /// Adds one network's layers under the given assignment and cost
-    /// lookups; returns the scheduler node index of every layer.
+    /// lookups; their scheduler nodes extend [`SchedGraphBuilder::layer_nodes`].
     ///
     /// `output_bytes_of` reports a producer layer's output payload (the
     /// bytes a cross-PE edge moves over unified memory).
@@ -131,68 +140,57 @@ impl<'a> SchedGraphBuilder<'a> {
     /// # Errors
     ///
     /// Propagates `cost_of` failures (typically
-    /// [`EvEdgeError::UnsupportedAssignment`]).
+    /// [`EvEdgeError::UnsupportedAssignment`]); the builder must then be
+    /// cleared before reuse.
     pub fn add_network(
         &mut self,
+        platform: &Platform,
         graph: &NetworkGraph,
         assignment_of: impl Fn(usize) -> Assignment,
         mut cost_of: impl FnMut(usize, Assignment) -> Result<CostEstimate, EvEdgeError>,
         output_bytes_of: impl Fn(usize) -> u64,
-    ) -> Result<Vec<usize>, EvEdgeError> {
-        let memory_queue = self.platform.memory_queue();
-        let mut node_of_layer = vec![usize::MAX; graph.len()];
+    ) -> Result<(), EvEdgeError> {
+        let memory_queue = platform.memory_queue();
+        let base = self.layer_nodes.len();
+        self.layer_nodes.resize(base + graph.len(), usize::MAX);
         for layer in graph.layers() {
             let l = layer.id.0;
             let a = assignment_of(l);
             let cost = cost_of(l, a)?;
             self.energy += cost.energy;
-            let mut deps = Vec::new();
+            self.deps.clear();
             for pred in graph.predecessors(layer.id) {
                 let pa = assignment_of(pred.0);
-                let pred_node = node_of_layer[pred.0];
+                let pred_node = self.layer_nodes[base + pred.0];
                 debug_assert_ne!(pred_node, usize::MAX, "layers visit in topo order");
                 if pa.pe == a.pe {
-                    deps.push(pred_node);
+                    self.deps.push(pred_node);
                 } else {
-                    let tc = transfer_cost(
-                        self.platform,
-                        pa.pe,
-                        a.pe,
-                        output_bytes_of(pred.0),
-                        pa.precision,
-                    );
+                    let tc =
+                        transfer_cost(platform, pa.pe, a.pe, output_bytes_of(pred.0), pa.precision);
                     self.energy += tc.energy;
-                    let transfer_idx = self.nodes.len();
-                    self.nodes
-                        .push(SchedNode::new(memory_queue, tc.latency, vec![pred_node]));
-                    deps.push(transfer_idx);
+                    let transfer = self.graph.push(memory_queue, tc.latency, &[pred_node]);
+                    self.deps.push(transfer);
                 }
             }
-            let idx = self.nodes.len();
-            self.nodes.push(SchedNode::new(a.pe.0, cost.latency, deps));
-            node_of_layer[l] = idx;
+            self.layer_nodes[base + l] = self.graph.push(a.pe.0, cost.latency, &self.deps);
         }
-        Ok(node_of_layer)
+        Ok(())
     }
 
-    /// The accumulated DAG nodes.
-    pub fn nodes(&self) -> &[SchedNode] {
-        &self.nodes
+    /// The accumulated DAG.
+    pub fn graph(&self) -> &SchedGraph {
+        &self.graph
+    }
+
+    /// The scheduler node of every layer added, in the order added.
+    pub fn layer_nodes(&self) -> &[usize] {
+        &self.layer_nodes
     }
 
     /// Busy energy accumulated so far (compute + transfers).
     pub fn energy(&self) -> Energy {
         self.energy
-    }
-
-    /// Schedules the accumulated DAG over the platform's queues
-    /// (Equation 3).
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduling errors.
-    pub fn schedule(&self) -> Result<Schedule, EvEdgeError> {
-        Ok(list_schedule(&self.nodes, self.platform.queue_count())?)
     }
 }
 

@@ -8,7 +8,8 @@
 //! overload (§4.2). This is the runtime view of the Figure 9 scenario.
 //!
 //! Both drivers here are thin shells over the unified [`crate::exec`]
-//! core: an [`EventClock`] orders arrivals, an [`ExecEngine`] over a
+//! core: [`for_each_phased_arrival`] orders the periodic arrivals and an
+//! [`EventClock`] the streaming frames, an [`ExecEngine`] over a
 //! [`DeviceTimeline`] owns the bounded queues and all latency/energy
 //! accounting, and a [`MappedJobModel`] reserves the shared
 //! processing-element queues layer by layer.
@@ -208,10 +209,13 @@ pub fn for_each_phased_arrival(
 ) {
     debug_assert_eq!(phases.len(), periods.len());
     debug_assert!(periods.iter().all(|p| p.as_micros() > 0) || window.start() >= window.end());
-    // Arrivals in global time order, ties broken by task index.
-    let mut clock: EventClock<usize> = EventClock::new(window.start());
+    // Each task has at most one pending arrival, so the earliest
+    // `(time, task)` among them is the next one in global order: a scan
+    // in task order that keeps the first strict minimum breaks ties by
+    // task index.
+    let mut pending: Vec<Option<ev_core::Timestamp>> = vec![None; periods.len()];
     if window.start() < window.end() {
-        for task in 0..periods.len() {
+        for (task, next) in pending.iter_mut().enumerate() {
             let mut first = phases[task];
             if first < window.start() {
                 let gap = (window.start() - first).as_micros();
@@ -219,16 +223,23 @@ pub fn for_each_phased_arrival(
                 let steps = (gap + period - 1) / period;
                 first += TimeDelta::from_micros(steps * period);
             }
-            if first < window.end() {
-                clock.schedule(first, task);
-            }
+            *next = (first < window.end()).then_some(first);
         }
     }
-    while let Some((arrival, task)) = clock.next_event() {
-        let next = arrival + periods[task];
-        if next < window.end() {
-            clock.schedule(next, task);
+    loop {
+        let mut earliest: Option<(ev_core::Timestamp, usize)> = None;
+        for (task, next) in pending.iter().enumerate() {
+            if let Some(at) = *next {
+                if earliest.is_none_or(|(best, _)| at < best) {
+                    earliest = Some((at, task));
+                }
+            }
         }
+        let Some((arrival, task)) = earliest else {
+            return;
+        };
+        let next = arrival + periods[task];
+        pending[task] = (next < window.end()).then_some(next);
         if !deliver(arrival, task) {
             return;
         }

@@ -117,13 +117,6 @@ impl Candidate {
         }
         h
     }
-
-    /// The precisions of one task's layers, in layer order.
-    pub fn task_precisions(&self, problem: &MultiTaskProblem, task: usize) -> Vec<Precision> {
-        (0..problem.tasks()[task].graph.len())
-            .map(|l| self.assignments[problem.global_index(task, l)].precision)
-            .collect()
-    }
 }
 
 fn precision_tag(p: Precision) -> u8 {
@@ -233,15 +226,5 @@ mod tests {
         assert_eq!(a.cache_key(), a.clone().cache_key());
         let b = Candidate::random(&p, &mut rng);
         assert_ne!(a.cache_key(), b.cache_key());
-    }
-
-    #[test]
-    fn task_precisions_extracts_in_order() {
-        let p = problem();
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let c = Candidate::random(&p, &mut rng);
-        let precisions = c.task_precisions(&p, 0);
-        assert_eq!(precisions.len(), p.tasks()[0].graph.len());
-        assert_eq!(precisions[0], c.assignment(0).precision);
     }
 }

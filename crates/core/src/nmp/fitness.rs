@@ -7,6 +7,12 @@
 //! different elements, penalized when any task's accuracy degradation
 //! exceeds its ΔA threshold. Reports are cached by candidate hash, as the
 //! paper does.
+//!
+//! A cache miss reads each layer's cost from the dense recorded profile,
+//! builds the joint graph into flat per-worker buffers (a
+//! [`SchedGraphBuilder`] and a [`Schedule`] kept in a thread-local) and
+//! schedules it in one Kahn pass, so an evaluation allocates only the
+//! report it returns.
 
 use crate::exec::job::SchedGraphBuilder;
 use crate::exec::parallel::parallel_map;
@@ -14,7 +20,10 @@ use crate::nmp::candidate::Candidate;
 use crate::nmp::multitask::MultiTaskProblem;
 use crate::EvEdgeError;
 use ev_core::TimeDelta;
+use ev_nn::Precision;
 use ev_platform::energy::Energy;
+use ev_platform::schedule::{list_schedule, Schedule};
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// What the search minimizes.
@@ -164,19 +173,36 @@ impl<'a> FitnessEvaluator<'a> {
     }
 
     fn evaluate_uncached(&self, candidate: &Candidate) -> Result<FitnessReport, EvEdgeError> {
+        SCRATCH.with(|scratch| self.evaluate_in(candidate, &mut scratch.borrow_mut()))
+    }
+
+    fn evaluate_in(
+        &self,
+        candidate: &Candidate,
+        scratch: &mut Scratch,
+    ) -> Result<FitnessReport, EvEdgeError> {
         let problem = self.problem;
         let platform = problem.platform();
+        let tasks = problem.tasks();
+        // Task `t`'s layers, as global node indices.
+        let layers_of = |t: usize| {
+            let first = problem.global_index(t, 0);
+            first..first + tasks[t].graph.len()
+        };
 
         // One joint multi-task DAG with cross-PE transfer nodes (paper
         // Figure 7a), built by the shared exec-core graph builder.
-        let mut builder = SchedGraphBuilder::new(platform);
-        let mut task_nodes: Vec<Vec<usize>> = Vec::with_capacity(problem.tasks().len());
-        for (t, task) in problem.tasks().iter().enumerate() {
-            let node_of_layer = builder.add_network(
+        let builder = &mut scratch.builder;
+        builder.clear();
+        for (t, task) in tasks.iter().enumerate() {
+            let profile = problem.profile(t);
+            let first = problem.global_index(t, 0);
+            builder.add_network(
+                platform,
                 &task.graph,
-                |l| candidate.assignment(problem.global_index(t, l)),
+                |l| candidate.assignment(first + l),
                 |l, a| {
-                    problem.profile(t).layer(l).cost(a.pe, a.precision).ok_or(
+                    profile.layer(l).cost(a.pe, a.precision).ok_or(
                         EvEdgeError::UnsupportedAssignment {
                             task: t,
                             layer: l,
@@ -187,15 +213,15 @@ impl<'a> FitnessEvaluator<'a> {
                 },
                 |l| problem.workload(t, l).output_bytes,
             )?;
-            task_nodes.push(node_of_layer);
         }
-        let energy = builder.energy();
-        let schedule = builder.schedule()?;
-        let per_task_latency: Vec<TimeDelta> = task_nodes
-            .iter()
-            .map(|idxs| {
-                idxs.iter()
-                    .map(|&i| schedule.timings[i].end)
+        let schedule = &mut scratch.schedule;
+        list_schedule(builder.graph(), platform.queue_count(), schedule)?;
+        let timings = schedule.timings();
+        let per_task_latency: Vec<TimeDelta> = (0..tasks.len())
+            .map(|t| {
+                builder.layer_nodes()[layers_of(t)]
+                    .iter()
+                    .map(|&i| timings[i].end)
                     .max()
                     .map(|end| end - ev_core::Timestamp::ZERO)
                     .unwrap_or(TimeDelta::ZERO)
@@ -207,13 +233,19 @@ impl<'a> FitnessEvaluator<'a> {
             .max()
             .unwrap_or(TimeDelta::ZERO);
 
-        let mut per_task_degradation = Vec::with_capacity(problem.tasks().len());
+        let mut per_task_degradation = Vec::with_capacity(tasks.len());
         let mut violation = 0.0f64;
-        for (t, task) in problem.tasks().iter().enumerate() {
-            let precisions = candidate.task_precisions(problem, t);
+        for (t, task) in tasks.iter().enumerate() {
+            let precisions = &mut scratch.precisions;
+            precisions.clear();
+            precisions.extend(
+                candidate.assignments()[layers_of(t)]
+                    .iter()
+                    .map(|a| a.precision),
+            );
             let degradation =
                 task.accuracy
-                    .degradation(problem.shares(t), &precisions, task.aggregation);
+                    .degradation(problem.shares(t), precisions, task.aggregation);
             if degradation > task.max_degradation && task.max_degradation > 0.0 {
                 violation += (degradation - task.max_degradation) / task.max_degradation;
             }
@@ -222,34 +254,38 @@ impl<'a> FitnessEvaluator<'a> {
         let feasible = violation == 0.0;
         // Bottleneck: the busiest PE queue (the memory queue is excluded —
         // transfers overlap with compute in steady state).
-        let bottleneck = (0..platform.elements().len())
-            .map(|q| schedule.queue_busy[q])
+        let pes = platform.elements().len();
+        let bottleneck = schedule.queue_busy()[..pes]
+            .iter()
+            .copied()
             .max()
             .unwrap_or(TimeDelta::ZERO);
         let objective_secs = match self.config.objective {
             Objective::JointLatency => max_latency.as_secs_f64(),
             Objective::Streaming => {
-                // Busy seconds per (PE, task).
-                let mut pe_task_busy =
-                    vec![vec![0.0f64; problem.tasks().len()]; platform.elements().len()];
-                for (t, nodes) in task_nodes.iter().enumerate() {
-                    for &idx in nodes {
-                        let node = &builder.nodes()[idx];
-                        pe_task_busy[node.queue][t] += node.duration.as_secs_f64();
+                // Busy seconds per (PE, task), PE-major.
+                let graph = builder.graph();
+                let pe_task_busy = &mut scratch.pe_task_busy;
+                pe_task_busy.clear();
+                pe_task_busy.resize(pes * tasks.len(), 0.0);
+                for t in 0..tasks.len() {
+                    for &node in &builder.layer_nodes()[layers_of(t)] {
+                        pe_task_busy[graph.queue(node) * tasks.len() + t] +=
+                            graph.duration(node).as_secs_f64();
                     }
                 }
                 let mut load = 0.0f64;
-                for (t, task) in problem.tasks().iter().enumerate() {
+                for (t, task) in tasks.iter().enumerate() {
                     let latency_s = per_task_latency[t].as_secs_f64();
                     load = load.max(match task.arrival_period {
                         Some(p) => latency_s / p.as_secs_f64(),
                         None => latency_s,
                     });
                 }
-                for pe_busy in &pe_task_busy {
+                for pe_busy in pe_task_busy.chunks_exact(tasks.len()) {
                     let mut util = 0.0;
-                    for (t, busy) in pe_busy.iter().enumerate() {
-                        if let Some(p) = problem.tasks()[t].arrival_period {
+                    for (busy, task) in pe_busy.iter().zip(tasks) {
+                        if let Some(p) = task.arrival_period {
                             util += busy / p.as_secs_f64();
                         }
                     }
@@ -264,11 +300,28 @@ impl<'a> FitnessEvaluator<'a> {
             max_latency,
             per_task_degradation,
             feasible,
-            energy,
+            energy: builder.energy(),
             bottleneck,
             score,
         })
     }
+}
+
+/// One worker's evaluation buffers, reused across candidates.
+#[derive(Debug, Default)]
+struct Scratch {
+    builder: SchedGraphBuilder,
+    schedule: Schedule,
+    /// One task's layer precisions, for the accuracy model.
+    precisions: Vec<Precision>,
+    /// Busy seconds per (PE, task), for the streaming objective.
+    pe_task_busy: Vec<f64>,
+}
+
+thread_local! {
+    /// [`parallel_map`] takes a `Fn`, so each worker thread keeps its
+    /// buffers here rather than in the evaluator.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 #[cfg(test)]

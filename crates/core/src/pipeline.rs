@@ -37,6 +37,7 @@ use ev_nn::{Domain, Precision};
 use ev_platform::energy::Energy;
 use ev_platform::latency::{default_domain_density, layer_cost, LayerContext};
 use ev_platform::pe::Platform;
+use ev_platform::schedule::{list_schedule, Schedule};
 use ev_platform::timeline::DeviceTimeline;
 
 pub use crate::exec::job::JobRecord;
@@ -307,8 +308,9 @@ fn inference_cost(
     batch: usize,
     variant: PipelineVariant,
 ) -> Result<(TimeDelta, Energy), EvEdgeError> {
-    let mut builder = SchedGraphBuilder::new(platform);
+    let mut builder = SchedGraphBuilder::new();
     builder.add_network(
+        platform,
         graph,
         |l| candidate.assignment(l),
         |l, a| {
@@ -330,8 +332,9 @@ fn inference_cost(
         },
         |l| workloads[l].output_bytes * batch.max(1) as u64,
     )?;
-    let schedule = builder.schedule()?;
-    Ok((schedule.makespan, builder.energy()))
+    let mut schedule = Schedule::new();
+    list_schedule(builder.graph(), platform.queue_count(), &mut schedule)?;
+    Ok((schedule.makespan(), builder.energy()))
 }
 
 #[cfg(test)]

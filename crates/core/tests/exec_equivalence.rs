@@ -1,19 +1,21 @@
 //! Engine equivalence: the multi-task runtime is the unified exec
 //! engine — a single-task problem run through `run_multi_task_runtime`
 //! must produce exactly the counts, latencies, energy and makespan of
-//! the same workload driven through `ExecEngine` directly.
+//! the same workload driven through `ExecEngine` directly — and its
+//! periodic arrivals come in the order an `EventClock` pops them.
 
 use ev_core::{TimeDelta, TimeWindow, Timestamp};
 use ev_edge::exec::clock::EventClock;
 use ev_edge::exec::engine::ExecEngine;
 use ev_edge::exec::job::{JobInput, MappedJobModel};
-use ev_edge::multipipe::{run_multi_task_runtime, MultiTaskRuntimeConfig};
+use ev_edge::multipipe::{for_each_phased_arrival, run_multi_task_runtime, MultiTaskRuntimeConfig};
 use ev_edge::nmp::baseline;
 use ev_edge::nmp::multitask::{MultiTaskProblem, TaskSpec};
 use ev_edge::EvEdgeError;
 use ev_nn::zoo::{NetworkId, ZooConfig};
 use ev_platform::pe::Platform;
 use ev_platform::timeline::DeviceTimeline;
+use proptest::prelude::*;
 
 fn single_task_problem() -> MultiTaskProblem {
     let cfg = ZooConfig::mvsec();
@@ -130,4 +132,63 @@ fn zero_queue_capacity_propagates_as_error() {
         result,
         Err(EvEdgeError::InvalidQueueCapacity { capacity: 0 })
     ));
+}
+
+/// The periodic arrivals of `for_each_phased_arrival`, replayed on an
+/// [`EventClock`]: every task's first arrival at or after the window
+/// start (keeping its cadence), then each popped arrival schedules the
+/// task's next one.
+fn clock_arrivals(
+    window: TimeWindow,
+    phases: &[Timestamp],
+    periods: &[TimeDelta],
+) -> Vec<(Timestamp, usize)> {
+    let mut clock: EventClock<usize> = EventClock::new(window.start());
+    if window.start() < window.end() {
+        for (task, (&phase, &period)) in phases.iter().zip(periods).enumerate() {
+            let mut first = phase;
+            while first < window.start() {
+                first += period;
+            }
+            if first < window.end() {
+                clock.schedule(first, task);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    while let Some((arrival, task)) = clock.next_event() {
+        let next = arrival + periods[task];
+        if next < window.end() {
+            clock.schedule(next, task);
+        }
+        out.push((arrival, task));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Phases before, inside and past the window, and periods on a
+    /// coarse grid so that many arrivals tie across tasks.
+    #[test]
+    fn phased_arrivals_pop_in_event_clock_order(
+        streams in prop::collection::vec((0u64..40, 1i64..12), 0..7),
+        start in 0u64..20,
+        length in 0u64..80,
+    ) {
+        let ms = Timestamp::from_millis;
+        let window = TimeWindow::new(ms(start), ms(start + length));
+        let phases: Vec<Timestamp> = streams.iter().map(|&(phase, _)| ms(phase)).collect();
+        let periods: Vec<TimeDelta> = streams
+            .iter()
+            .map(|&(_, period)| TimeDelta::from_millis(period))
+            .collect();
+        let mut scanned = Vec::new();
+        for_each_phased_arrival(window, &phases, &periods, |arrival, task| {
+            scanned.push((arrival, task));
+            true
+        });
+        prop_assert_eq!(scanned, clock_arrivals(window, &phases, &periods));
+    }
 }

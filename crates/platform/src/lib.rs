@@ -11,7 +11,7 @@
 //!
 //! ```
 //! use ev_platform::pe::Platform;
-//! use ev_platform::schedule::{list_schedule, SchedNode};
+//! use ev_platform::schedule::{list_schedule, SchedGraph, Schedule};
 //! use ev_core::TimeDelta;
 //!
 //! # fn main() -> Result<(), ev_platform::PlatformError> {
@@ -19,13 +19,13 @@
 //! // Two layers on the GPU queue, one on a DLA queue, then a join.
 //! let gpu = platform.id_by_name("gpu").expect("gpu").0;
 //! let dla = platform.id_by_name("dla0").expect("dla0").0;
-//! let nodes = vec![
-//!     SchedNode::new(gpu, TimeDelta::from_millis(4), vec![]),
-//!     SchedNode::new(dla, TimeDelta::from_millis(3), vec![]),
-//!     SchedNode::new(gpu, TimeDelta::from_millis(1), vec![0, 1]),
-//! ];
-//! let schedule = list_schedule(&nodes, platform.queue_count())?;
-//! assert_eq!(schedule.makespan, TimeDelta::from_millis(5));
+//! let mut graph = SchedGraph::new();
+//! let first = graph.push(gpu, TimeDelta::from_millis(4), &[]);
+//! let other = graph.push(dla, TimeDelta::from_millis(3), &[]);
+//! graph.push(gpu, TimeDelta::from_millis(1), &[first, other]);
+//! let mut schedule = Schedule::new();
+//! list_schedule(&graph, platform.queue_count(), &mut schedule)?;
+//! assert_eq!(schedule.makespan(), TimeDelta::from_millis(5));
 //! # Ok(())
 //! # }
 //! ```
@@ -45,7 +45,7 @@ pub use energy::Energy;
 pub use latency::{layer_cost, transfer_cost, CostEstimate, LayerContext};
 pub use pe::{PeId, PeKind, Platform, ProcessingElement};
 pub use profile::NetworkProfile;
-pub use schedule::{list_schedule, SchedNode, Schedule};
+pub use schedule::{list_schedule, SchedGraph, Schedule};
 pub use timeline::{DeviceTimeline, ReservationTimeline, RunRequest};
 
 use core::fmt;

@@ -12,34 +12,31 @@ use crate::pe::{PeId, Platform};
 use crate::PlatformError;
 use ev_nn::graph::LayerWorkload;
 use ev_nn::Precision;
-use std::collections::HashMap;
 
-/// Cost table of one layer across PEs and precisions.
+/// Slots per processing element: one per [`Precision`].
+const PRECISIONS: usize = Precision::ALL.len();
+
+/// The slot of `(pe, precision)`: PE-major, precisions in declaration
+/// order (INT8, FP16, FP32).
+fn slot(pe: PeId, precision: Precision) -> usize {
+    pe.0 * PRECISIONS + precision as usize
+}
+
+/// Cost table of one layer: one slot per (PE, precision), empty where
+/// the element does not support the precision.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LayerProfile {
-    entries: HashMap<(PeId, Precision), CostEstimate>,
+    slots: Vec<Option<CostEstimate>>,
 }
 
 impl LayerProfile {
     /// The recorded cost for `(pe, precision)`, if that combination is
-    /// supported.
+    /// supported. An id past the platform's last element has none.
     pub fn cost(&self, pe: PeId, precision: Precision) -> Option<CostEstimate> {
-        self.entries.get(&(pe, precision)).copied()
-    }
-
-    /// All supported `(pe, precision)` options for this layer.
-    pub fn options(&self) -> Vec<(PeId, Precision)> {
-        let mut v: Vec<_> = self.entries.keys().copied().collect();
-        v.sort_by_key(|(pe, p)| (pe.0, core::cmp::Reverse(*p)));
-        v
-    }
-
-    /// The fastest `(pe, precision)` choice.
-    pub fn fastest(&self) -> Option<((PeId, Precision), CostEstimate)> {
-        self.entries
-            .iter()
-            .min_by(|a, b| a.1.latency.cmp(&b.1.latency))
-            .map(|(k, v)| (*k, *v))
+        if pe.0 >= self.slots.len() / PRECISIONS {
+            return None;
+        }
+        self.slots[slot(pe, precision)]
     }
 }
 
@@ -97,7 +94,7 @@ impl NetworkProfile {
             let density = densities
                 .map(|d| d[i])
                 .unwrap_or_else(|| default_domain_density(w.domain));
-            let mut entries = HashMap::new();
+            let mut slots = vec![None; platform.elements().len() * PRECISIONS];
             for pe in platform.pe_ids() {
                 let element = platform.element(pe).expect("id from platform");
                 for precision in element.supported_precisions() {
@@ -105,10 +102,10 @@ impl NetworkProfile {
                         .with_precision(precision)
                         .with_density(density);
                     let cost = layer_cost(platform, pe, w, ctx).expect("supported combination");
-                    entries.insert((pe, precision), cost);
+                    slots[slot(pe, precision)] = Some(cost);
                 }
             }
-            layers.push(LayerProfile { entries });
+            layers.push(LayerProfile { slots });
         }
         Ok(NetworkProfile { layers })
     }
@@ -160,15 +157,17 @@ mod tests {
             assert!(layer.cost(gpu, Precision::Int8).is_some());
             assert!(layer.cost(dla, Precision::Fp32).is_none()); // unsupported
             assert!(layer.cost(dla, Precision::Int8).is_some());
-        }
-    }
-
-    #[test]
-    fn fastest_option_exists_for_every_layer() {
-        let (_, profile) = sample();
-        for layer in profile.iter() {
-            let ((_, _), cost) = layer.fastest().expect("nonempty");
-            assert!(cost.latency.as_micros() > 0);
+            // 4 PEs: cpu (2 precisions) + gpu (3) + 2×dla (2 each) = 9.
+            let supported = platform
+                .pe_ids()
+                .into_iter()
+                .flat_map(|pe| Precision::ALL.map(|p| layer.cost(pe, p)))
+                .flatten()
+                .count();
+            assert_eq!(supported, 9);
+            let past_last = PeId(platform.elements().len());
+            assert!(layer.cost(past_last, Precision::Int8).is_none());
+            assert!(layer.cost(PeId(usize::MAX), Precision::Fp32).is_none());
         }
     }
 
@@ -199,14 +198,5 @@ mod tests {
             err,
             Err(PlatformError::ProfileShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn options_are_sorted_and_complete() {
-        let (platform, profile) = sample();
-        let opts = profile.layer(0).options();
-        // 4 PEs: cpu (2 precisions) + gpu (3) + 2×dla (2 each) = 9.
-        assert_eq!(opts.len(), 9);
-        let _ = platform;
     }
 }
