@@ -1,7 +1,10 @@
 //! Unified exec core: the multi-task runtime on periodic arrivals
-//! (`exec_runtime/serial_timeline`) and the three-stream E2SF → DSFA →
+//! (`exec_runtime/serial_timeline`), the three-stream E2SF → DSFA →
 //! engine scenario (`exec_modes/streams_serial`, the scenario the
-//! `evbench` streams workload measures end to end).
+//! `evbench` streams workload measures end to end), and the service
+//! layer over the engine (`serve/synthetic_6x0.5`: six tenants at twice
+//! saturation with churn over a 10 s window, the shape of `evbench`'s
+//! serve workload at seed 0).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ev_core::{TimeDelta, TimeWindow, Timestamp};
@@ -15,6 +18,7 @@ use ev_edge::nmp::multitask::MultiTaskProblem;
 use ev_edge::nmp::task_spec_for;
 use ev_nn::zoo::{NetworkId, ZooConfig};
 use ev_platform::pe::Platform;
+use ev_serve::{run_service, synthetic_scenario, ServeConfig};
 
 fn problem() -> MultiTaskProblem {
     let cfg = ZooConfig::mvsec();
@@ -82,5 +86,17 @@ fn bench_streams(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_periodic_runtime, bench_streams);
+fn bench_serve(c: &mut Criterion) {
+    let mut config = ServeConfig::new(TimeWindow::new(Timestamp::ZERO, Timestamp::from_secs(10)));
+    config.workers = 1;
+    let scenario = synthetic_scenario(&config, 6, 0.5).expect("valid scenario");
+    let mut group = c.benchmark_group("serve");
+    group.sample_size(10);
+    group.bench_function("synthetic_6x0.5", |b| {
+        b.iter(|| run_service(&scenario, &config).expect("runs"));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_periodic_runtime, bench_streams, bench_serve);
 criterion_main!(benches);

@@ -290,6 +290,19 @@ impl<T: ReservationTimeline> ExecEngine<T> {
         self.task_free[task]
     }
 
+    /// The first instant [`ExecEngine::service_all`] could start a job:
+    /// the earliest [`ExecEngine::task_free_at`] among tasks with queued
+    /// inputs, `None` while every queue is empty. Until then, servicing
+    /// books nothing.
+    pub fn next_start(&self) -> Option<Timestamp> {
+        self.queues
+            .iter()
+            .zip(&self.task_free)
+            .filter(|(queue, _)| !queue.is_empty())
+            .map(|(_, &free)| free)
+            .min()
+    }
+
     /// Closes the run: charges `static_power_w` over the makespan and
     /// produces the unified report.
     pub fn finish(self, static_power_w: f64) -> EngineReport {

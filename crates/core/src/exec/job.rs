@@ -18,13 +18,13 @@ use crate::nmp::multitask::MultiTaskProblem;
 use crate::EvEdgeError;
 use ev_core::{TimeDelta, Timestamp};
 use ev_nn::graph::NetworkGraph;
-use ev_nn::LayerId;
 use ev_platform::energy::Energy;
 use ev_platform::latency::{transfer_cost, CostEstimate};
 use ev_platform::pe::Platform;
 use ev_platform::schedule::SchedGraph;
 use ev_platform::ReservationTimeline;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// One pending inference input: what a task's bounded queue holds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -202,59 +202,142 @@ impl SchedGraphBuilder {
 /// Figure 9): concurrent tasks compete for the same queues first-come-
 /// first-served.
 ///
-/// Reservations are batched per job: maximal runs of layers whose
-/// predecessors all live on the same processing element collapse into
-/// one [`ReservationTimeline::reserve_run`] chain, so a whole single-PE
-/// network costs one timeline call instead of one per layer. The produced reservations are identical to the
-/// per-layer sequence: within a FIFO queue, a layer whose dependencies
-/// all precede it on that queue always starts exactly when the previous
-/// reservation ends.
+/// Each task's dispatch is **compiled once**, when the model is built,
+/// into a plan of *runs*: maximal stretches of consecutive layers on one
+/// processing element where every layer after the first has all its
+/// predecessors on that element. Within a FIFO queue such a layer
+/// always starts exactly when the previous reservation ends, so a run
+/// is one [`ReservationTimeline::reserve_run`] chain over its layers'
+/// durations (a whole single-PE network costs one timeline call per
+/// job). A run's first layer keeps its predecessors, each with the
+/// latency of the unified-memory transfer it pays when it sits on
+/// another element, and the plan holds the job's busy energy, compute
+/// and transfers summed in layer order. A job then walks the plan: the
+/// transfers into each run on the memory queue, then the run, exactly
+/// the reservations the per-layer sequence makes, in the same order.
+/// An assignment the task's profile cannot execute fails every dispatch
+/// of that task with [`EvEdgeError::UnsupportedAssignment`], before any
+/// reservation.
 #[derive(Debug)]
-pub struct MappedJobModel<'a> {
-    problem: &'a MultiTaskProblem,
-    candidate: &'a Candidate,
-    /// Scratch for the pending same-queue run (reused across dispatches).
-    run_durations: Vec<TimeDelta>,
-    run_layers: Vec<usize>,
+pub struct MappedJobModel {
+    memory_queue: usize,
+    /// Each task's plan, or the first layer its profile cannot execute
+    /// with that layer's assignment.
+    plans: Vec<Result<TaskPlan, (usize, Assignment)>>,
+    /// Every layer's end in the job being dispatched (reused across
+    /// dispatches).
+    ends: Vec<Timestamp>,
 }
 
-impl<'a> MappedJobModel<'a> {
+/// One task's dispatch under the candidate mapping.
+#[derive(Debug)]
+struct TaskPlan {
+    runs: Vec<RunPlan>,
+    /// Every run's predecessor edges, run after run.
+    deps: Vec<RunDep>,
+    /// Every layer's duration, in layer order.
+    durations: Vec<TimeDelta>,
+    /// The job's busy energy: each layer's compute, then its incoming
+    /// transfers, summed in layer order.
+    energy: Energy,
+}
+
+/// One back-to-back chain of consecutive layers on one queue.
+#[derive(Debug)]
+struct RunPlan {
+    queue: usize,
+    /// The run's layers, which index `durations` too.
+    layers: Range<usize>,
+    /// The run's first layer's predecessors, in `deps`.
+    deps: Range<usize>,
+}
+
+/// A predecessor of a run's first layer: its end gates the run, after
+/// a unified-memory transfer when it sits on another element.
+#[derive(Debug, Clone, Copy)]
+struct RunDep {
+    pred: usize,
+    transfer: Option<TimeDelta>,
+}
+
+impl MappedJobModel {
     /// A model executing `candidate` over `problem`'s tasks.
-    pub fn new(problem: &'a MultiTaskProblem, candidate: &'a Candidate) -> Self {
+    pub fn new(problem: &MultiTaskProblem, candidate: &Candidate) -> Self {
+        let tasks = problem.tasks();
         MappedJobModel {
-            problem,
-            candidate,
-            run_durations: Vec::new(),
-            run_layers: Vec::new(),
+            memory_queue: problem.platform().memory_queue(),
+            plans: (0..tasks.len())
+                .map(|task| TaskPlan::compile(problem, candidate, task))
+                .collect(),
+            ends: vec![Timestamp::ZERO; tasks.iter().map(|t| t.graph.len()).max().unwrap_or(0)],
         }
     }
 }
 
-/// Reserves the pending run as one back-to-back chain and records the
-/// completion time of every layer in it.
-fn flush_run(
-    timeline: &mut dyn ReservationTimeline,
-    queue: usize,
-    ready: Timestamp,
-    durations: &mut Vec<TimeDelta>,
-    layers: &mut Vec<usize>,
-    end_of: &mut [Timestamp],
-    last_end: &mut Timestamp,
-) -> Result<(), EvEdgeError> {
-    if durations.is_empty() {
-        return Ok(());
+impl TaskPlan {
+    /// Compiles `task`'s dispatch under `candidate`, or names the first
+    /// layer whose assignment the task's profile cannot execute.
+    fn compile(
+        problem: &MultiTaskProblem,
+        candidate: &Candidate,
+        task: usize,
+    ) -> Result<TaskPlan, (usize, Assignment)> {
+        let platform = problem.platform();
+        let graph = &problem.tasks()[task].graph;
+        let assignment_of = |l: usize| candidate.assignment(problem.global_index(task, l));
+        let mut plan = TaskPlan {
+            runs: Vec::new(),
+            deps: Vec::new(),
+            durations: Vec::with_capacity(graph.len()),
+            energy: Energy::ZERO,
+        };
+        for layer in graph.layers() {
+            let l = layer.id.0;
+            debug_assert_eq!(l, plan.durations.len(), "layers come in id order");
+            let a = assignment_of(l);
+            let cost = problem
+                .profile(task)
+                .layer(l)
+                .cost(a.pe, a.precision)
+                .ok_or((l, a))?;
+            plan.energy += cost.energy;
+            plan.durations.push(cost.latency);
+            let preds = graph.predecessors(layer.id);
+            // A layer extends the run when the run already targets its
+            // queue and every predecessor shares its element (no
+            // transfers): its dependency-ready time can never exceed
+            // the previous slot's end, so chaining is exact.
+            if let Some(run) = plan.runs.last_mut() {
+                if run.queue == a.pe.0 && preds.iter().all(|p| assignment_of(p.0).pe == a.pe) {
+                    run.layers.end = l + 1;
+                    continue;
+                }
+            }
+            let first_dep = plan.deps.len();
+            for pred in preds {
+                let pa = assignment_of(pred.0);
+                let transfer = (pa.pe != a.pe).then(|| {
+                    let bytes = problem.workload(task, pred.0).output_bytes;
+                    let tc = transfer_cost(platform, pa.pe, a.pe, bytes, pa.precision);
+                    plan.energy += tc.energy;
+                    tc.latency
+                });
+                plan.deps.push(RunDep {
+                    pred: pred.0,
+                    transfer,
+                });
+            }
+            plan.runs.push(RunPlan {
+                queue: a.pe.0,
+                layers: l..l + 1,
+                deps: first_dep..plan.deps.len(),
+            });
+        }
+        Ok(plan)
     }
-    let slots = timeline.reserve_run(queue, ready, durations)?;
-    for (&l, &(_, end)) in layers.iter().zip(&slots) {
-        end_of[l] = end;
-        *last_end = (*last_end).max(end);
-    }
-    durations.clear();
-    layers.clear();
-    Ok(())
 }
 
-impl JobModel for MappedJobModel<'_> {
+impl JobModel for MappedJobModel {
     fn dispatch(
         &mut self,
         task: usize,
@@ -262,92 +345,34 @@ impl JobModel for MappedJobModel<'_> {
         ready: Timestamp,
         timeline: &mut dyn ReservationTimeline,
     ) -> Result<(Timestamp, Energy), EvEdgeError> {
-        let platform = self.problem.platform();
-        let graph = &self.problem.tasks()[task].graph;
-        let memory_queue = platform.memory_queue();
-        let mut end_of: Vec<Timestamp> = vec![ready; graph.len()];
-        let mut energy = Energy::ZERO;
+        let plan = self.plans[task].as_ref().map_err(|&(layer, a)| {
+            EvEdgeError::UnsupportedAssignment {
+                task,
+                layer,
+                pe: a.pe,
+                precision: a.precision,
+            }
+        })?;
         let mut last_end = ready;
-        // The pending run: consecutive layers on `run_queue` whose
-        // dependencies are all internal to that queue. An errored
-        // dispatch may have left stale entries in the scratch buffers —
-        // this job starts from a clean run.
-        self.run_durations.clear();
-        self.run_layers.clear();
-        let mut run_queue = usize::MAX;
-        let mut run_ready = ready;
-        for layer in graph.layers() {
-            let l = layer.id.0;
-            let global = self.problem.global_index(task, l);
-            let a = self.candidate.assignment(global);
-            let cost = self
-                .problem
-                .profile(task)
-                .layer(l)
-                .cost(a.pe, a.precision)
-                .ok_or(EvEdgeError::UnsupportedAssignment {
-                    task,
-                    layer: l,
-                    pe: a.pe,
-                    precision: a.precision,
-                })?;
-            energy += cost.energy;
-            // A layer extends the run when every predecessor shares its
-            // processing element (no transfer nodes) and the run already
-            // targets that queue: its dependency-ready time can never
-            // exceed the previous slot's end, so chaining is exact.
-            let all_preds_same_pe = graph.predecessors(LayerId(l)).iter().all(|pred| {
-                self.candidate
-                    .assignment(self.problem.global_index(task, pred.0))
-                    .pe
-                    == a.pe
-            });
-            if all_preds_same_pe && run_queue == a.pe.0 && !self.run_durations.is_empty() {
-                self.run_durations.push(cost.latency);
-                self.run_layers.push(l);
-                continue;
-            }
-            flush_run(
-                timeline,
-                run_queue,
-                run_ready,
-                &mut self.run_durations,
-                &mut self.run_layers,
-                &mut end_of,
-                &mut last_end,
-            )?;
-            // Cross-PE edges pay unified-memory transfers; their ends
-            // feed the new run's first-slot ready time.
-            let mut dep_ready = ready;
-            for pred in graph.predecessors(LayerId(l)) {
-                let pa = self
-                    .candidate
-                    .assignment(self.problem.global_index(task, pred.0));
-                let mut pred_end = end_of[pred.0];
-                if pa.pe != a.pe {
-                    let bytes = self.problem.workload(task, pred.0).output_bytes;
-                    let tc = transfer_cost(platform, pa.pe, a.pe, bytes, pa.precision);
-                    energy += tc.energy;
-                    let (_, end) = timeline.reserve_next(memory_queue, pred_end, tc.latency)?;
-                    pred_end = end;
+        for run in &plan.runs {
+            // Predecessors precede the run in layer order, so their
+            // ends are this job's.
+            let mut run_ready = ready;
+            for dep in &plan.deps[run.deps.clone()] {
+                let mut pred_end = self.ends[dep.pred];
+                if let Some(latency) = dep.transfer {
+                    (_, pred_end) = timeline.reserve_next(self.memory_queue, pred_end, latency)?;
                 }
-                dep_ready = dep_ready.max(pred_end);
+                run_ready = run_ready.max(pred_end);
             }
-            run_queue = a.pe.0;
-            run_ready = dep_ready;
-            self.run_durations.push(cost.latency);
-            self.run_layers.push(l);
+            let slots =
+                timeline.reserve_run(run.queue, run_ready, &plan.durations[run.layers.clone()])?;
+            for (end, &(_, slot_end)) in self.ends[run.layers.clone()].iter_mut().zip(&slots) {
+                *end = slot_end;
+                last_end = last_end.max(slot_end);
+            }
         }
-        flush_run(
-            timeline,
-            run_queue,
-            run_ready,
-            &mut self.run_durations,
-            &mut self.run_layers,
-            &mut end_of,
-            &mut last_end,
-        )?;
-        Ok((last_end, energy))
+        Ok((last_end, plan.energy))
     }
 }
 

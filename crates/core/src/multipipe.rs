@@ -8,7 +8,7 @@
 //! overload (§4.2). This is the runtime view of the Figure 9 scenario.
 //!
 //! Both drivers here are thin shells over the unified [`crate::exec`]
-//! core: [`for_each_phased_arrival`] orders the periodic arrivals and an
+//! core: [`PhasedArrivals`] orders the periodic arrivals and an
 //! [`EventClock`] the streaming frames, an [`ExecEngine`] over a
 //! [`DeviceTimeline`] owns the bounded queues and all latency/energy
 //! accounting, and a [`MappedJobModel`] reserves the shared
@@ -23,7 +23,7 @@ use crate::frame::SparseFrame;
 use crate::nmp::candidate::Candidate;
 use crate::nmp::multitask::MultiTaskProblem;
 use crate::EvEdgeError;
-use ev_core::{TimeDelta, TimeWindow};
+use ev_core::{TimeDelta, TimeWindow, Timestamp};
 use ev_platform::energy::Energy;
 use ev_platform::timeline::DeviceTimeline;
 
@@ -184,11 +184,10 @@ fn new_engine(
     )
 }
 
-/// Schedules every periodic arrival of the window in global time order
-/// (ties broken by task index), with task `i` first firing at
-/// `phases[i]` and every `periods[i]` thereafter, up to (excluding)
-/// the window end. `deliver(arrival, task)` returns `false` to stop
-/// early (e.g. after a dispatch error).
+/// Every periodic arrival of a window in global time order (ties broken
+/// by task index), with task `i` first firing at `phases[i]` and every
+/// `periods[i]` thereafter, up to (excluding) the window end: an
+/// [`Iterator`] of `(arrival, task)`.
 ///
 /// A phase *before* the window start is advanced into the window by
 /// whole periods — a tenant stream that joined mid-run keeps its
@@ -196,50 +195,124 @@ fn new_engine(
 /// slicing one window into epochs never changes the arrival sequence
 /// (the invariant the `ev_serve` churn driver rests on).
 ///
+/// Besides iterating, a caller can read each task's next arrival
+/// ([`PhasedArrivals::peek`]) and drop a task's arrivals before an
+/// instant in O(1) ([`PhasedArrivals::skip_before`]); the arrivals left
+/// keep their global order.
+///
+/// # Examples
+///
+/// ```
+/// use ev_core::{TimeDelta, TimeWindow, Timestamp};
+/// use ev_edge::multipipe::PhasedArrivals;
+///
+/// let ms = Timestamp::from_millis;
+/// let periods = [TimeDelta::from_millis(2), TimeDelta::from_millis(3)];
+/// let mut arrivals = PhasedArrivals::new(TimeWindow::new(ms(0), ms(7)), &[ms(0), ms(0)], &periods);
+/// assert_eq!(arrivals.next(), Some((ms(0), 0)));
+/// // Task 0 still fires at 2, 4 and 6; drop the two before 5.
+/// assert_eq!(arrivals.skip_before(0, ms(5)), 2);
+/// let rest: Vec<_> = arrivals.collect();
+/// assert_eq!(rest, [(ms(0), 1), (ms(3), 1), (ms(6), 0), (ms(6), 1)]);
+/// ```
+///
 /// # Panics
 ///
 /// Panics (debug assertion) when `phases` and `periods` disagree in
 /// length or a period is non-positive; callers validate both (see
 /// [`MultiTaskRuntimeConfig`]).
-pub fn for_each_phased_arrival(
-    window: TimeWindow,
-    phases: &[ev_core::Timestamp],
-    periods: &[TimeDelta],
-    mut deliver: impl FnMut(ev_core::Timestamp, usize) -> bool,
-) {
-    debug_assert_eq!(phases.len(), periods.len());
-    debug_assert!(periods.iter().all(|p| p.as_micros() > 0) || window.start() >= window.end());
-    // Each task has at most one pending arrival, so the earliest
-    // `(time, task)` among them is the next one in global order: a scan
-    // in task order that keeps the first strict minimum breaks ties by
-    // task index.
-    let mut pending: Vec<Option<ev_core::Timestamp>> = vec![None; periods.len()];
-    if window.start() < window.end() {
-        for (task, next) in pending.iter_mut().enumerate() {
-            let mut first = phases[task];
-            if first < window.start() {
-                let gap = (window.start() - first).as_micros();
-                let period = periods[task].as_micros();
-                let steps = (gap + period - 1) / period;
-                first += TimeDelta::from_micros(steps * period);
+#[derive(Debug, Clone)]
+pub struct PhasedArrivals<'a> {
+    end: Timestamp,
+    periods: &'a [TimeDelta],
+    /// Each task's next arrival: a task never has two pending, so the
+    /// earliest `(time, task)` among them is the next in global order.
+    pending: Vec<Option<Timestamp>>,
+}
+
+impl<'a> PhasedArrivals<'a> {
+    /// The arrivals of `window` for tasks anchored at `phases` with
+    /// cadences `periods`.
+    pub fn new(window: TimeWindow, phases: &[Timestamp], periods: &'a [TimeDelta]) -> Self {
+        debug_assert_eq!(phases.len(), periods.len());
+        debug_assert!(periods.iter().all(|p| p.as_micros() > 0) || window.start() >= window.end());
+        let mut pending = vec![None; periods.len()];
+        if window.start() < window.end() {
+            for (task, next) in pending.iter_mut().enumerate() {
+                let mut first = phases[task];
+                if first < window.start() {
+                    let gap = (window.start() - first).as_micros();
+                    let period = periods[task].as_micros();
+                    let steps = (gap + period - 1) / period;
+                    first += TimeDelta::from_micros(steps * period);
+                }
+                *next = (first < window.end()).then_some(first);
             }
-            *next = (first < window.end()).then_some(first);
+        }
+        PhasedArrivals {
+            end: window.end(),
+            periods,
+            pending,
         }
     }
-    loop {
-        let mut earliest: Option<(ev_core::Timestamp, usize)> = None;
-        for (task, next) in pending.iter().enumerate() {
+
+    /// `task`'s next arrival, `None` once it has none left in the
+    /// window.
+    pub fn peek(&self, task: usize) -> Option<Timestamp> {
+        self.pending[task]
+    }
+
+    /// Drops every arrival of `task` before `until` and returns how
+    /// many: exactly the arrivals of `task` that iterating would have
+    /// delivered before `until`.
+    pub fn skip_before(&mut self, task: usize, until: Timestamp) -> u64 {
+        let bound = until.min(self.end);
+        let Some(next) = self.pending[task].filter(|&next| next < bound) else {
+            return 0;
+        };
+        let period = self.periods[task].as_micros();
+        let skipped = ((bound - next).as_micros() + period - 1) / period;
+        let after = next + TimeDelta::from_micros(skipped * period);
+        self.pending[task] = (after < self.end).then_some(after);
+        skipped as u64
+    }
+}
+
+impl Iterator for PhasedArrivals<'_> {
+    type Item = (Timestamp, usize);
+
+    fn next(&mut self) -> Option<(Timestamp, usize)> {
+        // A scan in task order that keeps the first strict minimum
+        // breaks ties by task index.
+        let mut earliest: Option<(Timestamp, usize)> = None;
+        for (task, next) in self.pending.iter().enumerate() {
             if let Some(at) = *next {
                 if earliest.is_none_or(|(best, _)| at < best) {
                     earliest = Some((at, task));
                 }
             }
         }
-        let Some((arrival, task)) = earliest else {
-            return;
-        };
-        let next = arrival + periods[task];
-        pending[task] = (next < window.end()).then_some(next);
+        let (arrival, task) = earliest?;
+        let next = arrival + self.periods[task];
+        self.pending[task] = (next < self.end).then_some(next);
+        Some((arrival, task))
+    }
+}
+
+/// Delivers every arrival of [`PhasedArrivals`] in global time order
+/// (ties broken by task index); `deliver(arrival, task)` returns
+/// `false` to stop early (e.g. after a dispatch error).
+///
+/// # Panics
+///
+/// As [`PhasedArrivals::new`].
+pub fn for_each_phased_arrival(
+    window: TimeWindow,
+    phases: &[Timestamp],
+    periods: &[TimeDelta],
+    mut deliver: impl FnMut(Timestamp, usize) -> bool,
+) {
+    for (arrival, task) in PhasedArrivals::new(window, phases, periods) {
         if !deliver(arrival, task) {
             return;
         }

@@ -12,6 +12,16 @@
 //! queue already holds `INGRESS_CAPACITY` inputs, so the queue's own
 //! drop-oldest rule never fires.
 //!
+//! The epoch loop pays per state change, not per arrival. After each
+//! arrival it offers, it finds the horizon of the next possible state
+//! change: the window end, the first instant the engine could start a
+//! job, or the next arrival of a tenant whose queue has room. Until
+//! then only tenants with full queues arrive, nothing is booked and
+//! utilization only falls, so unless the first of those arrivals is
+//! saturated they are all ingress-full sheds, counted in one step per
+//! tenant. The counters and the report are bit for bit those of
+//! offering every arrival one at a time.
+//!
 //! Everything is simulated time on the caller's thread. `workers` only
 //! fans out the auto-tuner's sweep — byte-identical at any worker
 //! count by the tuner's contract — so the returned [`ServeReport`] is
@@ -22,7 +32,7 @@ use crate::tenant::{TenantEntry, TenantRegistry, TenantSpec};
 use crate::ServeError;
 use ev_core::{TimeDelta, TimeWindow, Timestamp};
 use ev_edge::exec::{ExecEngine, JobInput, MappedJobModel};
-use ev_edge::multipipe::for_each_phased_arrival;
+use ev_edge::multipipe::PhasedArrivals;
 use ev_edge::nmp::candidate::Candidate;
 use ev_edge::nmp::evolution::NmpConfig;
 use ev_edge::nmp::multitask::MultiTaskProblem;
@@ -549,96 +559,199 @@ fn saturated(engine: &ExecEngine<DeviceTimeline>, elapsed: TimeDelta) -> bool {
     engine.device_utilization(elapsed) >= WATERMARK
 }
 
-/// One churn-free epoch: each phased arrival is shed or queued on its
-/// tenant's engine queue and served at once, then the queues drain and
-/// each live tenant's counters take its share.
+/// One churn-free epoch: the arrivals are offered one at a time after
+/// each state change and shed in bulk while only full queues receive
+/// any, then the queues drain and each live tenant's counters take its
+/// share.
 fn run_epoch(
     window: TimeWindow,
     registry: &mut TenantRegistry,
     problem: &MultiTaskProblem,
     candidate: &Candidate,
 ) -> Result<EpochStats, ServeError> {
-    // Task index (admission order among the live) → the tenant's entry.
-    let mut live: Vec<&mut TenantEntry> = registry.live_mut().collect();
-    let tasks = live.len();
-    let timeline = DeviceTimeline::new(problem.platform().queue_count());
-    let mut engine =
-        ExecEngine::new(window.start(), timeline, tasks, INGRESS_CAPACITY)?.with_job_records();
-    let mut model = MappedJobModel::new(problem, candidate);
-    let phases: Vec<Timestamp> = live.iter().map(|t| t.joined_at).collect();
-    let periods: Vec<TimeDelta> = live.iter().map(|t| t.spec.period).collect();
+    let mut epoch = Epoch::new(window, registry, problem, candidate)?;
+    let (phases, periods) = epoch.cadences();
+    let mut arrivals = PhasedArrivals::new(window, &phases, &periods);
+    while let Some((arrival, task)) = arrivals.next() {
+        epoch.offer(arrival, task)?;
+        epoch.shed_while_full(&mut arrivals);
+    }
+    epoch.close(problem)
+}
 
-    let mut epoch_shed = 0u64;
-    let mut failure: Option<ev_edge::EvEdgeError> = None;
+/// What [`Epoch::shed_while_full`] did after one offered arrival.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BulkShed {
+    /// No full queue's tenant arrives before the next state change.
+    Nothing,
+    /// This many arrivals were shed as ingress-full in one step.
+    Shed(u64),
+    /// The first of them is shed as saturated, so the arrivals go one
+    /// at a time.
+    Saturated,
+}
 
-    for_each_phased_arrival(window, &phases, &periods, |arrival, task| {
-        let counters = &mut live[task].counters;
+/// One churn-free epoch in flight: the live tenants' entries in task
+/// order (admission order among the live), their engine queues and the
+/// mapped job model.
+struct Epoch<'r> {
+    window: TimeWindow,
+    live: Vec<&'r mut TenantEntry>,
+    engine: ExecEngine<DeviceTimeline>,
+    model: MappedJobModel,
+    shed: u64,
+}
+
+impl<'r> Epoch<'r> {
+    fn new(
+        window: TimeWindow,
+        registry: &'r mut TenantRegistry,
+        problem: &MultiTaskProblem,
+        candidate: &Candidate,
+    ) -> Result<Self, ServeError> {
+        let live: Vec<&mut TenantEntry> = registry.live_mut().collect();
+        let timeline = DeviceTimeline::new(problem.platform().queue_count());
+        let engine = ExecEngine::new(window.start(), timeline, live.len(), INGRESS_CAPACITY)?
+            .with_job_records();
+        Ok(Epoch {
+            window,
+            live,
+            engine,
+            model: MappedJobModel::new(problem, candidate),
+            shed: 0,
+        })
+    }
+
+    /// Each live tenant's arrival phase (its join time) and period.
+    fn cadences(&self) -> (Vec<Timestamp>, Vec<TimeDelta>) {
+        self.live
+            .iter()
+            .map(|t| (t.joined_at, t.spec.period))
+            .unzip()
+    }
+
+    /// Offers one arrival: shed newest first (a shed arrival never
+    /// displaces queued work) or queued, then every task that can start
+    /// by `arrival` is served.
+    fn offer(&mut self, arrival: Timestamp, task: usize) -> Result<(), ServeError> {
+        let counters = &mut self.live[task].counters;
         counters.arrivals += 1;
-        // Reject-newest: a shed arrival never displaces queued work.
-        if saturated(&engine, arrival - window.start()) {
+        if saturated(&self.engine, arrival - self.window.start()) {
             counters.shed_saturated += 1;
-            epoch_shed += 1;
-        } else if engine.pending(task) >= INGRESS_CAPACITY {
+            self.shed += 1;
+        } else if self.engine.pending(task) >= INGRESS_CAPACITY {
             counters.shed_ingress_full += 1;
-            epoch_shed += 1;
+            self.shed += 1;
         } else {
-            engine.enqueue(task, JobInput::arrival(arrival));
+            self.engine.enqueue(task, JobInput::arrival(arrival));
             counters.admitted += 1;
         }
-        if let Err(e) = engine.service_all(arrival, &mut model) {
-            failure = Some(e);
-            return false;
+        self.engine.service_all(arrival, &mut self.model)?;
+        Ok(())
+    }
+
+    /// Sheds, in one step, every arrival that offering them one at a
+    /// time would shed as ingress-full before the next state change.
+    ///
+    /// The horizon `H` is the earliest of the window end, the first
+    /// instant the engine could start a job, and the next arrival of
+    /// each tenant whose queue has room. Before `H` nothing starts, so
+    /// no full queue drains, and no arrival can be admitted, so nothing
+    /// is booked: utilization, booked busy time over elapsed time, only
+    /// falls. So if the earliest arrival of a full queue's tenant before
+    /// `H` is not saturated, none of them is, and every one is shed as
+    /// ingress-full; otherwise they are left to [`Epoch::offer`]. That
+    /// earliest arrival comes after the four the queue admitted, so the
+    /// elapsed time it reads is positive.
+    fn shed_while_full(&mut self, arrivals: &mut PhasedArrivals) -> BulkShed {
+        let mut horizon = self.window.end();
+        if let Some(start) = self.engine.next_start() {
+            horizon = horizon.min(start);
         }
-        true
-    });
-    if let Some(e) = failure {
-        return Err(e.into());
-    }
-
-    // Sample utilization before the drain books tail work.
-    let utilization = engine.device_utilization(window.end() - window.start());
-    engine.drain_all(&mut model)?;
-    let report = engine.finish(problem.platform().static_power_w);
-
-    // Attribute energy by device-occupancy share (job records), falling
-    // back to completed counts when no occupancy was booked.
-    let mut occupancy = vec![0i64; tasks];
-    for job in &report.jobs {
-        occupancy[job.task] += (job.end - job.start).as_micros();
-    }
-    let total_occupancy: i64 = occupancy.iter().sum();
-    let total_completed: u64 = report.per_task.iter().map(|t| t.completed).sum();
-    let energy_mj = report.energy.as_millijoules();
-
-    for (task, stats) in report.per_task.iter().enumerate() {
-        let counters = &mut live[task].counters;
-        counters.completed += stats.completed;
-        counters.dropped += stats.dropped;
-        counters.latency_sum_us += stats.mean_latency.as_micros() * stats.completed as i64;
-        counters.max_latency_us = counters.max_latency_us.max(stats.max_latency.as_micros());
-        let share = if total_occupancy > 0 {
-            occupancy[task] as f64 / total_occupancy as f64
-        } else if total_completed > 0 {
-            stats.completed as f64 / total_completed as f64
-        } else {
-            1.0 / tasks as f64
+        let mut first_full: Option<Timestamp> = None;
+        for task in 0..self.live.len() {
+            let Some(next) = arrivals.peek(task) else {
+                continue;
+            };
+            if self.engine.pending(task) < INGRESS_CAPACITY {
+                horizon = horizon.min(next);
+            } else if first_full.is_none_or(|first| next < first) {
+                first_full = Some(next);
+            }
+        }
+        let Some(first) = first_full.filter(|&first| first < horizon) else {
+            return BulkShed::Nothing;
         };
-        counters.energy_mj += share * energy_mj;
+        if saturated(&self.engine, first - self.window.start()) {
+            return BulkShed::Saturated;
+        }
+        let mut shed = 0;
+        for (task, tenant) in self.live.iter_mut().enumerate() {
+            if self.engine.pending(task) >= INGRESS_CAPACITY {
+                let skipped = arrivals.skip_before(task, horizon);
+                tenant.counters.arrivals += skipped;
+                tenant.counters.shed_ingress_full += skipped;
+                shed += skipped;
+            }
+        }
+        self.shed += shed;
+        BulkShed::Shed(shed)
     }
 
-    Ok(EpochStats {
-        utilization,
-        shed: epoch_shed,
-        completed: total_completed,
-        energy_mj,
-    })
+    /// Drains the queues and gives each live tenant its share of the
+    /// epoch's outcome.
+    fn close(mut self, problem: &MultiTaskProblem) -> Result<EpochStats, ServeError> {
+        // Sample utilization before the drain books tail work.
+        let utilization = self
+            .engine
+            .device_utilization(self.window.end() - self.window.start());
+        self.engine.drain_all(&mut self.model)?;
+        let report = self.engine.finish(problem.platform().static_power_w);
+
+        // Attribute energy by device-occupancy share (job records),
+        // falling back to completed counts when no occupancy was booked.
+        let tasks = self.live.len();
+        let mut occupancy = vec![0i64; tasks];
+        for job in &report.jobs {
+            occupancy[job.task] += (job.end - job.start).as_micros();
+        }
+        let total_occupancy: i64 = occupancy.iter().sum();
+        let total_completed: u64 = report.per_task.iter().map(|t| t.completed).sum();
+        let energy_mj = report.energy.as_millijoules();
+
+        for (task, stats) in report.per_task.iter().enumerate() {
+            let counters = &mut self.live[task].counters;
+            counters.completed += stats.completed;
+            counters.dropped += stats.dropped;
+            counters.latency_sum_us += stats.mean_latency.as_micros() * stats.completed as i64;
+            counters.max_latency_us = counters.max_latency_us.max(stats.max_latency.as_micros());
+            let share = if total_occupancy > 0 {
+                occupancy[task] as f64 / total_occupancy as f64
+            } else if total_completed > 0 {
+                stats.completed as f64 / total_completed as f64
+            } else {
+                1.0 / tasks as f64
+            };
+            counters.energy_mj += share * energy_mj;
+        }
+
+        Ok(EpochStats {
+            utilization,
+            shed: self.shed,
+            completed: total_completed,
+            energy_mj,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ev_edge::exec::BatchCostModel;
+    use ev_edge::nmp::baseline;
     use ev_platform::energy::Energy;
+    use proptest::prelude::*;
+    use proptest::{ProptestConfig, TestRunner};
 
     fn spec(name: &str, network: NetworkId, period_us: i64) -> TenantSpec {
         TenantSpec {
@@ -875,6 +988,156 @@ mod tests {
         assert!(by_name("c").arrivals > by_name("a").arrivals);
         let tenant_arrivals: u64 = report.tenants.iter().map(|t| t.arrivals).sum();
         assert_eq!(tenant_arrivals, report.totals.arrivals);
+    }
+
+    /// The epoch loop without the bulk step: every arrival offered one
+    /// at a time. The reference `run_epoch` must match bit for bit.
+    fn run_epoch_one_at_a_time(
+        window: TimeWindow,
+        registry: &mut TenantRegistry,
+        problem: &MultiTaskProblem,
+        candidate: &Candidate,
+    ) -> Result<EpochStats, ServeError> {
+        let mut epoch = Epoch::new(window, registry, problem, candidate)?;
+        let (phases, periods) = epoch.cadences();
+        for (arrival, task) in PhasedArrivals::new(window, &phases, &periods) {
+            epoch.offer(arrival, task)?;
+        }
+        epoch.close(problem)
+    }
+
+    /// How often each bulk outcome came up: offers with nothing to
+    /// shed in bulk, bulk steps that shed, and saturated fallbacks.
+    #[derive(Debug, Default)]
+    struct Tally {
+        nothing: u64,
+        shed: u64,
+        saturated: u64,
+    }
+
+    /// `run_epoch`'s loop, tallying what each bulk step did.
+    fn tally_epoch(
+        window: TimeWindow,
+        registry: &mut TenantRegistry,
+        problem: &MultiTaskProblem,
+        candidate: &Candidate,
+        tally: &mut Tally,
+    ) -> Result<(), ServeError> {
+        let mut epoch = Epoch::new(window, registry, problem, candidate)?;
+        let (phases, periods) = epoch.cadences();
+        let mut arrivals = PhasedArrivals::new(window, &phases, &periods);
+        while let Some((arrival, task)) = arrivals.next() {
+            epoch.offer(arrival, task)?;
+            match epoch.shed_while_full(&mut arrivals) {
+                BulkShed::Nothing => tally.nothing += 1,
+                BulkShed::Shed(n) => {
+                    assert!(n > 0, "a bulk step sheds at least the first arrival");
+                    tally.shed += 1;
+                }
+                BulkShed::Saturated => tally.saturated += 1,
+            }
+        }
+        Ok(())
+    }
+
+    /// Every bit of an epoch's outcome.
+    fn stats_bits(stats: &EpochStats) -> [u64; 4] {
+        [
+            stats.utilization.to_bits(),
+            stats.shed,
+            stats.completed,
+            stats.energy_mj.to_bits(),
+        ]
+    }
+
+    const NETWORKS: [NetworkId; 9] = [
+        NetworkId::Dotie,
+        NetworkId::EvFlowNet,
+        NetworkId::AdaptiveSpikeNet,
+        NetworkId::E2Depth,
+        NetworkId::Halsie,
+        NetworkId::SpikeFlowNet,
+        NetworkId::FusionFlowNet,
+        NetworkId::GraphNet,
+        NetworkId::CornerNet,
+    ];
+
+    /// Periods on a coarse, commensurate ladder (so arrivals of tenants
+    /// sharing a phase tie), each nudged by up to 2 µs.
+    const PERIODS_US: [i64; 13] = [1, 2, 3, 5, 8, 13, 20, 40, 75, 150, 300, 600, 1200];
+
+    /// `run_epoch` sheds in bulk exactly what offering every arrival one
+    /// at a time sheds: 1–8 zoo tenants with periods from 1 µs, phases on
+    /// a 100 µs grid before and inside the window (many ties), windows
+    /// of 0.1–8 ms that end wherever a bulk step would, under both
+    /// round-robin mappings. Every bit of the epoch's stats and every
+    /// tenant's counters match, and the corpus reaches both bulk sheds
+    /// and saturated fallbacks.
+    #[test]
+    fn bulk_shedding_matches_one_arrival_at_a_time() {
+        let strategy = (
+            prop::collection::vec(
+                (0..NETWORKS.len(), 0..PERIODS_US.len(), 0i64..3, 0u64..130),
+                1..9,
+            ),
+            100u64..8_000,
+            any::<bool>(),
+        );
+        let mut runner = TestRunner::new(ProptestConfig::with_cases(256), "bulk_shedding");
+        let mut tally = Tally::default();
+        for case in 0..runner.cases() {
+            let (tenants, length, rr_layer) = strategy.generate(&mut runner.next_rng());
+            let start = Timestamp::from_micros(5_000);
+            let window = TimeWindow::new(start, start + TimeDelta::from_micros(length as i64));
+            let mut registry = TenantRegistry::new(MAX_TENANTS);
+            for (i, &(network, period, nudge, phase)) in tenants.iter().enumerate() {
+                let period = PERIODS_US[period] + nudge;
+                let spec = spec(&format!("t{i}"), NETWORKS[network], period);
+                registry
+                    .admit(spec, Timestamp::from_micros(phase * 100))
+                    .unwrap();
+            }
+            let networks = registry.networks();
+            let mix = TaskMix::Custom {
+                networks,
+                delta_scale: 1.0,
+            };
+            let problem = mix
+                .build_problem(
+                    PlatformPreset::XavierAgx.build(),
+                    &ZooPreset::Small.config(),
+                )
+                .unwrap();
+            let candidate = if rr_layer {
+                baseline::rr_layer(&problem)
+            } else {
+                baseline::rr_network(&problem)
+            };
+            let mut bulk = registry.clone();
+            let mut reference = registry.clone();
+            let got = run_epoch(window, &mut bulk, &problem, &candidate).unwrap();
+            let want =
+                run_epoch_one_at_a_time(window, &mut reference, &problem, &candidate).unwrap();
+            assert_eq!(
+                stats_bits(&got),
+                stats_bits(&want),
+                "case {case}: {got:?} != {want:?}"
+            );
+            for (b, r) in bulk.live().zip(reference.live()) {
+                assert_eq!(
+                    format!("{:?}", b.counters),
+                    format!("{:?}", r.counters),
+                    "case {case}, tenant {}",
+                    b.spec.name
+                );
+            }
+            tally_epoch(window, &mut registry, &problem, &candidate, &mut tally).unwrap();
+        }
+        assert!(tally.shed > 0, "no bulk shed in the corpus: {tally:?}");
+        assert!(
+            tally.saturated > 0,
+            "no saturated fallback in the corpus: {tally:?}"
+        );
     }
 
     #[test]
