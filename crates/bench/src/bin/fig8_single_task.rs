@@ -2,34 +2,19 @@
 //! baseline, with each optimization applied cumulatively.
 //! Paper: 1.28×–2.05× latency, 1.23×–2.15× energy.
 //!
-//! `--tuned <tune.json>` replays the NMP search configuration an
-//! `ext_autotune` run selected for Xavier AGX instead of the
-//! hard-coded one (sweep → tune → replay). `--ablate-dsfa` prints the
-//! DSFA threshold/mode ablation instead.
+//! `--ablate-dsfa` prints the DSFA threshold/mode ablation instead.
 
 use ev_bench::claims::{FIG8_ENERGY, FIG8_SPEEDUP};
-use ev_bench::experiments::{default_nmp_config, dsfa_ablation, figure8_with, tuned_replay_config};
+use ev_bench::experiments::{dsfa_ablation, figure8};
 use ev_bench::report::{write_json, CommonArgs, TextTable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = CommonArgs::parse()?;
-    args.reject_unknown(&["--tuned"], &["--ablate-dsfa"])?;
+    args.reject_unknown(&[], &["--ablate-dsfa"])?;
     if args.has_flag("--ablate-dsfa") {
-        // Mutually exclusive with --tuned: the ablation sweeps DSFA
-        // thresholds under the hard-coded config, and must not
-        // silently discard a requested tuned replay. (This also
-        // catches `--tuned --ablate-dsfa`, where the ablation flag
-        // would otherwise be swallowed as --tuned's missing value.)
-        if args.has_flag("--tuned") {
-            return Err("--tuned does not apply to the DSFA ablation (--ablate-dsfa)".into());
-        }
         return run_dsfa_ablation(&args);
     }
-    let config = match tuned_replay_config(&args)? {
-        Some(config) => config,
-        None => default_nmp_config(args.quick),
-    };
-    let rows = figure8_with(args.quick, config)?;
+    let rows = figure8(args.quick)?;
 
     println!("Figure 8 — single-task speedup vs all-GPU dense baseline (cumulative)");
     println!();

@@ -2,32 +2,24 @@
 //! Paper: 1.43×–1.81× over RR-Network, 1.24×–1.41× over RR-Layer;
 //! NMP-FP is 1.05×–1.22× slower than NMP.
 //!
-//! `--tuned <tune.json>` replays the NMP search configuration an
-//! `ext_autotune` run selected for Xavier AGX instead of the
-//! hard-coded one (sweep → tune → replay). `--playback` additionally
-//! plays each configuration's NMP winner forward through the multi-task
-//! runtime and appends that table. `--mix <name>` narrows the run to a
-//! single named workload mix (`all-ann`, `all-snn`, `mixed`,
-//! `gnn-heavy`, `corner-inference`) — the heterogeneous mixes exercise
-//! the data-dependent GraphNet and always-on corner-frontend tasks.
+//! `--playback` additionally plays each configuration's NMP winner
+//! forward through the multi-task runtime and appends that table.
+//! `--mix <name>` narrows the run to a single named workload mix
+//! (`all-ann`, `all-snn`, `mixed`, `gnn-heavy`, `corner-inference`) —
+//! the heterogeneous mixes exercise the data-dependent GraphNet and
+//! always-on corner-frontend tasks.
 
 use ev_bench::claims::{FIG9_FP_SLOWDOWN, FIG9_OVER_RR_LAYER, FIG9_OVER_RR_NETWORK};
-use ev_bench::experiments::{
-    default_nmp_config, fig9_playback_table, figure9_detail, mix_flag, tuned_replay_config,
-};
+use ev_bench::experiments::{default_nmp_config, fig9_playback_table, figure9_detail, mix_flag};
 use ev_bench::report::{write_json, CommonArgs, TextTable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = CommonArgs::parse()?;
-    args.reject_unknown(&["--tuned", "--mix"], &["--playback"])?;
+    args.reject_unknown(&["--mix"], &["--playback"])?;
     let mix = mix_flag(&args)?;
-    let config = match tuned_replay_config(&args)? {
-        Some(config) => config,
-        None => default_nmp_config(args.quick),
-    };
     // One search pass feeds both the table and the optional playback.
     let playback = args.has_flag("--playback").then_some(args.quick);
-    let (rows, playback) = figure9_detail(config, playback, mix.as_ref())?;
+    let (rows, playback) = figure9_detail(default_nmp_config(args.quick), playback, mix.as_ref())?;
 
     println!("Figure 9 — multi-task execution latency");
     println!();

@@ -17,7 +17,6 @@ use ev_edge::nmp::sweep::{
     run_sweep, task_spec_for, PlatformPreset, SearchAlgorithm, SweepReport, SweepSpec, TaskMix,
     TrajectoryPoint, ZooPreset,
 };
-use ev_edge::nmp::tune::{AutoTuner, TuneObjective, TuneReport};
 use ev_edge::pipeline::{run_single_task, PipelineOptions, PipelineSetup, PipelineVariant};
 use ev_edge::{E2sf, E2sfConfig};
 use ev_nn::forward::{Activation, Executor};
@@ -47,9 +46,10 @@ fn analysis_window(quick: bool) -> TimeWindow {
     TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(ms))
 }
 
-/// The hard-coded per-figure NMP search configuration (what a `--tuned`
-/// replay substitutes for). Public so conformance tests can drive the
-/// figure experiments with explicit configurations.
+/// The hard-coded NMP search configuration of Figures 8–10 and the
+/// runtime and cross-platform extensions, and the base the GA ablation
+/// varies. Public so `fig9_multi_task` can pass it to
+/// [`figure9_detail`].
 pub fn default_nmp_config(quick: bool) -> NmpConfig {
     if quick {
         NmpConfig {
@@ -419,17 +419,7 @@ pub struct Fig8Row {
 ///
 /// Propagates pipeline errors.
 pub fn figure8(quick: bool) -> Result<Vec<Fig8Row>, Box<dyn Error>> {
-    figure8_with(quick, default_nmp_config(quick))
-}
-
-/// Figure 8 with an explicit NMP search configuration — the `--tuned`
-/// replay path: the configuration an [`AutoTuner`] selected stands in
-/// for the hard-coded one, everything else unchanged.
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-pub fn figure8_with(quick: bool, nmp: NmpConfig) -> Result<Vec<Fig8Row>, Box<dyn Error>> {
+    let config = default_nmp_config(quick);
     let mut rows = Vec::new();
     for network in NetworkId::TABLE1 {
         let setup = PipelineSetup {
@@ -442,7 +432,7 @@ pub fn figure8_with(quick: bool, nmp: NmpConfig) -> Result<Vec<Fig8Row>, Box<dyn
         let mut reports = Vec::new();
         for variant in PipelineVariant::FIGURE8 {
             let mut options = PipelineOptions::for_variant(variant, network);
-            options.nmp = nmp;
+            options.nmp = config;
             reports.push(run_single_task(&setup, &options)?);
         }
         let baseline = &reports[0];
@@ -498,25 +488,14 @@ pub struct Fig9Row {
 }
 
 /// Regenerates Figure 9 (multi-task latency comparisons), using the
-/// hard-coded per-figure search configuration.
+/// hard-coded per-figure search configuration; the NMP-FP bar runs the
+/// same configuration restricted to full precision.
 ///
 /// # Errors
 ///
 /// Propagates search errors.
 pub fn figure9(quick: bool) -> Result<Vec<Fig9Row>, Box<dyn Error>> {
-    figure9_with(default_nmp_config(quick))
-}
-
-/// Figure 9 with an explicit NMP search configuration (the `--tuned`
-/// replay path); the NMP-FP bar runs the same configuration restricted
-/// to full precision. The search budget lives entirely in `config`, so
-/// there is no quick/full switch here.
-///
-/// # Errors
-///
-/// Propagates search errors.
-pub fn figure9_with(config: NmpConfig) -> Result<Vec<Fig9Row>, Box<dyn Error>> {
-    Ok(figure9_detail(config, None, None)?.0)
+    Ok(figure9_detail(default_nmp_config(quick), None, None)?.0)
 }
 
 /// A Figure 9 result set: the table rows plus the optional runtime
@@ -845,75 +824,8 @@ pub fn sweep_cells_table(report: &SweepReport) -> crate::report::TextTable {
 }
 
 // ---------------------------------------------------------------------
-// Auto-tuning (sweep → tune → Fig. 8/9 replay)
+// Input files and flags
 // ---------------------------------------------------------------------
-
-/// The default auto-tuning sweep of `ext_autotune`: the grid the tuner
-/// searches before selecting one operating point per (platform,
-/// task-mix) pair. Quick mode crosses population × mutation strength ×
-/// algorithm on two platform classes at reduced scale (16 cells); full
-/// mode ablates budget, mutation and elitism across all three platform
-/// classes and the paper's three workload mixes at MVSEC scale.
-pub fn autotune_spec(quick: bool) -> SweepSpec {
-    if quick {
-        SweepSpec {
-            base_seed: 0x7E4E, // "TUNE"
-            // Straddle the hard-coded quick default (16 × 10) so the
-            // tuner can do no worse than the default's own budget.
-            populations: vec![8, 16],
-            generations: vec![10],
-            mutation_layers: vec![1, 2],
-            elite_fractions: vec![0.25],
-            queue_capacities: vec![2],
-            platforms: vec![PlatformPreset::XavierAgx, PlatformPreset::NanoLike],
-            task_mixes: vec![TaskMix::AllSnn],
-            algorithms: vec![SearchAlgorithm::Evolutionary, SearchAlgorithm::Random],
-            zoo: ZooPreset::Small,
-            runtime_window_ms: 8,
-            keep_history: false,
-        }
-    } else {
-        SweepSpec {
-            base_seed: 0x7E4E,
-            populations: vec![16, 32],
-            generations: vec![10, 30],
-            mutation_layers: vec![1, 2],
-            elite_fractions: vec![0.25],
-            queue_capacities: vec![2],
-            platforms: vec![
-                PlatformPreset::XavierAgx,
-                PlatformPreset::OrinLike,
-                PlatformPreset::NanoLike,
-            ],
-            task_mixes: vec![
-                TaskMix::AllAnn,
-                TaskMix::AllSnn,
-                TaskMix::MixedSnnAnn,
-                TaskMix::GnnHeavy,
-                TaskMix::CornerPlusInference,
-            ],
-            algorithms: vec![SearchAlgorithm::Evolutionary],
-            zoo: ZooPreset::Mvsec,
-            runtime_window_ms: 40,
-            keep_history: false,
-        }
-    }
-}
-
-/// Runs the default auto-tuning sweep and selects operating points
-/// under `objective` (`0` workers = machine parallelism). The report is
-/// bitwise identical for any worker count.
-///
-/// # Errors
-///
-/// Propagates sweep/tuning errors.
-pub fn autotune(
-    quick: bool,
-    workers: usize,
-    objective: TuneObjective,
-) -> Result<TuneReport, Box<dyn Error>> {
-    Ok(AutoTuner::new(objective).tune_spec(&autotune_spec(quick), workers)?)
-}
 
 /// Reads a JSON artifact, naming the path in I/O and parse errors.
 fn load_json<T: serde::de::DeserializeOwned>(path: &std::path::Path) -> Result<T, Box<dyn Error>> {
@@ -921,110 +833,14 @@ fn load_json<T: serde::de::DeserializeOwned>(path: &std::path::Path) -> Result<T
     Ok(serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?)
 }
 
-/// Reads a [`TuneReport`] JSON artifact (as written by `ext_autotune
-/// --json`).
-///
-/// # Errors
-///
-/// Returns I/O and parse errors naming the path.
-pub fn load_tune_report(path: &std::path::Path) -> Result<TuneReport, Box<dyn Error>> {
-    load_json(path)
-}
-
 /// Reads a [`SweepSpec`] JSON file (a sweep report's `"spec"` field
-/// works) — the shared `--spec` loader of `ext_sweep_grid` and
-/// `ext_autotune`.
+/// works), the `--spec` loader of `ext_sweep_grid`.
 ///
 /// # Errors
 ///
 /// Returns I/O and parse errors naming the path.
 pub fn load_sweep_spec(path: &std::path::Path) -> Result<SweepSpec, Box<dyn Error>> {
     load_json(path)
-}
-
-/// The search configuration a tune report selected for a platform —
-/// what the `--tuned` figure replays run in place of their hard-coded
-/// [`NmpConfig`]. Restricted to *evolutionary* winners (the figure
-/// binaries always run the evolutionary NMP search, so a Random-search
-/// winner must never be replayed under a different algorithm than the
-/// one that earned its numbers), and preferring the selection tuned on
-/// the paper's mixed SNN-ANN workload when the sweep covered several
-/// mixes — objective scores are not comparable across mixes.
-///
-/// # Errors
-///
-/// Fails when the report has no evolutionary selection for the
-/// platform, or when the selected configuration fails
-/// [`NmpConfig::validate`] (a report is external input).
-pub fn tuned_config(
-    report: &TuneReport,
-    platform: PlatformPreset,
-) -> Result<NmpConfig, Box<dyn Error>> {
-    // Objective scores are only comparable *within* a task mix (a
-    // 2-network mix's joint latency is intrinsically smaller than a
-    // 4-network mix's), so prefer the selection tuned on the paper's
-    // mixed SNN-ANN workload — the figures' hardest configuration and
-    // the one Fig. 10 searches on — and only fall back to the tuner's
-    // cross-mix order when the sweep didn't cover it.
-    let config = report
-        .selections
-        .iter()
-        .find(|s| {
-            s.platform == platform
-                && s.algorithm == SearchAlgorithm::Evolutionary
-                && s.task_mix == TaskMix::MixedSnnAnn
-        })
-        .or_else(|| report.selection_for_algorithm(platform, SearchAlgorithm::Evolutionary))
-        .map(|s| s.config)
-        .ok_or_else(|| {
-            format!(
-                "tune report has no evolutionary-search selection for platform `{}` — \
-                 the figure replay runs the evolutionary NMP search, so the tuning \
-                 sweep must include `Evolutionary` winners for it (available \
-                 selections: {})",
-                platform.name(),
-                report
-                    .selections
-                    .iter()
-                    .map(|s| format!("{}/{}", s.platform.name(), s.algorithm.name()))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        })?;
-    config.validate()?;
-    Ok(config)
-}
-
-/// Parses the figure binaries' `--tuned <path>` flag: loads the tune
-/// report, extracts the Xavier AGX evolutionary selection the replay
-/// runs (the figures' platform), and announces it on stderr. Returns
-/// `Ok(None)` when the flag is absent.
-///
-/// # Errors
-///
-/// Fails, before anything is announced, on a missing flag value, an
-/// unreadable/invalid report, or a report without a valid Xavier
-/// evolutionary selection.
-pub fn tuned_replay_config(
-    args: &crate::report::CommonArgs,
-) -> Result<Option<NmpConfig>, Box<dyn Error>> {
-    let Some(path) = args.flag_value("--tuned") else {
-        if args.has_flag("--tuned") {
-            return Err("--tuned needs a path to a tune-report JSON".into());
-        }
-        return Ok(None);
-    };
-    let tune = load_tune_report(std::path::Path::new(path))?;
-    let config = tuned_config(&tune, PlatformPreset::XavierAgx)?;
-    eprintln!(
-        "replaying tuned NMP config from {path} (objective: {}, pop {} × gen {} × mut {}, seed {:#x})",
-        tune.objective.name(),
-        config.population,
-        config.generations,
-        config.mutation_layers,
-        config.seed,
-    );
-    Ok(Some(config))
 }
 
 /// Parses the figure binaries' `--mix <name>` flag into a [`TaskMix`]
@@ -1050,132 +866,6 @@ pub fn mix_flag(args: &crate::report::CommonArgs) -> Result<Option<TaskMix>, Box
         )
         .into()
     })
-}
-
-/// One (platform, task-mix) pair's tuned-vs-default comparison.
-#[derive(Debug, Clone, Serialize)]
-pub struct TunedVsDefaultRow {
-    /// Platform name.
-    pub platform: String,
-    /// Workload-mix name.
-    pub task_mix: String,
-    /// Latency under the hard-coded default configuration, ms.
-    pub default_ms: f64,
-    /// Latency under the tuned selection, ms.
-    pub tuned_ms: f64,
-    /// Latency improvement of tuned over default, % (positive = tuned
-    /// is faster).
-    pub latency_delta_pct: f64,
-    /// Energy under the default configuration, mJ.
-    pub default_mj: f64,
-    /// Energy under the tuned selection, mJ.
-    pub tuned_mj: f64,
-    /// Energy improvement of tuned over default, %.
-    pub energy_delta_pct: f64,
-}
-
-/// Compares every tuned selection against the hard-coded default
-/// search configuration on the same mapping problem (same platform,
-/// mix and zoo scale as the tuning sweep): the closed-loop delta the
-/// auto-tuner buys per platform.
-///
-/// # Errors
-///
-/// Propagates search errors.
-pub fn tuned_vs_default(
-    report: &TuneReport,
-    quick: bool,
-) -> Result<Vec<TunedVsDefaultRow>, Box<dyn Error>> {
-    let zoo = report.zoo().config();
-    let default_config = default_nmp_config(quick);
-    let mut rows = Vec::new();
-    // One row per (platform, task-mix) pair: the pair's best selection
-    // across algorithms, so an algorithm-ablating sweep doesn't repeat
-    // the same default search once per algorithm.
-    let mut seen: Vec<(PlatformPreset, TaskMix)> = Vec::new();
-    for candidate in &report.selections {
-        if seen
-            .iter()
-            .any(|(p, m)| *p == candidate.platform && *m == candidate.task_mix)
-        {
-            continue;
-        }
-        seen.push((candidate.platform, candidate.task_mix.clone()));
-        let selection = report
-            .selection_for_mix(candidate.platform, &candidate.task_mix)
-            .expect("the pair came from the selections list");
-        let problem = selection
-            .task_mix
-            .build_problem(selection.platform.build(), &zoo)?;
-        let default = run_nmp(&problem, default_config, FitnessConfig::default())?;
-        let default_ms = default.report.max_latency.as_secs_f64() * 1e3;
-        let default_mj = default.report.energy.as_millijoules();
-        rows.push(TunedVsDefaultRow {
-            platform: selection.platform.name().to_string(),
-            task_mix: selection.task_mix.name(),
-            default_ms,
-            tuned_ms: selection.best_latency_ms,
-            latency_delta_pct: 100.0 * (default_ms - selection.best_latency_ms) / default_ms,
-            default_mj,
-            tuned_mj: selection.best_energy_mj,
-            energy_delta_pct: 100.0 * (default_mj - selection.best_energy_mj) / default_mj,
-        });
-    }
-    Ok(rows)
-}
-
-/// Renders a tune report's selections as an aligned text table.
-pub fn tune_selections_table(report: &TuneReport) -> crate::report::TextTable {
-    let mut table = crate::report::TextTable::new([
-        "platform", "mix", "alg", "pop", "gens", "mut", "elite", "cap", "seed", "score", "best ms",
-        "best mJ", "feas", "cells",
-    ]);
-    for s in &report.selections {
-        table.row([
-            s.platform.name().to_string(),
-            s.task_mix.name(),
-            s.algorithm.name().to_string(),
-            s.config.population.to_string(),
-            s.config.generations.to_string(),
-            s.config.mutation_layers.to_string(),
-            format!("{:.2}", s.config.elite_fraction),
-            s.queue_capacity.to_string(),
-            format!("{:#018x}", s.config.seed),
-            format!("{:.5}", s.score),
-            format!("{:.2}", s.best_latency_ms),
-            format!("{:.2}", s.best_energy_mj),
-            if s.feasible { "yes" } else { "NO" }.to_string(),
-            s.candidates.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Renders a tuned-vs-default comparison as an aligned text table.
-pub fn tuned_vs_default_table(rows: &[TunedVsDefaultRow]) -> crate::report::TextTable {
-    let mut table = crate::report::TextTable::new([
-        "platform",
-        "mix",
-        "default ms",
-        "tuned ms",
-        "Δ latency",
-        "default mJ",
-        "tuned mJ",
-        "Δ energy",
-    ]);
-    for row in rows {
-        table.row([
-            row.platform.clone(),
-            row.task_mix.clone(),
-            format!("{:.2}", row.default_ms),
-            format!("{:.2}", row.tuned_ms),
-            format!("{:+.1}%", row.latency_delta_pct),
-            format!("{:.2}", row.default_mj),
-            format!("{:.2}", row.tuned_mj),
-            format!("{:+.1}%", row.energy_delta_pct),
-        ]);
-    }
-    table
 }
 
 // ---------------------------------------------------------------------

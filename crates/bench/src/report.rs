@@ -140,8 +140,9 @@ impl CommonArgs {
     /// Rejects leftover arguments a binary does not understand:
     /// everything in `rest` must be one of `value_flags` (which consume
     /// the following argument) or `bare_flags`. A behavior-changing
-    /// flag that is mistyped (`--tune` for `--tuned`, `--tuned=x`)
-    /// must fail loudly rather than silently run the default path.
+    /// flag that is mistyped (`--playbak` for `--playback`, `--mix=x`)
+    /// or that a binary does not take must fail loudly rather than
+    /// silently run the default path.
     ///
     /// # Errors
     ///

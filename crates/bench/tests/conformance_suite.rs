@@ -39,7 +39,6 @@ fn bin_map() -> BinPaths {
         "table1_networks",
         "table2_accuracy",
         "ext_sweep_grid",
-        "ext_autotune",
         "ext_cross_platform",
         "ext_multitask_runtime",
         "serve_sim",

@@ -35,6 +35,9 @@ pub struct TaskStats {
     pub mean_latency: TimeDelta,
     /// Worst input-to-completion latency.
     pub max_latency: TimeDelta,
+    /// Device occupancy booked by completed inferences, in µs: the sum
+    /// of each job's end minus its start.
+    pub booked: i64,
 }
 
 /// The outcome of an engine run.
@@ -97,6 +100,7 @@ pub struct ExecEngine<T: ReservationTimeline> {
     completed: Vec<u64>,
     latency_sum: Vec<i64>,
     latency_max: Vec<TimeDelta>,
+    booked: Vec<i64>,
     energy: Energy,
     makespan_end: Timestamp,
     jobs: Vec<JobRecord>,
@@ -129,6 +133,7 @@ impl<T: ReservationTimeline> ExecEngine<T> {
             completed: vec![0; tasks],
             latency_sum: vec![0; tasks],
             latency_max: vec![TimeDelta::ZERO; tasks],
+            booked: vec![0; tasks],
             energy: Energy::ZERO,
             makespan_end: start,
             jobs: Vec::new(),
@@ -231,6 +236,7 @@ impl<T: ReservationTimeline> ExecEngine<T> {
         let latency = end - job.ready;
         self.latency_sum[task] += latency.as_micros();
         self.latency_max[task] = self.latency_max[task].max(latency);
+        self.booked[task] += (end - ready).as_micros();
         if self.record_jobs {
             self.jobs.push(JobRecord {
                 task,
@@ -319,6 +325,7 @@ impl<T: ReservationTimeline> ExecEngine<T> {
                     TimeDelta::from_micros(self.latency_sum[t] / self.completed[t] as i64)
                 },
                 max_latency: self.latency_max[t],
+                booked: self.booked[t],
             })
             .collect();
         EngineReport {
@@ -385,6 +392,12 @@ mod tests {
         assert_eq!(report.busy_time, TimeDelta::from_millis(30));
         assert_eq!(report.jobs.len(), 3);
         assert!(report.jobs.windows(2).all(|w| w[0].end <= w[1].start));
+        let recorded: i64 = report
+            .jobs
+            .iter()
+            .map(|j| (j.end - j.start).as_micros())
+            .sum();
+        assert_eq!(stats.booked, recorded);
     }
 
     #[test]

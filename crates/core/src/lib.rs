@@ -168,11 +168,6 @@ pub enum EvEdgeError {
     },
     /// An auto-tuning pass was given a sweep report with no cells.
     EmptySweepReport,
-    /// An unrecognized auto-tuning objective name.
-    UnknownObjective {
-        /// The rejected name.
-        name: String,
-    },
     /// Sparse-tensor failure.
     Sparse(ev_sparse::SparseError),
     /// Network-substrate failure.
@@ -226,12 +221,6 @@ impl fmt::Display for EvEdgeError {
             }
             EvEdgeError::EmptySweepReport => {
                 f.write_str("auto-tuning needs a sweep report with at least one cell")
-            }
-            EvEdgeError::UnknownObjective { name } => {
-                write!(
-                    f,
-                    "unknown tuning objective `{name}` (latency | energy | edp)"
-                )
             }
             EvEdgeError::Sparse(e) => write!(f, "sparse substrate: {e}"),
             EvEdgeError::Nn(e) => write!(f, "network substrate: {e}"),

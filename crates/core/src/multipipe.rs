@@ -880,6 +880,8 @@ mod single_task_equivalence {
             let (want, want_aggregation) = drain_on_submit(frames.clone(), dsfa, &costs, window);
             let (got, got_aggregation) = streamed(frames, dsfa, &costs, window);
             prop_assert_eq!(&got.jobs, &want.jobs);
+            let recorded: i64 = got.jobs.iter().map(|j| (j.end - j.start).as_micros()).sum();
+            prop_assert_eq!(got.per_task[0].booked, recorded);
             prop_assert_eq!(got.makespan, want.makespan);
             prop_assert_eq!(got.energy.as_joules().to_bits(), want.energy.as_joules().to_bits());
             prop_assert_eq!(got_aggregation.to_bits(), want_aggregation.to_bits());

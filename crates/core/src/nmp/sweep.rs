@@ -604,7 +604,7 @@ impl SweepCell {
     /// the given candidate-evaluation fan-out (`0` = machine
     /// parallelism; results are bitwise identical for any value). This
     /// is both what the sweep engine runs and what
-    /// [`crate::nmp::tune`] emits for `--tuned` replays.
+    /// [`crate::nmp::tune`] emits for the serving layer to replay.
     pub fn nmp_config(&self, workers: usize) -> NmpConfig {
         NmpConfig {
             population: self.population,

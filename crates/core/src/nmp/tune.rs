@@ -1,20 +1,16 @@
-//! Sweep-driven auto-tuning: closing the loop from the Figure 10
-//! configuration sweeps back into the Figure 8/9 experiments.
+//! Sweep-driven auto-tuning: one operating point per platform and task
+//! mix, chosen from a configuration sweep.
 //!
-//! The paper's central claim is that the Network Mapper and Planner
-//! picks per-platform mappings that beat static baselines — yet a
-//! reproduction that hand-picks one [`NmpConfig`] per figure ships a
-//! single tuned operating point, exactly what the NMP story argues
-//! against. This module turns a [`SweepReport`] (what *did* win, per
+//! An [`AutoTuner`] turns a [`SweepReport`] (what *did* win, per
 //! configuration cell) into a [`TuneReport`] (what *should run*, per
-//! platform × task mix): an [`AutoTuner`] ranks every cell with a
-//! deterministic objective and emits, for each
-//! (platform, task-mix, algorithm) group the sweep covered, the
-//! winning cell's replayable search configuration —
-//! [`TuneReport::selection_for_mix`] answers "what should this
-//! (platform, task-mix) pair run" across algorithms. The Figure 8/9
-//! binaries accept that report via `--tuned` and replay the selected
-//! configuration in place of their hard-coded one.
+//! platform × task mix): it ranks every cell with a deterministic
+//! objective and emits, for each (platform, task-mix, algorithm) group
+//! the sweep covered, the winning cell's replayable search
+//! configuration. [`TuneReport::selection_for_mix`] answers "what
+//! should this (platform, task-mix) pair run" across algorithms. The
+//! serving layer (`ev_serve`) is the caller: each time a tenant mix
+//! drifts past its threshold it tunes a single-mix sweep and replays
+//! the selection to get the epoch's mapping.
 //!
 //! # Determinism
 //!
@@ -34,10 +30,7 @@
 //!   `workers: 0` (auto), and [`TuneSelection::replay_search`]
 //!   dispatches on the winning cell's algorithm — so replaying it,
 //!   serially or on every core, reproduces the cell's search bit for
-//!   bit. Callers that replay through a fixed evolutionary runner (the
-//!   Figure 8/9 binaries) must select with
-//!   [`TuneReport::selection_for_algorithm`] so a Random-search winner
-//!   is never replayed under the wrong algorithm.
+//!   bit.
 //!
 //! # Examples
 //!
@@ -69,7 +62,7 @@ use crate::nmp::multitask::MultiTaskProblem;
 use crate::nmp::random_search::run_random_search;
 use crate::nmp::sweep::{
     run_sweep, CellCoords, PlatformPreset, SearchAlgorithm, SweepCellReport, SweepReport,
-    SweepSpec, TaskMix, ZooPreset,
+    SweepSpec, TaskMix,
 };
 use crate::EvEdgeError;
 
@@ -97,23 +90,6 @@ impl TuneObjective {
         }
     }
 
-    /// Parses a CLI-style objective name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvEdgeError::UnknownObjective`] for anything but
-    /// `latency`, `energy` or `edp`.
-    pub fn parse(name: &str) -> Result<Self, EvEdgeError> {
-        match name {
-            "latency" => Ok(TuneObjective::Latency),
-            "energy" => Ok(TuneObjective::Energy),
-            "edp" => Ok(TuneObjective::Edp),
-            other => Err(EvEdgeError::UnknownObjective {
-                name: other.to_string(),
-            }),
-        }
-    }
-
     /// Scores one evaluated cell; lower is better. A pure function of
     /// the report (no wall-clock, no RNG, no global state), which the
     /// tuner's winner-selection guarantees rest on: the same winner for
@@ -130,7 +106,7 @@ impl TuneObjective {
 /// The tuner's one total order, over the decision triple (feasibility,
 /// score, cell key): feasible before infeasible, then lower score, then
 /// [`CellCoords`] — execution-independent by construction. Every place
-/// a winner is chosen (cell ranking, cross-mix selection lookup) must
+/// a winner is chosen (cell ranking, the per-mix selection lookup) must
 /// compare through this single function so the orders cannot drift
 /// apart.
 fn rank_key(
@@ -230,12 +206,7 @@ impl TuneSelection {
 /// The serde-round-trippable outcome of an auto-tuning pass: one
 /// selected operating point per (platform, task-mix, algorithm) group
 /// the sweep covered, plus the provenance needed to regenerate it.
-/// Keeping the algorithm axis un-collapsed means a Random-search
-/// winner never *shadows* the best evolutionary configuration — a
-/// replay path bound to one search runner (the Figure 8/9 binaries)
-/// can always recover its algorithm's winner via
-/// [`TuneReport::selection_for_algorithm`], while
-/// [`TuneReport::selection_for_mix`] still answers "what should this
+/// [`TuneReport::selection_for_mix`] answers "what should this
 /// (platform, task-mix) pair run" across algorithms.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -253,48 +224,23 @@ pub struct TuneReport {
 }
 
 impl TuneReport {
-    /// The zoo scale the tuned numbers were measured at.
-    pub fn zoo(&self) -> ZooPreset {
-        self.spec.zoo
-    }
-
     /// The best selection for an exact (platform, task-mix) pair,
     /// across every algorithm the sweep ran — "what should this pair
-    /// run", under the tuner's total order.
+    /// run", under the total order the tuner selected with.
     pub fn selection_for_mix(
         &self,
         platform: PlatformPreset,
         task_mix: &TaskMix,
     ) -> Option<&TuneSelection> {
-        self.best_where(|s| s.platform == platform && &s.task_mix == task_mix)
-    }
-
-    /// The best selection for a platform across every task mix,
-    /// restricted to winners of one search algorithm: feasible first,
-    /// then lowest score, then the cell key — the same total order the
-    /// tuner ranks with. A caller that replays through a *fixed* search
-    /// runner (the Figure 8/9 binaries always run the evolutionary NMP)
-    /// must use this so a Random-search winner is never silently
-    /// replayed under a different algorithm than the one that earned
-    /// its numbers.
-    pub fn selection_for_algorithm(
-        &self,
-        platform: PlatformPreset,
-        algorithm: SearchAlgorithm,
-    ) -> Option<&TuneSelection> {
-        self.best_where(|s| s.platform == platform && s.algorithm == algorithm)
-    }
-
-    /// The best matching selection under the tuner's total order
-    /// ([`rank_key`]): every lookup ranks through the same comparator
-    /// the tuner selected with.
-    fn best_where(&self, keep: impl Fn(&TuneSelection) -> bool) -> Option<&TuneSelection> {
-        self.selections.iter().filter(|s| keep(s)).min_by(|a, b| {
-            rank_key(
-                (a.feasible, a.score, a.coords),
-                (b.feasible, b.score, b.coords),
-            )
-        })
+        self.selections
+            .iter()
+            .filter(|s| s.platform == platform && &s.task_mix == task_mix)
+            .min_by(|a, b| {
+                rank_key(
+                    (a.feasible, a.score, a.coords),
+                    (b.feasible, b.score, b.coords),
+                )
+            })
     }
 }
 
@@ -303,8 +249,8 @@ impl TuneReport {
 ///
 /// The tuner is the feedback edge of the sweep subsystem: a
 /// [`SweepReport`] measures how every configuration performs, the tuner
-/// decides which one each platform should run, and the figure binaries
-/// replay that decision. See the module docs for the determinism
+/// decides which one each platform should run, and the serving layer
+/// replays that decision. See the module docs for the determinism
 /// argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AutoTuner {
@@ -324,9 +270,7 @@ impl AutoTuner {
     /// invariant under the report's cell order and under cell
     /// duplication; groups are emitted in (platform-axis, mix-axis,
     /// algorithm-axis) coordinate order. The algorithm axis is *not*
-    /// collapsed: each search algorithm keeps its own selection, so a
-    /// replay path bound to one runner can always recover its
-    /// algorithm's winner even when another algorithm scored better.
+    /// collapsed: each search algorithm keeps its own selection.
     ///
     /// # Errors
     ///
@@ -412,7 +356,7 @@ impl AutoTuner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nmp::sweep::{RuntimeSummary, SweepCell, TrajectorySummary};
+    use crate::nmp::sweep::{RuntimeSummary, SweepCell, TrajectorySummary, ZooPreset};
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec {
@@ -488,21 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn objective_names_parse_and_roundtrip() {
-        for objective in [
-            TuneObjective::Latency,
-            TuneObjective::Energy,
-            TuneObjective::Edp,
-        ] {
-            assert_eq!(TuneObjective::parse(objective.name()).unwrap(), objective);
-        }
-        assert!(matches!(
-            TuneObjective::parse("throughput"),
-            Err(EvEdgeError::UnknownObjective { .. })
-        ));
-    }
-
-    #[test]
     fn ranking_prefers_feasible_then_score_then_coords() {
         let reports = vec![
             synthetic_report(coords(3), 1.0, 1.0, false), // best score, infeasible
@@ -543,7 +472,7 @@ mod tests {
             // The selection's score actually is the group minimum.
             assert!(selection.score > 0.0);
         }
-        assert_eq!(tuned.zoo(), ZooPreset::Small);
+        assert_eq!(tuned.spec.zoo, ZooPreset::Small);
     }
 
     #[test]
@@ -574,12 +503,6 @@ mod tests {
             .selection_for_mix(PlatformPreset::NanoLike, &TaskMix::AllSnn)
             .unwrap();
         assert_eq!(nano.platform, PlatformPreset::NanoLike);
-        assert_eq!(
-            tuned
-                .selection_for_algorithm(PlatformPreset::NanoLike, SearchAlgorithm::Evolutionary)
-                .unwrap(),
-            nano
-        );
         assert!(tuned
             .selection_for_mix(PlatformPreset::OrinLike, &TaskMix::AllSnn)
             .is_none());
@@ -648,57 +571,5 @@ mod tests {
                 cell.best_latency_ms
             );
         }
-    }
-
-    #[test]
-    fn algorithm_restricted_lookup_never_returns_the_other_algorithm() {
-        // Hand-built report: Xavier's only selection is a Random-search
-        // winner, Nano's is evolutionary. A replay path that always
-        // runs the evolutionary search must get `None` for Xavier —
-        // never the Random winner's config under the wrong algorithm.
-        let selection = |platform, algorithm, score: f64| TuneSelection {
-            platform,
-            task_mix: TaskMix::AllSnn,
-            config: NmpConfig::default(),
-            queue_capacity: 2,
-            algorithm,
-            coords: CellCoords(0, 0, 0, 0, 0, 0, 0, 0),
-            score,
-            best_latency_ms: score,
-            best_energy_mj: 1.0,
-            feasible: true,
-            candidates: 4,
-        };
-        let report = TuneReport {
-            objective: TuneObjective::Latency,
-            spec: tiny_spec(),
-            selections: vec![
-                selection(PlatformPreset::XavierAgx, SearchAlgorithm::Random, 1.0),
-                selection(PlatformPreset::NanoLike, SearchAlgorithm::Evolutionary, 2.0),
-            ],
-            cells_considered: 8,
-        };
-        assert!(report
-            .selection_for_algorithm(PlatformPreset::XavierAgx, SearchAlgorithm::Evolutionary)
-            .is_none());
-        assert_eq!(
-            report
-                .selection_for_algorithm(PlatformPreset::XavierAgx, SearchAlgorithm::Random)
-                .unwrap()
-                .algorithm,
-            SearchAlgorithm::Random
-        );
-        let nano = report
-            .selection_for_algorithm(PlatformPreset::NanoLike, SearchAlgorithm::Evolutionary)
-            .unwrap();
-        assert_eq!(nano.algorithm, SearchAlgorithm::Evolutionary);
-        // The lookup across algorithms still sees the Random winner.
-        assert_eq!(
-            report
-                .selection_for_mix(PlatformPreset::XavierAgx, &TaskMix::AllSnn)
-                .unwrap()
-                .algorithm,
-            SearchAlgorithm::Random
-        );
     }
 }

@@ -611,8 +611,7 @@ impl<'r> Epoch<'r> {
     ) -> Result<Self, ServeError> {
         let live: Vec<&mut TenantEntry> = registry.live_mut().collect();
         let timeline = DeviceTimeline::new(problem.platform().queue_count());
-        let engine = ExecEngine::new(window.start(), timeline, live.len(), INGRESS_CAPACITY)?
-            .with_job_records();
+        let engine = ExecEngine::new(window.start(), timeline, live.len(), INGRESS_CAPACITY)?;
         Ok(Epoch {
             window,
             live,
@@ -708,14 +707,10 @@ impl<'r> Epoch<'r> {
         self.engine.drain_all(&mut self.model)?;
         let report = self.engine.finish(problem.platform().static_power_w);
 
-        // Attribute energy by device-occupancy share (job records),
-        // falling back to completed counts when no occupancy was booked.
+        // Attribute energy by booked device-occupancy share, falling
+        // back to completed counts when no occupancy was booked.
         let tasks = self.live.len();
-        let mut occupancy = vec![0i64; tasks];
-        for job in &report.jobs {
-            occupancy[job.task] += (job.end - job.start).as_micros();
-        }
-        let total_occupancy: i64 = occupancy.iter().sum();
+        let total_booked: i64 = report.per_task.iter().map(|t| t.booked).sum();
         let total_completed: u64 = report.per_task.iter().map(|t| t.completed).sum();
         let energy_mj = report.energy.as_millijoules();
 
@@ -725,8 +720,8 @@ impl<'r> Epoch<'r> {
             counters.dropped += stats.dropped;
             counters.latency_sum_us += stats.mean_latency.as_micros() * stats.completed as i64;
             counters.max_latency_us = counters.max_latency_us.max(stats.max_latency.as_micros());
-            let share = if total_occupancy > 0 {
-                occupancy[task] as f64 / total_occupancy as f64
+            let share = if total_booked > 0 {
+                stats.booked as f64 / total_booked as f64
             } else if total_completed > 0 {
                 stats.completed as f64 / total_completed as f64
             } else {
