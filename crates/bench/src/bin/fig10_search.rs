@@ -3,23 +3,18 @@
 //!
 //! Both curves come from the NMP configuration-sweep engine
 //! (`ev_edge::nmp::sweep`): the figure is a 2-cell sweep over the
-//! algorithm axis. `--grid` runs the full ablation grid instead
-//! (population × generations × mutation × queue capacity, plus platform
-//! and workload mix in full mode), and `--ablate` keeps the legacy GA
-//! hyper-parameter point comparison.
+//! algorithm axis. `--ablate` keeps the legacy GA hyper-parameter point
+//! comparison; `ext_sweep_grid` runs the full ablation grid.
 
 use ev_bench::claims::FIG10_OVER_RANDOM;
-use ev_bench::experiments::{figure10, ga_ablation, sweep_cells_table, sweep_grid};
+use ev_bench::experiments::{figure10, ga_ablation};
 use ev_bench::report::{write_json, CommonArgs, TextTable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = CommonArgs::parse()?;
-    args.reject_unknown(&[], &["--ablate", "--grid"])?;
+    args.reject_unknown(&[], &["--ablate"])?;
     if args.rest.iter().any(|a| a == "--ablate") {
         return run_ga_ablation(&args);
-    }
-    if args.rest.iter().any(|a| a == "--grid") {
-        return run_grid(&args);
     }
     let result = figure10(args.quick)?;
 
@@ -44,36 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if let Some(path) = args.json {
         write_json(&path, &result)?;
-        eprintln!("wrote {}", path.display());
-    }
-    Ok(())
-}
-
-fn run_grid(args: &CommonArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let report = sweep_grid(args.quick, 0)?;
-    println!(
-        "NMP configuration-sweep grid — {} cells over {} mapping problems",
-        report.cells.len(),
-        report.distinct_problems
-    );
-    println!();
-    print!("{}", sweep_cells_table(&report).render());
-    println!();
-    let best = &report.cells[report.best_cell];
-    println!(
-        "Best cell: #{} ({} / {} / pop {} × gen {}) at {:.2} ms; \
-         {} total evaluations, {} cache hits.",
-        report.best_cell,
-        best.cell.platform.name(),
-        best.cell.task_mix.name(),
-        best.cell.population,
-        best.cell.generations,
-        best.best_latency_ms,
-        report.total_evaluations,
-        report.total_cache_hits,
-    );
-    if let Some(path) = &args.json {
-        write_json(path, &report)?;
         eprintln!("wrote {}", path.display());
     }
     Ok(())

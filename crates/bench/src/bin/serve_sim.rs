@@ -15,7 +15,7 @@
 //!   mix's near-saturation rate; below `1.0` oversubscribes the
 //!   platform (default `0.5`, i.e. 2× saturation; must be finite and
 //!   positive).
-//! * `--workers <n>` — tune-sweep worker threads (`0` = machine
+//! * `--workers <n>` — tune-search worker threads (`0` = machine
 //!   parallelism; default `0`). The report is byte-identical for any
 //!   worker count.
 //! * `--corner` — run the heterogeneous scenario instead: the initial
@@ -96,8 +96,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ));
     config.workers = workers;
     if args.quick {
-        config.tune_populations = vec![3];
-        config.tune_generations = vec![2];
+        config.tune_population = 3;
+        config.tune_generations = 2;
     }
 
     let scenario = if corner {

@@ -736,16 +736,6 @@ pub fn sweep_grid_spec(quick: bool) -> SweepSpec {
     }
 }
 
-/// Runs the default configuration-sweep grid (`0` workers = machine
-/// parallelism).
-///
-/// # Errors
-///
-/// Propagates sweep errors.
-pub fn sweep_grid(quick: bool, workers: usize) -> Result<SweepReport, Box<dyn Error>> {
-    Ok(run_sweep(&sweep_grid_spec(quick), workers)?)
-}
-
 /// The heterogeneous configuration-sweep grid (`ext_sweep_grid
 /// --hetero`): the GNN-heavy and corner+inference mixes — every cell
 /// holds at least one data-dependent GraphNet task and the
@@ -793,8 +783,8 @@ pub fn sweep_grid_hetero_spec(quick: bool) -> SweepSpec {
     }
 }
 
-/// Renders a sweep's per-cell results as an aligned text table (shared
-/// by the `fig10_search --grid` and `ext_sweep_grid` binaries).
+/// Renders a sweep's per-cell results as an aligned text table (the
+/// `ext_sweep_grid` binary's).
 pub fn sweep_cells_table(report: &SweepReport) -> crate::report::TextTable {
     let mut table = crate::report::TextTable::new([
         "cell", "alg", "platform", "mix", "pop", "gens", "mut", "elite", "cap", "score", "best ms",

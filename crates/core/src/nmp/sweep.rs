@@ -603,8 +603,8 @@ impl SweepCell {
     /// The cell's search parameters as a replayable [`NmpConfig`] with
     /// the given candidate-evaluation fan-out (`0` = machine
     /// parallelism; results are bitwise identical for any value). This
-    /// is both what the sweep engine runs and what
-    /// [`crate::nmp::tune`] emits for the serving layer to replay.
+    /// is what the sweep engine runs, what [`crate::nmp::tune`] emits
+    /// and what the serving layer's re-tune runs.
     pub fn nmp_config(&self, workers: usize) -> NmpConfig {
         NmpConfig {
             population: self.population,

@@ -7,10 +7,10 @@
 //! objective and emits, for each (platform, task-mix, algorithm) group
 //! the sweep covered, the winning cell's replayable search
 //! configuration. [`TuneReport::selection_for_mix`] answers "what
-//! should this (platform, task-mix) pair run" across algorithms. The
-//! serving layer (`ev_serve`) is the caller: each time a tenant mix
-//! drifts past its threshold it tunes a single-mix sweep and replays
-//! the selection to get the epoch's mapping.
+//! should this (platform, task-mix) pair run" across algorithms.
+//! Nothing in the program calls the tuner: `ev_serve` runs its one-cell
+//! tune spec's search directly, and evbench's `serve` workload replays
+//! each such search through the tuner to check that the two agree.
 //!
 //! # Determinism
 //!
@@ -249,8 +249,8 @@ impl TuneReport {
 ///
 /// The tuner is the feedback edge of the sweep subsystem: a
 /// [`SweepReport`] measures how every configuration performs, the tuner
-/// decides which one each platform should run, and the serving layer
-/// replays that decision. See the module docs for the determinism
+/// decides which one each platform should run, and a replay re-runs
+/// that decision's search. See the module docs for the determinism
 /// argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AutoTuner {

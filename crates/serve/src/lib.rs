@@ -8,16 +8,16 @@
 //! An arrival goes straight into that queue unless it is shed, newest
 //! first: when PE-timeline utilization is at the watermark, or when the
 //! queue is full. Tenant churn triggers incremental NMP remapping: the
-//! live mix is re-tuned through the existing `AutoTuner` when it drifts
-//! past a threshold, and otherwise carries the previous mapping over
+//! live mix is re-tuned by one NMP search (§4.3) when it drifts past a
+//! threshold, and otherwise carries the previous mapping over
 //! ([`remap`]). Per-(platform × mix) tunings are cached and replayed
 //! deterministically from their `NmpConfig`.
 //!
 //! The whole service is driven in simulated time on one thread —
-//! `workers` only fans out the tuner's sweep, which is byte-identical
-//! at any worker count — so a [`ServeReport`] is bitwise reproducible
-//! for a given scenario and seed, matching the determinism bar of the
-//! sweep and conformance suites.
+//! `workers` only fans out that search's candidate evaluation, which is
+//! bitwise identical at any worker count — so a [`ServeReport`] is
+//! bitwise reproducible for a given scenario and seed, matching the
+//! determinism bar of the sweep and conformance suites.
 //!
 //! [`ExecEngine`]: ev_edge::exec::ExecEngine
 //!
@@ -32,8 +32,8 @@
 //!     Timestamp::ZERO,
 //!     Timestamp::from_millis(8),
 //! ));
-//! config.tune_populations = vec![3];
-//! config.tune_generations = vec![2];
+//! config.tune_population = 3;
+//! config.tune_generations = 2;
 //! // Two synthetic tenants fed above saturation, with one mid-run
 //! // join/leave churn pair.
 //! let scenario = synthetic_scenario(&config, 2, 0.5)?;
@@ -95,12 +95,6 @@ pub enum ServeError {
         /// What is wrong with it.
         what: String,
     },
-    /// The tuner produced no selection for a live mix (a sweep-grid
-    /// mismatch — the tune spec must cover the mix it was built for).
-    NoSelection {
-        /// The mix display name.
-        mix: String,
-    },
     /// An exec-core error surfaced through the service.
     Edge(EvEdgeError),
 }
@@ -119,9 +113,6 @@ impl fmt::Display for ServeError {
                 write!(f, "invalid tenant `{name}`: {reason}")
             }
             ServeError::InvalidConfig { what } => write!(f, "invalid service config: {what}"),
-            ServeError::NoSelection { mix } => {
-                write!(f, "auto-tune produced no selection for mix {mix}")
-            }
             ServeError::Edge(e) => write!(f, "{e}"),
         }
     }

@@ -3,16 +3,16 @@
 //! Every epoch needs a mapping for its live mix. Three sources, in
 //! preference order:
 //!
-//! 1. **Cached** — the per-(platform × mix) table already holds a tuned
-//!    selection for this exact mix; replay its candidate verbatim.
+//! 1. **Cached** — the per-(platform × mix) table already holds a
+//!    tuning for this exact mix; replay its candidate verbatim.
 //! 2. **Carried** — the mix drifted from the last *tuned* mix by at
 //!    most the configured threshold: copy every retained tenant's
 //!    per-layer assignments from the previous epoch's mapping and fill
 //!    new tenants from the round-robin baseline. No search runs.
 //! 3. **Tuned** — the drift crossed the threshold (or nothing was ever
-//!    tuned): run the `AutoTuner` over a single-mix sweep spec and
-//!    cache the winner together with the `NmpConfig` that earned it,
-//!    so the identical search replays bit for bit on demand.
+//!    tuned): run one NMP search on the live mix and cache its winner
+//!    together with the `NmpConfig` that earned it, so the identical
+//!    search replays bit for bit on demand.
 //!
 //! Drift is multiset Jaccard distance over the mixes' network lists —
 //! insensitive to tenant order and names, sensitive to how much of the
@@ -21,16 +21,18 @@
 use crate::ServeError;
 use ev_edge::nmp::baseline;
 use ev_edge::nmp::candidate::Candidate;
+use ev_edge::nmp::evolution::{run_nmp, NmpConfig};
+use ev_edge::nmp::fitness::FitnessConfig;
 use ev_edge::nmp::multitask::MultiTaskProblem;
-use ev_edge::nmp::{PlatformPreset, TaskMix, TuneSelection, ZooPreset};
+use ev_edge::nmp::{PlatformPreset, TaskMix, ZooPreset};
 use ev_nn::zoo::NetworkId;
 use serde::{Deserialize, Serialize};
 
 /// How an epoch obtained its mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MappingSource {
-    /// Fresh `AutoTuner` search (the first epoch, or drift past the
-    /// threshold).
+    /// A fresh NMP search of the live mix (the first epoch, or drift
+    /// past the threshold).
     Tuned,
     /// Replayed from the per-(platform × mix) cache.
     Cached,
@@ -136,16 +138,16 @@ pub struct MixEntry {
     pub platform: PlatformPreset,
     /// The zoo scale it was tuned at.
     pub zoo: ZooPreset,
-    /// The tuner's winning operating point (carries the `NmpConfig`).
-    pub selection: TuneSelection,
-    /// The mapping the winning search produced.
+    /// The search that produced the mapping, with `workers: 0`.
+    pub nmp: NmpConfig,
+    /// The mapping the search produced.
     pub candidate: Candidate,
-    /// Bit pattern of the winning search's fitness score.
+    /// Bit pattern of the search's fitness score.
     pub score_bits: u64,
 }
 
 impl MixEntry {
-    /// Rebuilds this entry's problem and replays the cached
+    /// Rebuilds this entry's problem and re-runs the cached
     /// `NmpConfig`'s search from scratch, returning whether it
     /// reproduces the cached mapping and score **bit for bit**.
     ///
@@ -156,7 +158,7 @@ impl MixEntry {
         let problem = self
             .mix
             .build_problem(self.platform.build(), &self.zoo.config())?;
-        let replayed = self.selection.replay_search(&problem)?;
+        let replayed = run_nmp(&problem, self.nmp, FitnessConfig::default())?;
         Ok(replayed.best == self.candidate && replayed.report.score.to_bits() == self.score_bits)
     }
 }

@@ -224,8 +224,8 @@ mod tests {
     fn quick_config() -> ServeConfig {
         let mut config =
             ServeConfig::new(TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(8)));
-        config.tune_populations = vec![3];
-        config.tune_generations = vec![2];
+        config.tune_population = 3;
+        config.tune_generations = 2;
         config
     }
 

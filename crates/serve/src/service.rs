@@ -23,9 +23,10 @@
 //! offering every arrival one at a time.
 //!
 //! Everything is simulated time on the caller's thread. `workers` only
-//! fans out the auto-tuner's sweep — byte-identical at any worker
-//! count by the tuner's contract — so the returned [`ServeReport`] is
-//! bitwise reproducible for a given scenario, config, and seed.
+//! fans out a tuned epoch's one NMP search (§4.3), whose result is
+//! bitwise identical at any worker count, so the returned
+//! [`ServeReport`] is bitwise reproducible for a given scenario,
+//! config, and seed.
 
 use crate::remap::{carry_over_mapping, MappingCache, MappingSource, MixEntry};
 use crate::tenant::{TenantEntry, TenantRegistry, TenantSpec};
@@ -34,11 +35,11 @@ use ev_core::{TimeDelta, TimeWindow, Timestamp};
 use ev_edge::exec::{ExecEngine, JobInput, MappedJobModel};
 use ev_edge::multipipe::PhasedArrivals;
 use ev_edge::nmp::candidate::Candidate;
-use ev_edge::nmp::evolution::NmpConfig;
+use ev_edge::nmp::evolution::{run_nmp, NmpConfig};
+use ev_edge::nmp::fitness::FitnessConfig;
 use ev_edge::nmp::multitask::MultiTaskProblem;
-use ev_edge::nmp::{
-    AutoTuner, PlatformPreset, SearchAlgorithm, SweepSpec, TaskMix, TuneObjective, ZooPreset,
-};
+use ev_edge::nmp::{PlatformPreset, SearchAlgorithm, SweepSpec, TaskMix, TuneObjective, ZooPreset};
+use ev_edge::EvEdgeError;
 use ev_nn::zoo::NetworkId;
 use ev_platform::DeviceTimeline;
 use serde::{Deserialize, Serialize};
@@ -82,11 +83,11 @@ pub(crate) const MAX_TENANTS: usize = 64;
 const WATERMARK: f64 = 0.75;
 
 /// Mix drift (multiset Jaccard distance from the last tuned mix) above
-/// which churn triggers a fresh auto-tune instead of carrying the
+/// which churn triggers a fresh tune instead of carrying the
 /// previous mapping over.
 const DRIFT_THRESHOLD: f64 = 0.1;
 
-/// Simulated playback window of each tune cell, ms.
+/// Playback window of a sweep of [`ServeConfig::tune_spec_for`], ms.
 const TUNE_WINDOW_MS: u64 = 4;
 
 /// Service-layer configuration.
@@ -98,16 +99,19 @@ pub struct ServeConfig {
     pub platform: PlatformPreset,
     /// Zoo scale for tenant task graphs.
     pub zoo: ZooPreset,
-    /// Auto-tune selection objective.
+    /// The objective `ev_edge::nmp::tune` would rank
+    /// [`ServeConfig::tune_spec_for`]'s cells by. That spec has one
+    /// cell, so the objective decides nothing, and serve never reads it.
     pub objective: TuneObjective,
-    /// Population grid for the churn-triggered tune sweep.
-    pub tune_populations: Vec<usize>,
-    /// Generation grid for the churn-triggered tune sweep.
-    pub tune_generations: Vec<usize>,
-    /// Base PRNG seed for tune sweeps.
+    /// Population of the churn-triggered NMP search.
+    pub tune_population: usize,
+    /// Generations of the churn-triggered NMP search.
+    pub tune_generations: usize,
+    /// Base PRNG seed the search's value-derived seed folds in.
     pub base_seed: u64,
-    /// Worker threads for tune sweeps (0 = serial). Reports are
-    /// byte-identical at any value.
+    /// Worker threads for the churn-triggered search's candidate
+    /// evaluation (`0` = machine parallelism, `1` = serial). Only the
+    /// search fans out, and reports are byte-identical at any value.
     pub workers: usize,
 }
 
@@ -120,8 +124,8 @@ impl ServeConfig {
             platform: PlatformPreset::XavierAgx,
             zoo: ZooPreset::Small,
             objective: TuneObjective::Latency,
-            tune_populations: vec![4],
-            tune_generations: vec![3],
+            tune_population: 4,
+            tune_generations: 3,
             base_seed: 0x5345_5256, // "SERV"
             workers: 0,
         }
@@ -141,22 +145,27 @@ impl ServeConfig {
                 self.window.end()
             ));
         }
-        if self.tune_populations.is_empty() || self.tune_generations.is_empty() {
-            return invalid("tune grids must be non-empty".to_string());
+        let search = NmpConfig {
+            population: self.tune_population,
+            generations: self.tune_generations,
+            ..NmpConfig::default()
+        };
+        if let Err(EvEdgeError::InvalidSearchConfig { field }) = search.validate() {
+            return invalid(format!("tune_{field} is out of the NMP search's range"));
         }
         Ok(())
     }
 
-    /// The single-mix sweep spec a churn-triggered tune runs over.
+    /// The one-cell sweep spec of `mix`, whose cell's search (seed
+    /// included) a churn-triggered tune runs.
     pub fn tune_spec_for(&self, mix: TaskMix) -> SweepSpec {
         SweepSpec {
             base_seed: self.base_seed,
-            populations: self.tune_populations.clone(),
-            generations: self.tune_generations.clone(),
+            populations: vec![self.tune_population],
+            generations: vec![self.tune_generations],
             mutation_layers: vec![1],
             elite_fractions: vec![0.25],
-            // Shapes only each tune cell's playback, which no serve
-            // output reads.
+            // Shapes only a sweep's playback, which serve does not run.
             queue_capacities: vec![2],
             platforms: vec![self.platform],
             task_mixes: vec![mix],
@@ -182,7 +191,7 @@ pub struct EpochRecord {
     /// Mix drift from the last tuned mix (`None` before any tune).
     pub drift: Option<f64>,
     /// The replayable search config behind the mapping (tuned/cached
-    /// epochs only).
+    /// epochs only), with `workers: 0` whatever the search ran at.
     pub nmp: Option<NmpConfig>,
     /// Bit pattern of the mapping search's fitness score (tuned/cached
     /// epochs only) — the determinism receipt.
@@ -251,7 +260,7 @@ pub struct ServeTotals {
     pub completed: u64,
     /// Admitted inputs dropped by engine queues.
     pub dropped: u64,
-    /// Auto-tune searches run (including the initial one).
+    /// NMP searches run for tuned epochs (including the initial one).
     pub tunes: u64,
     /// Churn-triggered tunes after the first epoch.
     pub retunes: u64,
@@ -349,8 +358,7 @@ struct EpochStats {
 ///
 /// Returns [`ServeError::InvalidConfig`] for out-of-range config or
 /// churn outside the window, tenant-lifecycle errors from the registry,
-/// [`ServeError::NoSelection`] if a tune sweep fails to cover its own
-/// mix, and propagates exec/tuner errors.
+/// and propagates exec/search errors.
 pub fn run_service(
     scenario: &ServeScenario,
     config: &ServeConfig,
@@ -430,18 +438,19 @@ pub fn run_service(
         let problem = mix.build_problem(config.platform.build(), &config.zoo.config())?;
         let drift = cache.drift_from_last_tuned(&networks);
 
-        let (candidate, source, nmp, score_bits) = if let Some(entry) =
-            cache.lookup(config.platform, &mix)
-        {
-            totals.cache_replays += 1;
-            (
-                entry.candidate.clone(),
-                MappingSource::Cached,
-                Some(entry.selection.config),
-                Some(entry.score_bits),
-            )
-        } else if let (Some(p), Some(d)) = (&prev, drift) {
-            if d <= DRIFT_THRESHOLD {
+        let carry = prev
+            .as_ref()
+            .filter(|_| drift.is_some_and(|d| d <= DRIFT_THRESHOLD));
+        let (candidate, source, nmp, score_bits) =
+            if let Some(entry) = cache.lookup(config.platform, &mix) {
+                totals.cache_replays += 1;
+                (
+                    entry.candidate.clone(),
+                    MappingSource::Cached,
+                    Some(entry.nmp),
+                    Some(entry.score_bits),
+                )
+            } else if let Some(p) = carry {
                 totals.carried += 1;
                 let carried =
                     carry_over_mapping(&p.problem, &p.candidate, &p.networks, &problem, &networks);
@@ -453,15 +462,7 @@ pub fn run_service(
                     totals.retunes += 1;
                 }
                 (c, MappingSource::Tuned, Some(n), Some(s))
-            }
-        } else {
-            let (c, n, s) = tune_mix(config, &mix, &problem, &mut cache)?;
-            totals.tunes += 1;
-            if !epochs.is_empty() {
-                totals.retunes += 1;
-            }
-            (c, MappingSource::Tuned, Some(n), Some(s))
-        };
+            };
 
         let stats = run_epoch(
             TimeWindow::new(epoch_start, epoch_end),
@@ -521,36 +522,32 @@ pub fn run_service(
     })
 }
 
-/// Runs the auto-tuner over the single-mix spec, replays the winning
-/// `NmpConfig` to get the mapping, and caches the result.
+/// Runs the search of `tune_spec_for(mix)`'s one cell on the epoch's
+/// problem at `config.workers`, and caches the mapping with the cell's
+/// `NmpConfig` (`workers: 0`), which replays it bit for bit anywhere.
 fn tune_mix(
     config: &ServeConfig,
     mix: &TaskMix,
     problem: &MultiTaskProblem,
     cache: &mut MappingCache,
 ) -> Result<(Candidate, NmpConfig, u64), ServeError> {
-    let tuner = AutoTuner::new(config.objective);
-    let report = tuner.tune_spec(&config.tune_spec_for(mix.clone()), config.workers)?;
-    let selection = report
-        .selection_for_mix(config.platform, mix)
-        .ok_or_else(|| ServeError::NoSelection { mix: mix.name() })?
-        .clone();
-    // The mapping is not stored in the selection — it is *replayed*
-    // from the NmpConfig, which is the whole determinism story: the
-    // same bits come back on any machine, any worker count.
-    let search = selection.replay_search(problem)?;
+    // Every axis of the spec holds one value, so it has exactly one cell.
+    let nmp = config.tune_spec_for(mix.clone()).cells()?[0].nmp_config(0);
+    let run = NmpConfig {
+        workers: config.workers,
+        ..nmp
+    };
+    let search = run_nmp(problem, run, FitnessConfig::default())?;
     let score_bits = search.report.score.to_bits();
-    let candidate = search.best.clone();
-    let nmp = selection.config;
     cache.insert(MixEntry {
         mix: mix.clone(),
         platform: config.platform,
         zoo: config.zoo,
-        selection,
-        candidate: candidate.clone(),
+        nmp,
+        candidate: search.best.clone(),
         score_bits,
     });
-    Ok((candidate, nmp, score_bits))
+    Ok((search.best, nmp, score_bits))
 }
 
 /// Whether an arrival `elapsed` into the epoch is shed as saturated:
@@ -744,6 +741,7 @@ mod tests {
     use super::*;
     use ev_edge::exec::BatchCostModel;
     use ev_edge::nmp::baseline;
+    use ev_edge::nmp::evolution::{MAX_GENERATIONS, MAX_POPULATION};
     use ev_platform::energy::Energy;
     use proptest::prelude::*;
     use proptest::{ProptestConfig, TestRunner};
@@ -761,17 +759,30 @@ mod tests {
             Timestamp::ZERO,
             Timestamp::from_millis(window_ms),
         ));
-        config.tune_populations = vec![3];
-        config.tune_generations = vec![2];
+        config.tune_population = 3;
+        config.tune_generations = 2;
         config
     }
 
     #[test]
     fn config_validation_names_the_field() {
+        // 0, below the lower bound and past the cap fail before any
+        // epoch runs; the caps pass.
+        for (population, generations, field) in [
+            (0, 2, "tune_population"),
+            (1, 2, "tune_population"),
+            (MAX_POPULATION + 1, 2, "tune_population"),
+            (3, 0, "tune_generations"),
+            (3, MAX_GENERATIONS + 1, "tune_generations"),
+        ] {
+            let mut config = quick_config(4);
+            (config.tune_population, config.tune_generations) = (population, generations);
+            let err = run_service(&ServeScenario::default(), &config).unwrap_err();
+            assert!(err.to_string().contains(field), "{err}");
+        }
         let mut config = quick_config(4);
-        config.tune_generations.clear();
-        let err = config.validate().unwrap_err();
-        assert!(err.to_string().contains("tune grids"), "{err}");
+        (config.tune_population, config.tune_generations) = (MAX_POPULATION, MAX_GENERATIONS);
+        assert!(config.validate().is_ok());
         let mut config = quick_config(4);
         config.window = TimeWindow::new(Timestamp::from_millis(1), Timestamp::from_millis(1));
         let err = config.validate().unwrap_err();

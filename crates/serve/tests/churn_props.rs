@@ -2,9 +2,9 @@
 //!
 //! For any interleaving of tenant joins and leaves, the serialized
 //! [`ServeReport`] is byte-identical between `workers = 1` and
-//! `workers = 8` — the worker count only fans out the auto-tuner's
-//! sweep, which is byte-identical by contract, and the service driver
-//! itself runs in simulated time on one thread.
+//! `workers = 8` — the worker count only fans out the tune search's
+//! candidate evaluation, which is bitwise identical by contract, and
+//! the service driver itself runs in simulated time on one thread.
 
 use ev_core::{TimeDelta, TimeWindow, Timestamp};
 use ev_nn::zoo::NetworkId;
@@ -73,8 +73,8 @@ fn scenario_from(initial: usize, period_us: i64, ops: &[bool]) -> ServeScenario 
 
 fn quick_config(workers: usize) -> ServeConfig {
     let mut config = ServeConfig::new(TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(6)));
-    config.tune_populations = vec![3];
-    config.tune_generations = vec![2];
+    config.tune_population = 3;
+    config.tune_generations = 2;
     config.workers = workers;
     config
 }
