@@ -194,7 +194,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         totals.tunes, totals.retunes, totals.cache_replays, totals.carried,
     );
 
-    let replay_bits_match = outcome.mappings.verify_replays()?;
+    let replay_bits_match = outcome.mappings.verify_replays(config.workers)?;
     println!(
         "replayed {} cached tuning(s) from their NmpConfig: {}",
         outcome.mappings.entries().len(),

@@ -429,12 +429,11 @@ pub fn figure8(quick: bool) -> Result<Vec<Fig8Row>, Box<dyn Error>> {
             sequence: sequence_for(network).sequence(),
             window: analysis_window(quick),
         };
-        let mut reports = Vec::new();
-        for variant in PipelineVariant::FIGURE8 {
-            let mut options = PipelineOptions::for_variant(variant, network);
-            options.nmp = config;
-            reports.push(run_single_task(&setup, &options)?);
-        }
+        let runs = PipelineVariant::FIGURE8.map(|variant| PipelineOptions {
+            nmp: config,
+            ..PipelineOptions::for_variant(variant, network)
+        });
+        let reports = run_single_task(&setup, &runs)?;
         let baseline = &reports[0];
         let e2sf = &reports[1];
         let dsfa = &reports[2];
@@ -557,14 +556,12 @@ pub fn figure9_detail(
                 queue_capacity: 2,
             };
             let played = run_multi_task_runtime(&problem, &nmp.best, &periods, runtime_config)?;
-            let mean_utilization =
-                played.utilization.iter().sum::<f64>() / played.utilization.len().max(1) as f64;
             out.push(Fig9PlaybackRow {
                 config: name.clone(),
-                completed: played.per_task.iter().map(|t| t.completed).sum(),
+                completed: played.total_completed(),
                 dropped: played.total_dropped(),
                 worst_mean_latency_ms: played.worst_mean_latency().as_secs_f64() * 1e3,
-                mean_utilization,
+                mean_utilization: played.mean_utilization(),
             });
         }
         rows.push(Fig9Row {
@@ -899,14 +896,7 @@ pub fn dsfa_ablation(quick: bool) -> Result<Vec<DsfaAblationRow>, Box<dyn Error>
         sequence: sequence_for(network).sequence(),
         window: analysis_window(quick),
     };
-    let baseline = run_single_task(
-        &setup,
-        &PipelineOptions::for_variant(PipelineVariant::DenseAllGpu, network),
-    )?;
-    let baseline_ms = baseline.makespan.as_secs_f64() * 1e3;
-
-    let mut rows = Vec::new();
-    let sweeps: Vec<DsfaConfig> = vec![
+    let sweeps = [
         // MBsize sweep at fixed thresholds.
         DsfaConfig {
             mb_size: 1,
@@ -956,12 +946,17 @@ pub fn dsfa_ablation(quick: bool) -> Result<Vec<DsfaAblationRow>, Box<dyn Error>
             ..DsfaConfig::default()
         },
     ];
-    for dsfa in sweeps {
-        let options = PipelineOptions {
-            dsfa,
-            ..PipelineOptions::for_variant(PipelineVariant::E2sfDsfa, network)
-        };
-        let report = run_single_task(&setup, &options)?;
+    let dense = PipelineOptions::for_variant(PipelineVariant::DenseAllGpu, network);
+    let mut runs = vec![dense];
+    runs.extend(sweeps.iter().map(|&dsfa| PipelineOptions {
+        dsfa,
+        ..PipelineOptions::for_variant(PipelineVariant::E2sfDsfa, network)
+    }));
+    let reports = run_single_task(&setup, &runs)?;
+    let baseline_ms = reports[0].makespan.as_secs_f64() * 1e3;
+
+    let mut rows = Vec::new();
+    for (dsfa, report) in sweeps.iter().zip(&reports[1..]) {
         let ms = report.makespan.as_secs_f64() * 1e3;
         let merge_factor = if report.inferences == 0 {
             0.0
@@ -1133,14 +1128,12 @@ pub fn multitask_runtime(quick: bool) -> Result<Vec<RuntimeRow>, Box<dyn Error>>
     let mut rows = Vec::new();
     for (name, candidate) in policies {
         let report = run_multi_task_runtime(&problem, &candidate, &periods, config)?;
-        let mean_util =
-            report.utilization.iter().sum::<f64>() / report.utilization.len().max(1) as f64;
         rows.push(RuntimeRow {
             policy: name.to_string(),
             worst_mean_latency_ms: report.worst_mean_latency().as_secs_f64() * 1e3,
             dropped: report.total_dropped(),
-            completed: report.per_task.iter().map(|t| t.completed).sum(),
-            mean_utilization: mean_util,
+            completed: report.total_completed(),
+            mean_utilization: report.mean_utilization(),
         });
     }
     Ok(rows)

@@ -92,6 +92,16 @@ impl MultiTaskRuntimeReport {
         self.per_task.iter().map(|t| t.dropped).sum()
     }
 
+    /// Total completed inferences across tasks.
+    pub fn total_completed(&self) -> u64 {
+        self.per_task.iter().map(|t| t.completed).sum()
+    }
+
+    /// Mean of the per-queue utilizations (0 with no queues).
+    pub fn mean_utilization(&self) -> f64 {
+        self.utilization.iter().sum::<f64>() / self.utilization.len().max(1) as f64
+    }
+
     /// Closes `engine`'s run and names its per-task rows after the
     /// problem's tasks.
     fn finish(problem: &MultiTaskProblem, engine: ExecEngine<DeviceTimeline>) -> Self {

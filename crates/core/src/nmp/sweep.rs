@@ -855,8 +855,6 @@ fn assemble_report(
         &prepared.periods,
         runtime_config,
     )?;
-    let mean_utilization =
-        playback.utilization.iter().sum::<f64>() / playback.utilization.len().max(1) as f64;
     Ok(SweepCellReport {
         cell: cell.clone(),
         best_score: search.report.score,
@@ -867,10 +865,10 @@ fn assemble_report(
         cache_hits: search.cache_hits,
         trajectory: summarize_trajectory(&search.history, keep_history),
         runtime: RuntimeSummary {
-            completed: playback.per_task.iter().map(|t| t.completed).sum(),
+            completed: playback.total_completed(),
             dropped: playback.total_dropped(),
             worst_mean_latency_ms: playback.worst_mean_latency().as_secs_f64() * 1e3,
-            mean_utilization,
+            mean_utilization: playback.mean_utilization(),
         },
     })
 }

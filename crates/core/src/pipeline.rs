@@ -5,6 +5,8 @@
 //! simulated time, with FIFO job execution and hardware-availability-
 //! driven early dispatch. Variants peel the optimizations apart exactly as
 //! the paper's Figure 8 does: dense all-GPU baseline, +E2SF, +DSFA, +NMP.
+//! They differ only after E2SF, so one [`run_single_task`] call converts
+//! the setup's events once and runs every variant over the same frames.
 //!
 //! Execution runs on the streaming driver of the multi-task runtime
 //! with one task: E2SF frames flow through a [`DsfaStage`] (or straight
@@ -176,124 +178,131 @@ pub struct PipelineReport {
     pub jobs: Vec<JobRecord>,
 }
 
-/// Runs the single-task pipeline on the unified execution engine.
+/// Runs the single-task pipeline on the unified execution engine once per
+/// entry of `runs` over one event stream and one E2SF pass, returning the
+/// reports in input order. Each run has its own mapping, cost memo, engine,
+/// DSFA stage and accuracy estimate, so its report equals that of its
+/// options run alone.
 ///
 /// # Errors
 ///
 /// Propagates conversion, aggregation, search and scheduling errors.
 pub fn run_single_task(
     setup: &PipelineSetup,
-    options: &PipelineOptions,
-) -> Result<PipelineReport, EvEdgeError> {
+    runs: &[PipelineOptions],
+) -> Result<Vec<PipelineReport>, EvEdgeError> {
     let graph = setup.network.build(&setup.zoo)?;
     let workloads = graph.workloads();
     let accuracy = setup.network.accuracy_model();
+    let shares =
+        ev_nn::accuracy::shares_from_macs(&workloads.iter().map(|w| w.macs).collect::<Vec<_>>());
 
-    // 1. Capture and E2SF conversion.
+    // 1. Capture and E2SF conversion, shared by every run.
     let events = setup.sequence.generate(setup.window)?;
     let intervals = setup.sequence.frame_intervals(setup.window);
     let bins = representation_for(setup.network).bins_per_interval;
     let frames = E2sf::new(E2sfConfig::new(bins)).convert_intervals(&events, &intervals)?;
     let (event_count, frame_count) = (events.len(), frames.len());
 
-    // 2. Choose the mapping.
-    let candidate = match options.variant {
-        PipelineVariant::E2sfDsfaNmp => {
-            // Reserve accuracy budget for DSFA: the search assumes the
-            // worst-case aggregation (buckets always merged to capacity),
-            // so quantization + whatever DSFA actually does stays within
-            // ΔA (Equation 2 holds end to end).
-            let worst_case_aggregation = if options.dsfa.mb_size > 1 { 1.0 } else { 0.0 };
-            let problem = MultiTaskProblem::new(
-                setup.platform.clone(),
-                vec![
-                    TaskSpec::new(graph.clone(), accuracy, setup.network.delta_a())
-                        .with_aggregation(worst_case_aggregation),
-                ],
-            )?;
-            run_nmp(&problem, options.nmp, FitnessConfig::default())?.best
-        }
-        _ => {
-            let gpu = setup
-                .platform
-                .id_by_name("gpu")
-                .ok_or(EvEdgeError::MissingPe { name: "gpu" })?;
-            Candidate::from_assignments(
-                (0..graph.len())
-                    .map(|_| Assignment {
+    let mut reports = Vec::with_capacity(runs.len());
+    for options in runs {
+        // 2. Choose the mapping.
+        let candidate = match options.variant {
+            PipelineVariant::E2sfDsfaNmp => {
+                // Reserve accuracy budget for DSFA: the search assumes the
+                // worst-case aggregation (buckets always merged to capacity),
+                // so quantization + whatever DSFA actually does stays within
+                // ΔA (Equation 2 holds end to end).
+                let worst_case_aggregation = if options.dsfa.mb_size > 1 { 1.0 } else { 0.0 };
+                let problem = MultiTaskProblem::new(
+                    setup.platform.clone(),
+                    vec![
+                        TaskSpec::new(graph.clone(), accuracy, setup.network.delta_a())
+                            .with_aggregation(worst_case_aggregation),
+                    ],
+                )?;
+                run_nmp(&problem, options.nmp, FitnessConfig::default())?.best
+            }
+            _ => {
+                let gpu = setup
+                    .platform
+                    .id_by_name("gpu")
+                    .ok_or(EvEdgeError::MissingPe { name: "gpu" })?;
+                Candidate::from_assignments(vec![
+                    Assignment {
                         pe: gpu,
                         precision: Precision::Fp32,
-                    })
-                    .collect(),
+                    };
+                    graph.len()
+                ])
+            }
+        };
+
+        // 3. Execute jobs over simulated time on the streaming driver with
+        // one task. The whole platform is one FIFO resource to the job model;
+        // DSFA's early-dispatch rule consumes the engine's idleness signal.
+        // The queue holds every frame, so nothing is dropped (§4.2's drops
+        // apply to the multi-task runtime's bounded queues).
+        let mut model = BatchCostModel::new(0, |density, batch| {
+            inference_cost(
+                &setup.platform,
+                &graph,
+                &workloads,
+                &candidate,
+                density,
+                batch,
+                options.variant,
             )
-        }
-    };
+        });
+        let mut engine = ExecEngine::new(
+            setup.window.start(),
+            DeviceTimeline::new(1),
+            1,
+            frame_count.max(1),
+        )?
+        .with_job_records();
+        let mut frontends = [if options.variant.uses_dsfa() {
+            Some(DsfaStage::new(options.dsfa)?)
+        } else {
+            None
+        }];
+        drive_frames(
+            &mut engine,
+            &mut model,
+            vec![frames.clone()],
+            &mut frontends,
+            setup.window,
+        )?;
+        let aggregation = frontends[0]
+            .as_ref()
+            .map_or(0.0, DsfaStage::aggregation_aggressiveness);
+        let report = engine.finish(setup.platform.static_power_w);
 
-    // 3. Execute jobs over simulated time on the streaming driver with
-    // one task. The whole platform is one FIFO resource to the job model;
-    // DSFA's early-dispatch rule consumes the engine's idleness signal.
-    // The queue holds every frame, so nothing is dropped (§4.2's drops
-    // apply to the multi-task runtime's bounded queues).
-    let mut model = BatchCostModel::new(0, |density, batch| {
-        inference_cost(
-            &setup.platform,
-            &graph,
-            &workloads,
-            &candidate,
-            density,
-            batch,
-            options.variant,
-        )
-    });
-    let mut engine = ExecEngine::new(
-        setup.window.start(),
-        DeviceTimeline::new(1),
-        1,
-        frame_count.max(1),
-    )?
-    .with_job_records();
-    let mut frontends = [if options.variant.uses_dsfa() {
-        Some(DsfaStage::new(options.dsfa)?)
-    } else {
-        None
-    }];
-    drive_frames(
-        &mut engine,
-        &mut model,
-        vec![frames],
-        &mut frontends,
-        setup.window,
-    )?;
-    let aggregation = frontends[0]
-        .as_ref()
-        .map_or(0.0, DsfaStage::aggregation_aggressiveness);
-    let report = engine.finish(setup.platform.static_power_w);
+        // 4. Accuracy estimate.
+        let precisions: Vec<Precision> = candidate
+            .assignments()
+            .iter()
+            .map(|a| a.precision)
+            .collect();
+        let degradation = accuracy.degradation(&shares, &precisions, aggregation);
+        let metric = accuracy.degraded_metric(degradation);
 
-    // 4. Accuracy estimate.
-    let shares =
-        ev_nn::accuracy::shares_from_macs(&workloads.iter().map(|w| w.macs).collect::<Vec<_>>());
-    let precisions: Vec<Precision> = candidate
-        .assignments()
-        .iter()
-        .map(|a| a.precision)
-        .collect();
-    let degradation = accuracy.degradation(&shares, &precisions, aggregation);
-    let metric = accuracy.degraded_metric(degradation);
-
-    let stats = &report.per_task[0];
-    Ok(PipelineReport {
-        variant: options.variant,
-        frames: frame_count,
-        inferences: stats.completed as usize,
-        events: event_count,
-        makespan: report.makespan,
-        busy_time: report.busy_time,
-        energy: report.energy,
-        mean_latency: stats.mean_latency,
-        degradation,
-        metric,
-        jobs: report.jobs,
-    })
+        let stats = &report.per_task[0];
+        reports.push(PipelineReport {
+            variant: options.variant,
+            frames: frame_count,
+            inferences: stats.completed as usize,
+            events: event_count,
+            makespan: report.makespan,
+            busy_time: report.busy_time,
+            energy: report.energy,
+            mean_latency: stats.mean_latency,
+            degradation,
+            metric,
+            jobs: report.jobs,
+        });
+    }
+    Ok(reports)
 }
 
 /// Models one inference job under a mapping: per-layer roofline costs,
@@ -353,7 +362,7 @@ mod tests {
         }
     }
 
-    fn run(network: NetworkId, variant: PipelineVariant) -> PipelineReport {
+    fn options(network: NetworkId, variant: PipelineVariant) -> PipelineOptions {
         let mut options = PipelineOptions::for_variant(variant, network);
         // Keep the NMP search quick in unit tests.
         options.nmp = NmpConfig {
@@ -362,12 +371,18 @@ mod tests {
             seed: 5,
             ..NmpConfig::default()
         };
-        run_single_task(&setup(network), &options).unwrap()
+        options
+    }
+
+    /// One call over `variants` on `network`'s setup.
+    fn run(network: NetworkId, variants: &[PipelineVariant]) -> Vec<PipelineReport> {
+        let runs: Vec<PipelineOptions> = variants.iter().map(|&v| options(network, v)).collect();
+        run_single_task(&setup(network), &runs).unwrap()
     }
 
     #[test]
     fn pipeline_executes_jobs() {
-        let report = run(NetworkId::SpikeFlowNet, PipelineVariant::DenseAllGpu);
+        let report = &run(NetworkId::SpikeFlowNet, &[PipelineVariant::DenseAllGpu])[0];
         assert!(report.frames > 0);
         assert!(report.inferences > 0);
         assert!(report.makespan > TimeDelta::ZERO);
@@ -377,8 +392,11 @@ mod tests {
 
     #[test]
     fn e2sf_beats_dense_baseline() {
-        let dense = run(NetworkId::SpikeFlowNet, PipelineVariant::DenseAllGpu);
-        let sparse = run(NetworkId::SpikeFlowNet, PipelineVariant::E2sf);
+        let reports = run(
+            NetworkId::SpikeFlowNet,
+            &[PipelineVariant::DenseAllGpu, PipelineVariant::E2sf],
+        );
+        let (dense, sparse) = (&reports[0], &reports[1]);
         assert!(
             sparse.makespan < dense.makespan,
             "E2SF {:?} should beat dense {:?}",
@@ -390,8 +408,11 @@ mod tests {
 
     #[test]
     fn dsfa_batches_jobs() {
-        let plain = run(NetworkId::SpikeFlowNet, PipelineVariant::E2sf);
-        let dsfa = run(NetworkId::SpikeFlowNet, PipelineVariant::E2sfDsfa);
+        let reports = run(
+            NetworkId::SpikeFlowNet,
+            &[PipelineVariant::E2sf, PipelineVariant::E2sfDsfa],
+        );
+        let (plain, dsfa) = (&reports[0], &reports[1]);
         assert!(
             dsfa.inferences <= plain.inferences,
             "DSFA merges frames into fewer jobs"
@@ -401,8 +422,11 @@ mod tests {
 
     #[test]
     fn nmp_improves_over_dsfa_alone() {
-        let dsfa = run(NetworkId::SpikeFlowNet, PipelineVariant::E2sfDsfa);
-        let nmp = run(NetworkId::SpikeFlowNet, PipelineVariant::E2sfDsfaNmp);
+        let reports = run(
+            NetworkId::SpikeFlowNet,
+            &[PipelineVariant::E2sfDsfa, PipelineVariant::E2sfDsfaNmp],
+        );
+        let (dsfa, nmp) = (&reports[0], &reports[1]);
         assert!(
             nmp.makespan <= dsfa.makespan,
             "NMP {:?} vs DSFA {:?}",
@@ -415,7 +439,7 @@ mod tests {
 
     #[test]
     fn accuracy_degradation_stays_anchored() {
-        let report = run(NetworkId::SpikeFlowNet, PipelineVariant::E2sfDsfaNmp);
+        let report = &run(NetworkId::SpikeFlowNet, &[PipelineVariant::E2sfDsfaNmp])[0];
         // The metric moved from the baseline but by a bounded amount.
         assert!(report.metric >= 0.93);
         assert!(report.metric < 1.1);
@@ -423,7 +447,7 @@ mod tests {
 
     #[test]
     fn report_throughput_and_job_accounting() {
-        let report = run(NetworkId::Dotie, PipelineVariant::E2sf);
+        let report = &run(NetworkId::Dotie, &[PipelineVariant::E2sf])[0];
         assert!(report.events > 0 && report.makespan > TimeDelta::ZERO);
         // Jobs never start before their input is ready and never overlap.
         let mut prev_end = Timestamp::ZERO;
@@ -437,5 +461,58 @@ mod tests {
         assert_eq!(report.inferences, report.frames);
         let job_events: usize = report.jobs.iter().map(|j| j.events).sum();
         assert_eq!(job_events, report.events);
+    }
+
+    /// The runs of one call share only the frames: each report equals
+    /// the report of the same options run alone, job records included,
+    /// on a cAdd network and a cBatch one, each with a second DSFA run
+    /// under another configuration.
+    #[test]
+    fn runs_of_one_call_are_independent() {
+        use crate::dsfa::CMode;
+        let no_merging = DsfaConfig {
+            mb_size: 1,
+            ..DsfaConfig::default()
+        };
+        let short_batches = DsfaConfig {
+            cmode: CMode::CBatch,
+            ebuf_size: 2,
+            mb_size: 1,
+            ..DsfaConfig::default()
+        };
+        // DOTIE on the Nano-class platform, where its frames wait for
+        // the device and so reach DSFA's buffer.
+        for (network, platform, other) in [
+            (NetworkId::SpikeFlowNet, Platform::xavier_agx(), no_merging),
+            (NetworkId::Dotie, Platform::nano_like(), short_batches),
+        ] {
+            let mut runs: Vec<PipelineOptions> = PipelineVariant::FIGURE8
+                .iter()
+                .map(|&v| options(network, v))
+                .collect();
+            runs.push(PipelineOptions {
+                dsfa: other,
+                ..options(network, PipelineVariant::E2sfDsfa)
+            });
+            let setup = PipelineSetup {
+                platform,
+                ..setup(network)
+            };
+            let together = run_single_task(&setup, &runs).unwrap();
+            assert_eq!(together.len(), runs.len());
+            assert_ne!(
+                together[2], together[4],
+                "{network:?}: the DSFA configs differ"
+            );
+            for (options, report) in runs.iter().zip(&together) {
+                let alone = run_single_task(&setup, std::slice::from_ref(options)).unwrap();
+                assert_eq!(
+                    alone,
+                    std::slice::from_ref(report),
+                    "{network:?} {:?}",
+                    options.variant
+                );
+            }
+        }
     }
 }

@@ -147,18 +147,21 @@ pub struct MixEntry {
 }
 
 impl MixEntry {
-    /// Rebuilds this entry's problem and re-runs the cached
-    /// `NmpConfig`'s search from scratch, returning whether it
-    /// reproduces the cached mapping and score **bit for bit**.
+    /// Rebuilds this entry's problem and re-runs the cached `NmpConfig`'s
+    /// search from scratch on `workers` threads (no bit depends on them),
+    /// returning whether it reproduces the cached mapping and score **bit
+    /// for bit**.
     ///
     /// # Errors
     ///
     /// Propagates problem-construction and search errors.
-    pub fn verify_replay(&self) -> Result<bool, ServeError> {
+    pub fn verify_replay(&self, workers: usize) -> Result<bool, ServeError> {
         let problem = self
             .mix
             .build_problem(self.platform.build(), &self.zoo.config())?;
-        let replayed = run_nmp(&problem, self.nmp, FitnessConfig::default())?;
+        let mut nmp = self.nmp;
+        nmp.workers = workers;
+        let replayed = run_nmp(&problem, nmp, FitnessConfig::default())?;
         Ok(replayed.best == self.candidate && replayed.report.score.to_bits() == self.score_bits)
     }
 }
@@ -203,15 +206,15 @@ impl MappingCache {
         &self.entries
     }
 
-    /// Replays every cached tuning ([`MixEntry::verify_replay`]);
+    /// Replays every cached tuning on `workers` threads ([`MixEntry::verify_replay`]);
     /// `true` only if each reproduces its mapping bit for bit.
     ///
     /// # Errors
     ///
     /// Propagates the first replay error.
-    pub fn verify_replays(&self) -> Result<bool, ServeError> {
+    pub fn verify_replays(&self, workers: usize) -> Result<bool, ServeError> {
         for entry in &self.entries {
-            if !entry.verify_replay()? {
+            if !entry.verify_replay(workers)? {
                 return Ok(false);
             }
         }

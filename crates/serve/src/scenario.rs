@@ -305,7 +305,7 @@ mod tests {
             ]
         );
         // Every cached tuning replays bit for bit from its NmpConfig.
-        assert!(outcome.mappings.verify_replays().unwrap());
+        assert!(outcome.mappings.verify_replays(config.workers).unwrap());
     }
 
     #[test]
@@ -337,7 +337,7 @@ mod tests {
             .expect("frontend accounted");
         assert!(frontend.left_at_us.is_none(), "always-on tenant left");
         assert!(frontend.arrivals > 0);
-        assert!(outcome.mappings.verify_replays().unwrap());
+        assert!(outcome.mappings.verify_replays(config.workers).unwrap());
         // Validation matches the synthetic scenario's contract.
         assert!(corner_frontend_scenario(&config, 0, 0.5).is_err());
         assert!(corner_frontend_scenario(&config, 2, f64::NAN).is_err());

@@ -924,7 +924,7 @@ mod tests {
         assert_eq!(report.totals.cache_replays, 1);
         // The cached epoch replays the same search bits.
         assert_eq!(report.epochs[0].score_bits, report.epochs[2].score_bits);
-        assert!(outcome.mappings.verify_replays().unwrap());
+        assert!(outcome.mappings.verify_replays(config.workers).unwrap());
     }
 
     #[test]

@@ -123,7 +123,7 @@ proptest! {
         let fanned_json = serde_json::to_string_pretty(&fanned.report)
             .expect("serialize fanned");
         prop_assert_eq!(serial_json.as_bytes(), fanned_json.as_bytes());
-        prop_assert!(serial.mappings.verify_replays().expect("replay check"));
-        prop_assert!(fanned.mappings.verify_replays().expect("replay check"));
+        prop_assert!(serial.mappings.verify_replays(1).expect("replay check"));
+        prop_assert!(fanned.mappings.verify_replays(8).expect("replay check"));
     }
 }

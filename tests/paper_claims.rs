@@ -7,7 +7,10 @@
 //! not regress.
 
 use ev_bench::claims::{self, Check};
-use ev_bench::experiments::{figure1, figure10, figure3, figure5, figure8, figure9, table1};
+use ev_bench::experiments::{
+    figure1, figure10, figure3, figure5, figure8, figure9, table1, Fig8Row,
+};
+use std::sync::OnceLock;
 
 fn assert_all_hold(checks: Vec<Check>) {
     assert!(!checks.is_empty(), "the ledger checks nothing here");
@@ -43,15 +46,21 @@ fn figure5_flying_sequence_is_bursty() {
     assert_all_hold(claims::figure5(&figure5(true).expect("experiment runs")));
 }
 
+/// The quick Figure 8 rows, computed once for both tests that read them.
+fn figure8_rows() -> &'static [Fig8Row] {
+    static ROWS: OnceLock<Vec<Fig8Row>> = OnceLock::new();
+    ROWS.get_or_init(|| figure8(true).expect("experiment runs"))
+}
+
 #[test]
 fn figure8_optimizations_compound_and_land_in_band() {
-    assert_all_hold(claims::figure8(&figure8(true).expect("experiment runs")));
+    assert_all_hold(claims::figure8(figure8_rows()));
 }
 
 /// Table 2 is read off the Figure 8 runs.
 #[test]
 fn figure8_accuracy_stays_within_table2_bands() {
-    assert_all_hold(claims::table2(&figure8(true).expect("experiment runs")));
+    assert_all_hold(claims::table2(figure8_rows()));
 }
 
 #[test]
