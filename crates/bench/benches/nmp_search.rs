@@ -1,12 +1,14 @@
-//! NMP search throughput: candidate evaluations per second and a short
-//! end-to-end search.
+//! NMP search throughput: candidate evaluations per second, a short
+//! end-to-end search, and `search_mixed_32x30_serial`, one search of the
+//! shape evbench's `mapping` workload runs (Xavier, the mixed SNN-ANN mix
+//! at MVSEC scale, 32 candidates × 30 generations, one worker).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ev_edge::nmp::candidate::Candidate;
 use ev_edge::nmp::evolution::{run_nmp, NmpConfig};
 use ev_edge::nmp::fitness::{FitnessConfig, FitnessEvaluator};
 use ev_edge::nmp::multitask::MultiTaskProblem;
-use ev_edge::nmp::task_spec_for;
+use ev_edge::nmp::{task_spec_for, TaskMix};
 use ev_nn::zoo::{NetworkId, ZooConfig};
 use ev_platform::pe::Platform;
 use rand::SeedableRng;
@@ -51,6 +53,25 @@ fn bench_nmp(c: &mut Criterion) {
                     population: 16,
                     generations: 8,
                     seed: 3,
+                    ..NmpConfig::default()
+                },
+                FitnessConfig::default(),
+            )
+            .expect("search succeeds")
+        });
+    });
+
+    let mixed = TaskMix::MixedSnnAnn
+        .build_problem(Platform::xavier_agx(), &ZooConfig::mvsec())
+        .expect("valid problem");
+    group.bench_function("search_mixed_32x30_serial", |b| {
+        b.iter(|| {
+            run_nmp(
+                &mixed,
+                NmpConfig {
+                    population: 32,
+                    generations: 30,
+                    workers: 1,
                     ..NmpConfig::default()
                 },
                 FitnessConfig::default(),

@@ -29,34 +29,27 @@ pub fn all_gpu(problem: &MultiTaskProblem) -> Result<Candidate, EvEdgeError> {
 }
 
 /// Highest-fidelity precision an element supports.
+///
+/// # Panics
+///
+/// Panics if the element supports no precision.
 fn best_precision(problem: &MultiTaskProblem, pe: PeId) -> Precision {
-    problem
-        .platform()
-        .element(pe)
-        .expect("id from platform")
-        .supported_precisions()
-        .first()
-        .copied()
-        .expect("every element supports something")
+    problem.precisions(pe)[0]
 }
 
 /// The processing elements a round-robin DNN scheduler cycles over: the
 /// deep-learning engines (GPU and DLAs). The CPU runs the runtime itself;
 /// no round-robin deployment policy schedules whole CNNs onto it.
 fn rr_pes(problem: &MultiTaskProblem) -> Vec<PeId> {
-    let platform = problem.platform();
-    let accelerators: Vec<PeId> = platform
+    let elements = problem.platform().elements();
+    let accelerators: Vec<PeId> = problem
         .pe_ids()
-        .into_iter()
-        .filter(|id| {
-            platform
-                .element(*id)
-                .map(|e| e.kind != ev_platform::pe::PeKind::Cpu)
-                .unwrap_or(false)
-        })
+        .iter()
+        .copied()
+        .filter(|id| elements[id.0].kind != ev_platform::pe::PeKind::Cpu)
         .collect();
     if accelerators.is_empty() {
-        platform.pe_ids()
+        problem.pe_ids().to_vec()
     } else {
         accelerators
     }

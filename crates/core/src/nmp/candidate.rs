@@ -4,6 +4,12 @@
 //! element and a precision that element supports (paper Figure 7a). The
 //! search space is `(#Precisions × #PEs)^(#Layers)` — the exponential blow-
 //! up that motivates evolutionary search over exhaustive enumeration.
+//!
+//! Random draws read the problem's draw tables, so drawing an assignment
+//! allocates nothing. [`Candidate::crossover`] returns a reference to the
+//! chosen parent, and [`Candidate::clone_from`] copies a parent into a
+//! candidate's existing buffer, so the search breeds a child without
+//! allocating one.
 
 use crate::nmp::multitask::MultiTaskProblem;
 use ev_nn::Precision;
@@ -20,9 +26,23 @@ pub struct Assignment {
 }
 
 /// A complete mapping of the multi-task graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Candidate {
     assignments: Vec<Assignment>,
+}
+
+impl Clone for Candidate {
+    fn clone(&self) -> Self {
+        Candidate {
+            assignments: self.assignments.clone(),
+        }
+    }
+
+    /// Copies `source` into this candidate's buffer, allocating only if
+    /// it is too small.
+    fn clone_from(&mut self, source: &Self) {
+        self.assignments.clone_from(&source.assignments);
+    }
 }
 
 impl Candidate {
@@ -95,28 +115,39 @@ impl Candidate {
     }
 
     /// The paper's crossover: of two neighbouring parents, one is chosen
-    /// as the child with equal likelihood.
-    pub fn crossover<R: Rng>(a: &Candidate, b: &Candidate, rng: &mut R) -> Candidate {
+    /// as the child with equal likelihood. The child is the chosen parent;
+    /// the caller copies it where the child should live.
+    pub fn crossover<'a, R: Rng>(a: &'a Candidate, b: &'a Candidate, rng: &mut R) -> &'a Candidate {
         if rng.gen::<bool>() {
-            a.clone()
+            a
         } else {
-            b.clone()
+            b
         }
     }
 
     /// A stable hash for fitness caching ("fitness scores are cached for
     /// each new candidate and reused", paper §4.3.1).
     pub fn cache_key(&self) -> u64 {
-        // FNV-1a over (pe, precision) pairs.
+        // FNV-1a over (pe, precision) pairs: the id's low byte, then the
+        // precision tag. An id past 255 sets the tag's high bit and then
+        // hashes the id's other seven bytes, so every assignment's bytes
+        // decode one way and ids below 256 keep their two-byte keys.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for a in &self.assignments {
-            for byte in [(a.pe.0 as u8), precision_tag(a.precision)] {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            let id = (a.pe.0 as u64).to_le_bytes();
+            let wide = a.pe.0 > 0xff;
+            h = fnv1a(h, id[0]);
+            h = fnv1a(h, precision_tag(a.precision) | if wide { 0x80 } else { 0 });
+            if wide {
+                h = id[1..].iter().fold(h, |h, &byte| fnv1a(h, byte));
             }
         }
         h
     }
+}
+
+fn fnv1a(h: u64, byte: u8) -> u64 {
+    (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3)
 }
 
 fn precision_tag(p: Precision) -> u8 {
@@ -128,21 +159,17 @@ fn precision_tag(p: Precision) -> u8 {
 }
 
 fn random_assignment<R: Rng>(problem: &MultiTaskProblem, rng: &mut R, fp_only: bool) -> Assignment {
-    let platform = problem.platform();
     if fp_only {
-        let pes = platform.pes_supporting(Precision::Fp32);
+        let pes = problem.fp32_pes();
         let pe = pes[rng.gen_range(0..pes.len())];
         return Assignment {
             pe,
             precision: Precision::Fp32,
         };
     }
-    let pes = platform.pe_ids();
+    let pes = problem.pe_ids();
     let pe = pes[rng.gen_range(0..pes.len())];
-    let precisions = platform
-        .element(pe)
-        .expect("id from platform")
-        .supported_precisions();
+    let precisions = problem.precisions(pe);
     let precision = precisions[rng.gen_range(0..precisions.len())];
     Assignment { pe, precision }
 }
@@ -214,7 +241,20 @@ mod tests {
         let b = Candidate::random(&p, &mut rng);
         for _ in 0..10 {
             let child = Candidate::crossover(&a, &b, &mut rng);
-            assert!(child == a || child == b);
+            assert!(*child == a || *child == b);
+        }
+    }
+
+    #[test]
+    fn cache_keys_below_id_256_are_two_bytes_per_layer() {
+        let p = problem();
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        for _ in 0..20 {
+            let c = Candidate::random(&p, &mut rng);
+            let two_bytes = c.assignments().iter().fold(0xcbf2_9ce4_8422_2325, |h, a| {
+                fnv1a(fnv1a(h, a.pe.0 as u8), precision_tag(a.precision))
+            });
+            assert_eq!(c.cache_key(), two_bytes);
         }
     }
 

@@ -4,6 +4,14 @@
 //! population → fitness evaluation (cached) → elite survival → the paper's
 //! neighbour-pair crossover → per-child mutation of a fixed number of
 //! layers. Convergence history is recorded for Figure 10a.
+//!
+//! A generation's cost is its uncached evaluations: the evaluator hashes
+//! each candidate once and lends out its cached reports, the population
+//! is ranked as an index permutation, parents are read by reference
+//! ([`Candidate::crossover`] returns the chosen one), elites move into
+//! the next generation, and children are written into the buffers of the
+//! candidates that died. A candidate and its report are cloned only when
+//! they become the best seen.
 
 use crate::nmp::candidate::Candidate;
 use crate::nmp::fitness::{FitnessConfig, FitnessEvaluator, FitnessReport};
@@ -13,6 +21,7 @@ use ev_core::TimeDelta;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::mem::take;
 
 /// Evolutionary search configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,6 +100,19 @@ impl NmpConfig {
     }
 }
 
+/// Checks `config` as [`NmpConfig::validate`] does, and that an
+/// `fp_only` search has an FP32-capable element to draw from.
+pub(crate) fn validate_search(
+    config: &NmpConfig,
+    problem: &MultiTaskProblem,
+) -> Result<(), EvEdgeError> {
+    config.validate()?;
+    if config.fp_only && problem.fp32_pes().is_empty() {
+        return Err(EvEdgeError::InvalidSearchConfig { field: "fp_only" });
+    }
+    Ok(())
+}
+
 /// Best/mean fitness of one generation (Figure 10a data).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenerationStat {
@@ -125,7 +147,8 @@ pub struct SearchResult {
 ///
 /// Propagates fitness-evaluation errors; returns
 /// [`EvEdgeError::InvalidSearchConfig`] for configurations that
-/// [`NmpConfig::validate`] rejects.
+/// [`NmpConfig::validate`] rejects, and for an `fp_only` search on a
+/// platform with no FP32-capable element.
 ///
 /// # Examples
 ///
@@ -156,7 +179,7 @@ pub fn run_nmp(
     config: NmpConfig,
     fitness: FitnessConfig,
 ) -> Result<SearchResult, EvEdgeError> {
-    config.validate()?;
+    validate_search(&config, problem)?;
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut evaluator = FitnessEvaluator::new(problem, fitness);
     let make_random = |rng: &mut ChaCha8Rng| {
@@ -191,68 +214,72 @@ pub fn run_nmp(
     // was ever seen.
     let mut best_feasible: Option<(Candidate, FitnessReport)> = None;
     let mut best_any: Option<(Candidate, FitnessReport)> = None;
+    let elite_count = ((config.population as f64 * config.elite_fraction).ceil() as usize)
+        .clamp(1, config.population);
+    let parent_count = (config.population / 2).max(2);
+    let mut order: Vec<usize> = Vec::with_capacity(config.population);
+    // The candidates that died last generation, whose buffers hold this
+    // generation's children, and the vector the next generation fills.
+    let mut spare: Vec<Candidate> = Vec::with_capacity(config.population);
+    let mut next: Vec<Candidate> = Vec::with_capacity(config.population);
 
     for generation in 0..config.generations {
         // The hottest path of the search: the whole generation's cache
         // misses evaluate concurrently on the worker pool.
         let reports = evaluator.evaluate_all(&population, config.workers)?;
-        let mut scored: Vec<(Candidate, FitnessReport)> =
-            population.drain(..).zip(reports).collect();
-        scored.sort_by(|a, b| a.1.score.total_cmp(&b.1.score));
-        let gen_best = &scored[0];
-        let mean_score = scored.iter().map(|(_, r)| r.score).sum::<f64>() / scored.len() as f64;
+        order.clear();
+        order.extend(0..population.len());
+        order.sort_by(|&a, &b| reports[a].score.total_cmp(&reports[b].score));
+        let gen_best = reports[order[0]];
+        let mean_score = order.iter().map(|&i| reports[i].score).sum::<f64>() / order.len() as f64;
         history.push(GenerationStat {
             generation,
-            best_score: gen_best.1.score,
-            best_latency: gen_best.1.max_latency,
+            best_score: gen_best.score,
+            best_latency: gen_best.max_latency,
             mean_score,
         });
         if best_any
             .as_ref()
-            .map(|(_, r)| gen_best.1.score < r.score)
+            .map(|(_, r)| gen_best.score < r.score)
             .unwrap_or(true)
         {
-            best_any = Some((gen_best.0.clone(), gen_best.1.clone()));
+            best_any = Some((population[order[0]].clone(), gen_best.clone()));
         }
-        if let Some((c, r)) = scored
-            .iter()
-            .filter(|(_, r)| r.feasible)
-            .min_by(|a, b| a.1.score.total_cmp(&b.1.score))
-        {
+        if let Some(&i) = order.iter().find(|&&i| reports[i].feasible) {
             if best_feasible
                 .as_ref()
-                .map(|(_, br)| r.score < br.score)
+                .map(|(_, br)| reports[i].score < br.score)
                 .unwrap_or(true)
             {
-                best_feasible = Some((c.clone(), r.clone()));
+                best_feasible = Some((population[i].clone(), reports[i].clone()));
             }
         }
 
         // Next generation: elites survive, the rest are crossover children
         // of neighbouring parents with mutation.
-        let elite_count = ((config.population as f64 * config.elite_fraction).ceil() as usize)
-            .clamp(1, config.population);
-        let mut next: Vec<Candidate> = scored
-            .iter()
-            .take(elite_count)
-            .map(|(c, _)| c.clone())
-            .collect();
-        let parents: Vec<Candidate> = scored
-            .iter()
-            .take((config.population / 2).max(2))
-            .map(|(c, _)| c.clone())
-            .collect();
-        while next.len() < config.population {
+        let parents = &order[..parent_count];
+        for k in 0..config.population - elite_count {
             // Neighbouring parent pair (wrapping), per the paper.
             let i = rng.gen_range(0..parents.len());
             let j = (i + 1) % parents.len();
-            let mut child = Candidate::crossover(&parents[i], &parents[j], &mut rng);
-            child.mutate(problem, &mut rng, config.mutation_layers, config.fp_only);
-            next.push(child);
+            let parent =
+                Candidate::crossover(&population[parents[i]], &population[parents[j]], &mut rng);
+            match spare.get_mut(k) {
+                Some(child) => child.clone_from(parent),
+                None => spare.push(parent.clone()),
+            }
+            spare[k].mutate(problem, &mut rng, config.mutation_layers, config.fp_only);
         }
+        // Elites move on; the rest die and lend their buffers to the
+        // next generation's children.
+        let (elites, dead) = order.split_at(elite_count);
+        next.extend(elites.iter().map(|&i| take(&mut population[i])));
+        next.append(&mut spare);
+        spare.extend(dead.iter().map(|&i| take(&mut population[i])));
         // Shuffle so elitism does not bias neighbour pairing next round.
         next.shuffle(&mut rng);
-        population = next;
+        std::mem::swap(&mut population, &mut next);
+        next.clear();
     }
 
     let (best_candidate, best_report) = best_feasible
@@ -427,6 +454,67 @@ mod tests {
                 "{field}: {err:?}"
             );
         }
+    }
+
+    /// A platform whose one element is Xavier's DLA, which has no FP32
+    /// datapath.
+    fn dla_only_problem() -> MultiTaskProblem {
+        let xavier = Platform::xavier_agx();
+        let dla = xavier.element_by_name("dla0").unwrap().clone();
+        let platform = Platform::new(
+            "dla-only",
+            vec![dla],
+            xavier.memory_bandwidth,
+            xavier.transfer_base_latency_s,
+            xavier.dram_energy_per_byte,
+        );
+        let cfg = ZooConfig::small();
+        MultiTaskProblem::new(
+            platform,
+            vec![TaskSpec::new(
+                NetworkId::E2Depth.build(&cfg).unwrap(),
+                NetworkId::E2Depth.accuracy_model(),
+                0.02,
+            )],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn fp_only_search_without_an_fp32_element_is_rejected() {
+        let p = dla_only_problem();
+        let fp_only = NmpConfig {
+            fp_only: true,
+            ..quick_config()
+        };
+        let err = run_nmp(&p, fp_only, FitnessConfig::default()).err();
+        assert!(
+            matches!(
+                err,
+                Some(EvEdgeError::InvalidSearchConfig { field: "fp_only" })
+            ),
+            "{err:?}"
+        );
+        assert!(run_nmp(&p, quick_config(), FitnessConfig::default()).is_ok());
+    }
+
+    #[test]
+    fn fp_only_random_search_without_an_fp32_element_is_rejected() {
+        let p = dla_only_problem();
+        let fp_only = NmpConfig {
+            fp_only: true,
+            ..quick_config()
+        };
+        let err =
+            crate::nmp::random_search::run_random_search(&p, fp_only, FitnessConfig::default())
+                .err();
+        assert!(
+            matches!(
+                err,
+                Some(EvEdgeError::InvalidSearchConfig { field: "fp_only" })
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! unified-memory queue wherever a producer and consumer layer sit on
 //! different elements, penalized when any task's accuracy degradation
 //! exceeds its ΔA threshold. Reports are cached by candidate hash, as the
-//! paper does.
+//! paper does. [`FitnessEvaluator::evaluate_all`] hashes each candidate
+//! once, keys the cache by that hash as it is, and returns reports
+//! borrowed from the cache, so a cache hit copies nothing.
 //!
 //! A cache miss reads each layer's cost from the dense recorded profile,
 //! builds the joint graph into flat per-worker buffers (a
@@ -25,6 +27,7 @@ use ev_platform::energy::Energy;
 use ev_platform::schedule::{list_schedule, Schedule};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// What the search minimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -74,12 +77,33 @@ pub struct FitnessReport {
     pub score: f64,
 }
 
+/// Passes a [`Candidate::cache_key`], already an FNV-1a hash, through to
+/// the cache's table as it is.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
 /// Caching fitness evaluator.
 #[derive(Debug)]
 pub struct FitnessEvaluator<'a> {
     problem: &'a MultiTaskProblem,
     config: FitnessConfig,
-    cache: HashMap<u64, FitnessReport>,
+    cache: HashMap<u64, FitnessReport, BuildHasherDefault<KeyHasher>>,
     evaluations: usize,
     cache_hits: usize,
 }
@@ -90,7 +114,7 @@ impl<'a> FitnessEvaluator<'a> {
         FitnessEvaluator {
             problem,
             config,
-            cache: HashMap::new(),
+            cache: HashMap::default(),
             evaluations: 0,
             cache_hits: 0,
         }
@@ -126,7 +150,8 @@ impl<'a> FitnessEvaluator<'a> {
     }
 
     /// Evaluates a whole population, fanning cache misses out across
-    /// `workers` threads (`0` = machine parallelism, `1` = serial).
+    /// `workers` threads (`0` = machine parallelism, `1` = serial), and
+    /// returns each candidate's report borrowed from the cache.
     ///
     /// Results, cache contents and the evaluation/cache-hit counters are
     /// bitwise identical to calling [`FitnessEvaluator::evaluate`] per
@@ -140,13 +165,13 @@ impl<'a> FitnessEvaluator<'a> {
         &mut self,
         candidates: &[Candidate],
         workers: usize,
-    ) -> Result<Vec<FitnessReport>, EvEdgeError> {
+    ) -> Result<Vec<&FitnessReport>, EvEdgeError> {
         let workers = crate::exec::parallel::resolve_workers(workers);
+        let keys: Vec<u64> = candidates.iter().map(Candidate::cache_key).collect();
         // Unique cache misses, in first-occurrence order.
         let mut miss_keys: Vec<u64> = Vec::new();
         let mut miss_candidates: Vec<&Candidate> = Vec::new();
-        for candidate in candidates {
-            let key = candidate.cache_key();
+        for (candidate, &key) in candidates.iter().zip(&keys) {
             if !self.cache.contains_key(&key) && !miss_keys.contains(&key) {
                 miss_keys.push(key);
                 miss_candidates.push(candidate);
@@ -161,15 +186,7 @@ impl<'a> FitnessEvaluator<'a> {
             self.evaluations += 1;
         }
         self.cache_hits += candidates.len() - miss_keys.len();
-        Ok(candidates
-            .iter()
-            .map(|c| {
-                self.cache
-                    .get(&c.cache_key())
-                    .cloned()
-                    .expect("every candidate evaluated above")
-            })
-            .collect())
+        Ok(keys.iter().map(|key| &self.cache[key]).collect())
     }
 
     fn evaluate_uncached(&self, candidate: &Candidate) -> Result<FitnessReport, EvEdgeError> {
@@ -408,6 +425,52 @@ mod tests {
             let report = eval.evaluate(&c).unwrap();
             assert!(report.max_latency > TimeDelta::ZERO);
         }
+    }
+
+    #[test]
+    fn element_ids_past_255_have_their_own_cache_entries() {
+        // Element 0 is Xavier's GPU and elements 1..=256 are its CPU, so
+        // ids 0 and 256 share their low byte but not their cost.
+        let xavier = Platform::xavier_agx();
+        let mut elements = vec![xavier.element_by_name("cpu").unwrap().clone(); 257];
+        elements[0] = xavier.element_by_name("gpu").unwrap().clone();
+        let platform = Platform::new(
+            "gpu-and-256-cpus",
+            elements,
+            xavier.memory_bandwidth,
+            xavier.transfer_base_latency_s,
+            xavier.dram_energy_per_byte,
+        );
+        let cfg = ZooConfig::small();
+        let p = MultiTaskProblem::new(
+            platform,
+            vec![TaskSpec::new(
+                NetworkId::Dotie.build(&cfg).unwrap(),
+                NetworkId::Dotie.accuracy_model(),
+                0.04,
+            )],
+        )
+        .unwrap();
+        let all_on = |pe| {
+            Candidate::from_assignments(vec![
+                crate::nmp::candidate::Assignment {
+                    pe: ev_platform::pe::PeId(pe),
+                    precision: Precision::Fp32,
+                };
+                p.node_count()
+            ])
+        };
+        let (low, high) = (all_on(0), all_on(256));
+        assert_ne!(low.cache_key(), high.cache_key());
+        let mut eval = FitnessEvaluator::new(&p, FitnessConfig::default());
+        let low_report = eval.evaluate(&low).unwrap();
+        let high_report = eval.evaluate(&high).unwrap();
+        assert_eq!((eval.evaluations(), eval.cache_hits()), (2, 0));
+        let fresh = FitnessEvaluator::new(&p, FitnessConfig::default())
+            .evaluate(&high)
+            .unwrap();
+        assert_eq!(high_report, fresh);
+        assert_ne!(high_report, low_report);
     }
 
     #[test]

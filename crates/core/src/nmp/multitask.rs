@@ -9,7 +9,8 @@
 use crate::EvEdgeError;
 use ev_nn::accuracy::{shares_from_macs, AccuracyModel};
 use ev_nn::graph::{LayerWorkload, NetworkGraph};
-use ev_platform::pe::Platform;
+use ev_nn::Precision;
+use ev_platform::pe::{PeId, Platform};
 use ev_platform::profile::NetworkProfile;
 
 /// One task of a multi-task scenario.
@@ -98,6 +99,11 @@ impl TaskSpec {
 }
 
 /// A fully-prepared multi-task mapping problem.
+///
+/// Besides the cost tables, a problem holds the mapper's draw tables,
+/// read off the platform once here so that drawing a layer's
+/// assignment allocates nothing: the element ids, each element's
+/// precisions (highest fidelity first), and the FP32-capable ids.
 #[derive(Debug, Clone)]
 pub struct MultiTaskProblem {
     platform: Platform,
@@ -109,6 +115,12 @@ pub struct MultiTaskProblem {
     nodes: Vec<(usize, usize)>,
     /// First global node per task.
     offsets: Vec<usize>,
+    /// Every element id, in platform order.
+    pe_ids: Vec<PeId>,
+    /// Per element, its supported precisions, highest fidelity first.
+    precisions: Vec<Vec<Precision>>,
+    /// The ids of the elements that support FP32.
+    fp32_pes: Vec<PeId>,
 }
 
 impl MultiTaskProblem {
@@ -143,6 +155,13 @@ impl MultiTaskProblem {
             profiles.push(profile);
         }
         Ok(MultiTaskProblem {
+            pe_ids: platform.pe_ids(),
+            precisions: platform
+                .elements()
+                .iter()
+                .map(|e| e.supported_precisions())
+                .collect(),
+            fp32_pes: platform.pes_supporting(Precision::Fp32),
             platform,
             tasks,
             workloads,
@@ -195,6 +214,25 @@ impl MultiTaskProblem {
     /// Compute shares of a task's layers (for the accuracy model).
     pub fn shares(&self, task: usize) -> &[f64] {
         &self.shares[task]
+    }
+
+    /// Every element id of the platform.
+    pub(crate) fn pe_ids(&self) -> &[PeId] {
+        &self.pe_ids
+    }
+
+    /// The precisions element `pe` supports, highest fidelity first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pe` is not an element of the platform.
+    pub(crate) fn precisions(&self, pe: PeId) -> &[Precision] {
+        &self.precisions[pe.0]
+    }
+
+    /// The ids of the elements that support FP32.
+    pub(crate) fn fp32_pes(&self) -> &[PeId] {
+        &self.fp32_pes
     }
 }
 

@@ -5,7 +5,7 @@
 //! score — the comparison showing NMP's search is not just luck.
 
 use crate::nmp::candidate::Candidate;
-use crate::nmp::evolution::{GenerationStat, NmpConfig, SearchResult};
+use crate::nmp::evolution::{validate_search, GenerationStat, NmpConfig, SearchResult};
 use crate::nmp::fitness::{FitnessConfig, FitnessEvaluator, FitnessReport};
 use crate::nmp::multitask::MultiTaskProblem;
 use crate::EvEdgeError;
@@ -18,14 +18,13 @@ use rand_chacha::ChaCha8Rng;
 /// # Errors
 ///
 /// Propagates fitness errors; rejects the configurations that
-/// [`NmpConfig::validate`] rejects, like
-/// [`crate::nmp::evolution::run_nmp`].
+/// [`crate::nmp::evolution::run_nmp`] rejects.
 pub fn run_random_search(
     problem: &MultiTaskProblem,
     config: NmpConfig,
     fitness: FitnessConfig,
 ) -> Result<SearchResult, EvEdgeError> {
-    config.validate()?;
+    validate_search(&config, problem)?;
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut evaluator = FitnessEvaluator::new(problem, fitness);
     let mut best_feasible: Option<(Candidate, FitnessReport)> = None;
@@ -45,9 +44,7 @@ pub fn run_random_search(
             })
             .collect();
         let reports = evaluator.evaluate_all(&candidates, config.workers)?;
-        let mut gen_scores = Vec::with_capacity(config.population);
-        for (candidate, report) in candidates.into_iter().zip(reports) {
-            gen_scores.push(report.score);
+        for (candidate, &report) in candidates.iter().zip(&reports) {
             if report.feasible
                 && best_feasible
                     .as_ref()
@@ -61,7 +58,7 @@ pub fn run_random_search(
                 .map(|(_, r)| report.score < r.score)
                 .unwrap_or(true)
             {
-                best_any = Some((candidate, report));
+                best_any = Some((candidate.clone(), report.clone()));
             }
         }
         // History tracks the best *score* seen so far (monotone curve);
@@ -71,7 +68,7 @@ pub fn run_random_search(
             generation,
             best_score: best_so_far.1.score,
             best_latency: best_so_far.1.max_latency,
-            mean_score: gen_scores.iter().sum::<f64>() / gen_scores.len() as f64,
+            mean_score: reports.iter().map(|r| r.score).sum::<f64>() / reports.len() as f64,
         });
     }
     let (candidate, report) = best_feasible

@@ -334,9 +334,8 @@ fn flat_evaluator_matches_the_reference_path() {
                     .filter(|c| c.is_valid(&p))
                     .cloned()
                     .collect();
-                let pooled = FitnessEvaluator::new(&p, config)
-                    .evaluate_all(&good, 2)
-                    .expect("valid candidates");
+                let mut pool = FitnessEvaluator::new(&p, config);
+                let pooled = pool.evaluate_all(&good, 2).expect("valid candidates");
                 for (candidate, report) in good.iter().zip(&pooled) {
                     let oracle = oracle_evaluate(&p, candidate, objective).expect("valid");
                     assert_eq!(format!("{report:?}"), format!("{oracle:?}"));
